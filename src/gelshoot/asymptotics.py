@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import delaycore as dc
 from .errors import DomainError
@@ -45,6 +43,7 @@ def alpha_root(b: float) -> float:
     if b >= 2.0 * LN2:
         raise DomainError(
             f"no positive root for b >= 2 ln 2 = {2.0 * LN2:.6f}")
+    from scipy.optimize import brentq
 
     def g(al: float) -> float:
         return b * al / (2.0 * (1.0 - 2.0 ** (-al))) - 1.0
@@ -242,6 +241,7 @@ def t_star(eta: float) -> float:
     """Unique positive root of t / (1 - e^-t) = 2 eta, for eta > 1/2."""
     if not eta > 0.5:
         raise DomainError("eta must exceed 1/2")
+    from scipy.optimize import brentq
     lo, hi = 1e-12, 2.0 * eta
     # t/(1-e^-t) increases from 1 at t=0+ to infinity
     return brentq(lambda t: t / (-math.expm1(-t)) - 2.0 * eta, lo, hi,
@@ -255,6 +255,7 @@ def laplace_quantities(eta: float) -> LaplaceQuantities:
     ln(2 eta) and vanishes at t*.
     """
     ts = t_star(eta)
+    from scipy.integrate import quad
 
     def integrand(t: float) -> float:
         if t < 1e-12:

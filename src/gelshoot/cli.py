@@ -18,10 +18,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, asymptotics, fixedpoint, gelsim, greens, \
-    profiles, shooting, stability
+from . import __version__, profiles
 from .errors import DomainError, GelshootError
-from .greens import GreensEval
 from .profiles import make_params
 
 log = logging.getLogger("gelshoot")
@@ -89,7 +87,10 @@ def load_config(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (payload kind, data) and may write files
+# subcommand handlers; each returns (payload kind, data) and may write files.
+# A handler imports the library modules it calls, so a process loads only
+# what its subcommand needs: importing scipy takes far longer than the work
+# of the cheap subcommands.
 
 
 def cmd_params(a):
@@ -98,6 +99,7 @@ def cmd_params(a):
 
 
 def cmd_b_star(a):
+    from . import stability
     v = stability.b_star(a.gamma)
     if a.out is not None:
         emit_json(a.out, {"gamma": a.gamma, "b_star": v}, a.echo)
@@ -105,6 +107,7 @@ def cmd_b_star(a):
 
 
 def cmd_profile(a):
+    from . import shooting
     p = make_params(a.gamma, a.b)
     traj = shooting.h_profile(p, a.y_max, tol=a.tol)
     ts, us, dus = traj.nodes()
@@ -113,6 +116,7 @@ def cmd_profile(a):
 
 
 def cmd_classify(a):
+    from . import shooting
     p = make_params(a.gamma, a.b)
     c = shooting.classify(p, y_max=a.y_max, tol=a.tol)
     payload = {"gamma": a.gamma, "b": a.b, "class": c.kind}
@@ -123,6 +127,7 @@ def cmd_classify(a):
 
 
 def cmd_scan_b(a):
+    from . import shooting
     grid = parse_grid(a.grid)
     rows = shooting.scan_b(a.gamma, grid, y_max=a.y_max, tol=a.tol,
                            jobs=a.jobs)
@@ -133,6 +138,7 @@ def cmd_scan_b(a):
 
 
 def cmd_bracket_bbar(a):
+    from . import shooting
     br = shooting.bracket_bbar(a.gamma, tol_b=a.tol_b, y_max=a.y_max,
                                tol=a.tol)
     emit_json(a.out, {"gamma": br.gamma, "b_lo": br.b_lo, "b_hi": br.b_hi,
@@ -140,6 +146,7 @@ def cmd_bracket_bbar(a):
 
 
 def cmd_winding(a):
+    from . import stability
     p = make_params(a.gamma, a.b)
     w = stability.winding_number(p)
     cp = stability.CharProblem.from_params(p)
@@ -149,6 +156,7 @@ def cmd_winding(a):
 
 
 def cmd_stability_scan(a):
+    from . import stability
     grid = parse_grid(a.grid)
     rows = stability.stability_scan(a.gamma, grid, jobs=a.jobs)
     write_csv(a.out, ["gamma", "b", "winding", "d_tilde", "d_star"],
@@ -157,6 +165,7 @@ def cmd_stability_scan(a):
 
 
 def cmd_greens_q(a):
+    from . import greens
     grid = parse_grid(a.grid) if a.grid else np.linspace(0.0, 20.0, 201)
     rows = [(x, greens.q_eval(float(x)), greens.q_tail_bound(float(x)))
             for x in grid]
@@ -166,9 +175,10 @@ def cmd_greens_q(a):
 def cmd_greens_verify(a):
     import warnings as _warnings
 
+    from . import greens
     from .errors import TruncationWarning
 
-    cfg = GreensEval(T_max=a.t_max)
+    cfg = greens.GreensEval(T_max=a.t_max)
     pts = [(2.0, 1.0), (3.0, 1.0), (5.0, 2.0)]
     rows = []
     for (x, xi) in pts:
@@ -189,11 +199,13 @@ def cmd_greens_verify(a):
 
 
 def cmd_fixedpoint(a):
+    from . import fixedpoint
     st = fixedpoint.picard_solve(a.eps, a.eta, tol=a.tol)
     emit_json(a.out, st.to_dict(), a.echo)
 
 
 def cmd_eps_of_eta(a):
+    from . import fixedpoint
     eps, st = fixedpoint.eps_of_eta(a.eta, tol=a.tol)
     emit_json(a.out, {"eta": a.eta, "eps": eps, "F": st.F_value,
                       "iterations": st.iterations,
@@ -201,6 +213,7 @@ def cmd_eps_of_eta(a):
 
 
 def cmd_bbar(a):
+    from . import fixedpoint
     crit = fixedpoint.bbar_of_gamma(a.gamma)
     payload = {"gamma": a.gamma, "bbar": crit.bbar, "eps": crit.eps,
                "eta": crit.eta, "tail_rate": crit.tail_rate_fit,
@@ -214,6 +227,7 @@ def cmd_bbar(a):
 
 
 def cmd_gamma1(a):
+    from . import asymptotics
     b = profiles.LN2 if a.b is None else a.b
     if abs(b - 1.0) < 1e-12:
         out = asymptotics.gamma1_b1_limit(a.a1, x_max=a.y_max, tol=a.tol)
@@ -229,6 +243,7 @@ def cmd_gamma1(a):
 
 
 def cmd_psi_asym(a):
+    from . import asymptotics
     eps_list = [float(s) for s in a.eps_list.split(",")]
     rows = asymptotics.psi_asymptotics_check(a.eta, eps_list)
     write_csv(a.out, ["eps", "logPsi", "logPred", "r"],
@@ -237,12 +252,14 @@ def cmd_psi_asym(a):
 
 
 def cmd_laplace(a):
+    from . import asymptotics
     lq = asymptotics.laplace_quantities(a.eta)
     write_csv(a.out, ["eta", "t_star", "W", "D", "U"],
               [(lq.eta, lq.t_star, lq.W, lq.D, lq.U)], a.echo)
 
 
 def cmd_tails(a):
+    from . import asymptotics
     te = asymptotics.tail_exponents(a.eps, a.eta)
     emit_json(a.out, {"eps": te.eps, "eta_bar": te.eta_bar,
                       "beta": te.beta, "alpha": te.alpha,
@@ -252,6 +269,7 @@ def cmd_tails(a):
 
 
 def cmd_simulate(a):
+    from . import gelsim
     if a.scan:
         diag = gelsim.gelation_scan(a.gamma, init=a.init, n_chains=a.scan,
                                     K=a.sites, horizon=a.t_end, tol=a.tol)
@@ -278,6 +296,7 @@ def cmd_simulate(a):
 
 
 def cmd_fig2(a):
+    from . import stability
     bs = [float(s) for s in a.b_list.split(",")]
     for b in bs:
         p = make_params(a.gamma, b)
@@ -291,6 +310,7 @@ def cmd_fig2(a):
 
 
 def cmd_fig3(a):
+    from . import shooting
     p = make_params(a.gamma, a.b)
     traj = shooting.h_profile(p, a.y_max, tol=a.tol,
                               stop_on_sign_change=True)
@@ -332,6 +352,7 @@ def _close(a, b, tol):
 def selftest(name: str) -> int:
     checks = []
     if name == "b-star":
+        from . import stability
         checks = [("b*(2) near 2.5374", _close(stability.b_star(2.0),
                                                2.5374403762870335, 1e-12)),
                   ("b*(30) matches the large-gamma limit",
@@ -345,17 +366,20 @@ def selftest(name: str) -> int:
                   ("phi_inf(3) = 1/3",
                    _close(make_params(3.0, 1.0).phi_inf, 1.0 / 3.0, 1e-15))]
     elif name == "greens-q":
+        from . import greens
         checks = [("Q(1)", _close(greens.q_eval(1.0), -0.07680055520582965,
                                   1e-9)),
                   ("c0 series vs quadrature",
                    _close(greens.c0_moment(), greens.c0_moment_quad(),
                           1e-9))]
     elif name == "winding":
+        from . import stability
         w0 = stability.winding_number(make_params(2.0, 3.0)).winding
         w1 = stability.winding_number(make_params(2.0, 2.3)).winding
         checks = [("stable side has no turns", w0 == 0),
                   ("unstable side has one turn", w1 == 1)]
     elif name == "classify":
+        from . import shooting
         kinds = [shooting.classify(make_params(2.0, b), y_max=200.0).kind
                  for b in (2.05, 2.3, 10.0)]
         checks = [("b=2.05 changes sign", kinds[0] == "SignChange"),
@@ -363,38 +387,46 @@ def selftest(name: str) -> int:
                   ("b=10 settles on the constant",
                    kinds[2] == "ConvergesToConstant")]
     elif name == "laplace":
+        from . import asymptotics
         lq = asymptotics.laplace_quantities(1.0)
         checks = [("t*(1)", _close(lq.t_star, 1.5936242600400401, 1e-10)),
                   ("D(1)", _close(lq.D, 0.18624975627100618, 1e-10)),
                   ("W(1)", _close(lq.W, 0.5252241460859855, 1e-8))]
     elif name == "tails":
+        from . import asymptotics
         te = asymptotics.tail_exponents(0.1, 1.0)
         checks = [("beta(0.1)", _close(te.beta, 6.578813478960584, 1e-12)),
                   ("alpha = beta - 1", te.alpha == te.beta - 1.0)]
     elif name == "gamma1":
+        from . import asymptotics
         checks = [("alpha(ln2) > 2",
                    asymptotics.alpha_root(math.log(2.0)) > 2.0),
                   ("alpha(1) = 1",
                    _close(asymptotics.alpha_root(1.0), 1.0, 1e-12))]
     elif name == "fixedpoint":
+        from . import fixedpoint
         st = fixedpoint.picard_solve(0.01, 0.01)
         checks = [("converged", st.sup_diff_history[-1] < 1e-10),
                   ("limit value stored at the origin",
                    _close(st.W[0], -st.F_value, 1e-12))]
     elif name == "eps-of-eta":
+        from . import fixedpoint
         eps, _ = fixedpoint.eps_of_eta(0.01)
         checks = [("slope near 0.21", _close(eps / 0.01, 0.2097, 0.01))]
     elif name == "bbar":
+        from . import fixedpoint
         crit = fixedpoint.bbar_of_gamma(13.0)
         checks = [("bbar(13) near 1.0003", _close(crit.bbar, 1.0003, 5e-4)),
                   ("profile positive", float(np.min(crit.h)) > 0.0)]
     elif name == "simulate":
+        from . import gelsim
         ch = gelsim.make_chain(1.3, 2.0, 0, lambda x: 0.7)
         sol = gelsim.evolve_chain(ch, 2.0, tol=1e-12)
         exact = gelsim.single_site_closed_form(1.3, 2.0, 0.7, sol.t)
         checks = [("single-site closed form",
                    float(np.max(np.abs(sol.f[0] - exact))) < 1e-10)]
     elif name == "psi-asym":
+        from . import asymptotics
         rows = asymptotics.psi_asymptotics_check(1.0, [0.1, 0.05])
         checks = [("defect shrinks with eps",
                    abs(rows[1]["r"]) < abs(rows[0]["r"]))]

@@ -399,8 +399,7 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     def f(tt: float, uu: float) -> float:
         return rhs.f(tt, uu, delayed(tt))
 
-    def rk4(ta: float, ua: float, h: float) -> float:
-        k1 = f(ta, ua)
+    def rk4(ta: float, ua: float, h: float, k1: float) -> float:
         k2 = f(ta + 0.5 * h, ua + 0.5 * h * k1)
         k3 = f(ta + 0.5 * h, ua + 0.5 * h * k2)
         k4 = f(ta + h, ua + h * k3)
@@ -425,9 +424,10 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         h = min(h, caps(t))
         if h < 1e-14 * span_len:
             raise StepUnderflowError(t, h)
-        u_full = rk4(t, u, h)
-        u_half = rk4(t, u, 0.5 * h)
-        u2 = rk4(t + 0.5 * h, u_half, 0.5 * h)
+        # both steps from (t, u) start with the node derivative du
+        u_full = rk4(t, u, h, du)
+        u_half = rk4(t, u, 0.5 * h, du)
+        u2 = rk4(t + 0.5 * h, u_half, 0.5 * h, f(t + 0.5 * h, u_half))
         est = abs(u2 - u_full)
         scale = tol * (1.0 + abs(u2))
         if est <= scale or h <= 1e-13 * max(1.0, abs(t)):
@@ -437,10 +437,11 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
                 raise BlowUpError(t_new, traj)
             t = t_new
             u = u2
-            du = f(t, u)
+            ud = delayed(t)
+            du = rhs.f(t, u, ud)
             traj._append(t, u, du)
             if rhs.f_u is not None:
-                lip = abs(rhs.f_u(t, u, delayed(t)))
+                lip = abs(rhs.f_u(t, u, ud))
                 if lip > traj.lipschitz_estimate:
                     traj.lipschitz_estimate = lip
             if stop_condition is not None and stop_condition(t, u):

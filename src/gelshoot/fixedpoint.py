@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import greens
 from .errors import DomainError, GelshootError, NoSignChangeError, \
@@ -107,6 +106,8 @@ class FixedPointGrid:
 
     def apply(self, W: np.ndarray, dW: np.ndarray, eps: float, eta: float):
         """One sweep of the integral operator: returns (T, dT, F)."""
+        from scipy.interpolate import CubicSpline
+
         Rg = self.r_terms(W, dW, self.g, eps, eta)
         panel_q = (self.exq_w * Rg).reshape(-1, 3).sum(axis=1)
         suffix = np.concatenate([np.cumsum(panel_q[::-1])[::-1], [0.0]])
@@ -291,6 +292,8 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
     The inputs are value arrays on the default grid; derivatives are taken
     from a spline so the comparison depends only on the values.
     """
+    from scipy.interpolate import CubicSpline
+
     grid = default_grid(x_max)
     d1 = CubicSpline(grid.x, w1)(grid.x, 1)
     d2 = CubicSpline(grid.x, w2)(grid.x, 1)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import BlowUpError, DomainError
 from .profiles import ModelParams
@@ -127,6 +125,7 @@ def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
         raise DomainError("t_end must exceed the chain time")
     if not np.all(np.isfinite(chain.f)):
         raise DomainError("chain state must be finite")
+    from scipy.integrate import solve_ivp
 
     def hit_cap(t, f):
         return cap - float(np.max(f))
@@ -192,6 +191,8 @@ def selfsimilar_residual(x: np.ndarray, F: np.ndarray,
     F = np.asarray(F, dtype=float)
     if np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
         raise DomainError("grid must be positive and increasing")
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(np.log(x), F)
     if dF is None:
         dFx = spline(np.log(x), 1) / x

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import delaycore as dc
 from .errors import DomainError, TruncationWarning
@@ -104,6 +103,8 @@ def c0_moment() -> float:
 
 def c0_moment_quad() -> float:
     """The same moment by adaptive quadrature, the independent route."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: t * q_eval(t), 0.0, 60.0, limit=300,
                   epsabs=1e-13, epsrel=1e-13)
     return val

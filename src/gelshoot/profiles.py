@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -23,6 +24,9 @@ import numpy as np
 from .errors import DomainError
 
 LN2 = math.log(2.0)
+# largest gamma for which 2**gamma is a finite double, the one upper bound
+# on gamma for make_params and stability.b_star
+GAMMA_MAX = math.nextafter(float(sys.float_info.max_exp), 0.0)
 
 JSON_FIELDS = ("gamma", "b", "a", "sigma", "q", "d", "theta", "b0",
                "eps_delay", "phi_inf")
@@ -64,15 +68,24 @@ class ModelParams:
         return make_params(data["gamma"], data["b"])
 
 
+def check_gamma(gamma: float) -> float:
+    """gamma as a float; DomainError unless 1 < gamma <= GAMMA_MAX."""
+    gamma = float(gamma)
+    if not gamma > 1.0:
+        raise DomainError(f"gamma must exceed 1, got {gamma}")
+    if gamma > GAMMA_MAX:
+        raise DomainError(f"gamma must not exceed GAMMA_MAX = {GAMMA_MAX!r} "
+                          f"(2**gamma overflows above it), got {gamma}")
+    return gamma
+
+
 def make_params(gamma: float, b: float) -> ModelParams:
     """Build a ModelParams, populating all derived fields.
 
-    Raises DomainError for gamma <= 1 or b <= 0.
+    Raises DomainError for gamma outside (1, GAMMA_MAX] or b <= 0.
     """
-    gamma = float(gamma)
+    gamma = check_gamma(gamma)
     b = float(b)
-    if not gamma > 1.0:
-        raise DomainError(f"gamma must exceed 1, got {gamma}")
     if not b > 0.0:
         raise DomainError(f"b must be positive, got {b}")
     q = 2.0 ** (-1.0 / b)

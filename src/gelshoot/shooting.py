@@ -24,7 +24,7 @@ import numpy as np
 
 from . import delaycore as dc
 from .errors import (BlowUpError, BracketFailureError, DomainError,
-                     NoPlateausError)
+                     GelshootError, NoPlateausError)
 from .profiles import (ModelParams, make_params, local_series,
                        pantograph_series, series_switchover)
 from .stability import b_star
@@ -202,7 +202,8 @@ def scan_b(gamma: float, b_grid, y_max: float = 500.0,
             row["class"] = c.kind
             row["y_event"] = c.y_cross if c.y_cross is not None else ""
             row["extra"] = c.evidence()
-        except Exception as err:             # per-point errors do not stop a scan
+        except (GelshootError, ArithmeticError) as err:
+            # a failing point does not stop the scan; other errors are bugs
             row["class"] = "Error"
             row["y_event"] = ""
             row["extra"] = {"error": f"{type(err).__name__}: {err}"}

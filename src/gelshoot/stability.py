@@ -22,14 +22,13 @@ import numpy as np
 
 from . import delaycore as dc
 from .errors import DomainError, OriginOnCurveError
-from .profiles import LN2, ModelParams, make_params
+from .profiles import LN2, ModelParams, check_gamma, make_params
 
 
 def b_star(gamma: float) -> float:
     """Critical shooting parameter below which the constant profile loses
     stability."""
-    if not gamma > 1.0:
-        raise DomainError(f"gamma must exceed 1, got {gamma}")
+    gamma = check_gamma(gamma)
     st = 0.5 + 2.0 ** (-gamma)
     return (2.0 ** gamma * LN2 * math.sqrt(1.0 - st * st)
             / ((2.0 ** (gamma - 1.0) - 1.0) * math.acos(st)))

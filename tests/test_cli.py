@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gelshoot
 from gelshoot.cli import main, parse_grid
 from gelshoot.errors import DomainError
+from gelshoot.profiles import GAMMA_MAX
 
 
 def run(capsys, *argv):
@@ -181,3 +187,92 @@ class TestSelftests:
         code, out, _ = run(capsys, name, "--selftest")
         assert code == 0
         assert "FAIL" not in out
+
+
+class TestGammaBound:
+    @pytest.mark.parametrize("argv", [("params", "--gamma", "1e4"),
+                                      ("b-star", "--gamma", "1e4"),
+                                      ("classify", "--gamma", "1500")])
+    def test_overflowing_gamma_is_a_domain_error(self, argv, capsys):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "domain"
+        assert f"GAMMA_MAX = {GAMMA_MAX!r}" in doc["message"]
+
+
+# ---------------------------------------------------------------------------
+# import budget: which subcommands load scipy.  The pytest process has scipy
+# loaded already, so the checks run in a fresh interpreter.
+
+SCIPY_FREE = ["params", "b-star", "classify", "winding", "tails", "greens-q"]
+SCIPY_ROUTES = [["laplace", "--eta", "1"], ["fixedpoint"]]
+
+_COLD_SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from gelshoot import cli
+
+report = [{"argv": None, "scipy": scipy_modules()}]
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    report.append({"argv": argv, "code": code, "stdout": buf.getvalue(),
+                   "scipy": scipy_modules()})
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_report():
+    """One fresh process: import the CLI, then run the scipy-free
+    subcommands followed by two that need scipy, one after another."""
+    src = str(Path(gelshoot.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    argvs = [[name] for name in SCIPY_FREE] + SCIPY_ROUTES
+    proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT,
+                           json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    return {"import": report[0]["scipy"],
+            **{r["argv"][0]: r for r in report[1:]}}
+
+
+class TestImportBudget:
+    def test_cli_import_loads_no_scipy(self, cold_report):
+        assert cold_report["import"] == []
+
+    @pytest.mark.parametrize("name", SCIPY_FREE)
+    def test_subcommand_loads_no_scipy(self, name, cold_report):
+        entry = cold_report[name]
+        assert entry["code"] == 0
+        assert entry["stdout"]
+        assert entry["scipy"] == []
+
+    def test_laplace_output_unchanged(self, cold_report, capsys):
+        entry = cold_report["laplace"]
+        assert entry["code"] == 0
+        assert "scipy.integrate" in entry["scipy"]
+        _, out, _ = run(capsys, "laplace", "--eta", "1")
+        assert entry["stdout"] == out
+        vals = [float(v) for v in out.splitlines()[3].split(",")]
+        assert vals == pytest.approx([1.0, 1.5936242600400403,
+                                      0.52522414608598555,
+                                      0.18624975627100621,
+                                      1.8223263272343895], rel=1e-14)
+
+    def test_fixedpoint_output_unchanged(self, cold_report, capsys):
+        entry = cold_report["fixedpoint"]
+        assert entry["code"] == 0
+        assert "scipy.interpolate" in entry["scipy"]
+        _, out, _ = run(capsys, "fixedpoint")
+        assert entry["stdout"] == out
+        doc = json.loads(out)["result"]
+        assert doc["F"] == pytest.approx(0.0022610539346048803, rel=1e-12)
+        assert doc["iterations"] == 6

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -197,6 +198,28 @@ class TestConditioning:
         traj = dc.integrate(dc.h_equation(p), dc.SeriesHistory(s, y0),
                             (y0, 10.0), tol=1e-9)
         assert 0.0 < traj.lipschitz_estimate <= 2.0
+
+
+class TestWorkCounts:
+    def test_eleven_f_evals_per_accepted_step(self):
+        # one evaluation at the start node; an accepted step costs ten for
+        # the step doubling plus one for the new node derivative, and a
+        # rejected step the ten alone
+        calls = []
+        p = make_params(2.0, 2.3)
+        rhs = dc.h_equation(p)
+
+        def counted(y, u, ud):
+            calls.append(y)
+            return rhs.f(y, u, ud)
+
+        s = local_series(p, 40)
+        y0 = series_switchover(s)
+        traj = dc.integrate(dataclasses.replace(rhs, f=counted),
+                            dc.SeriesHistory(s, y0), (y0, 40.0), tol=1e-9)
+        accepted = len(traj.ts) - 1
+        assert accepted > 0
+        assert len(calls) == 1 + 11 * accepted + 10 * traj.n_rejected
 
 
 class TestCsvExport:

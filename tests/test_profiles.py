@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gelshoot.errors import DomainError
-from gelshoot.profiles import (LN2, ModelParams, PowerSeries, ProfileGrid,
-                               convert, explicit_solution_residual,
+from gelshoot.profiles import (GAMMA_MAX, LN2, ModelParams, PowerSeries,
+                               ProfileGrid, convert, explicit_solution_residual,
                                local_series, make_params, pantograph_series,
                                series_error_estimate, series_eval,
                                series_eval_many, series_switchover)
@@ -52,6 +52,18 @@ class TestMakeParams:
     def test_domain_errors(self, gamma, b):
         with pytest.raises(DomainError):
             make_params(gamma, b)
+
+    def test_gamma_max_is_the_overflow_edge(self):
+        assert math.isfinite(2.0 ** GAMMA_MAX)
+        above = math.nextafter(GAMMA_MAX, math.inf)
+        with pytest.raises(OverflowError):
+            2.0 ** above
+        p = make_params(GAMMA_MAX, 2.0)
+        assert math.isfinite(p.theta) and p.phi_inf > 0.0
+        with pytest.raises(DomainError, match="GAMMA_MAX"):
+            make_params(above, 2.0)
+        with pytest.raises(DomainError, match="GAMMA_MAX"):
+            make_params(math.inf, 2.0)
 
     def test_json_round_trip(self):
         p = make_params(2.25, 3.5)

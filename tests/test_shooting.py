@@ -62,6 +62,21 @@ class TestScan:
         assert rows[0]["class"] == "Error"
         assert "DomainError" in rows[0]["extra"]["error"]
 
+    def test_arithmetic_error_recorded_not_raised(self, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowError("too big")
+        monkeypatch.setattr(sh, "classify", overflow)
+        rows = sh.scan_b(2.0, [3.0])
+        assert rows[0]["class"] == "Error"
+        assert rows[0]["extra"]["error"] == "OverflowError: too big"
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+        monkeypatch.setattr(sh, "classify", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            sh.scan_b(2.0, [3.0])
+
     def test_parallel_matches_serial(self):
         grid = [2.05, 2.3, 6.0]
         serial = sh.scan_b(2.0, grid, y_max=100.0)

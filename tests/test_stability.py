@@ -5,7 +5,7 @@ import pytest
 
 from gelshoot import stability as st
 from gelshoot.errors import DomainError, OriginOnCurveError
-from gelshoot.profiles import make_params
+from gelshoot.profiles import GAMMA_MAX, make_params
 
 B_STAR_2 = 2.5374403762870340        # frozen high-precision evaluation
 B_STAR_LIMIT = 3.0 * math.sqrt(3.0) * math.log(2.0) / math.pi
@@ -25,6 +25,11 @@ class TestBStar:
     def test_domain(self):
         with pytest.raises(DomainError):
             st.b_star(1.0)
+
+    def test_finite_up_to_gamma_max(self):
+        assert math.isfinite(st.b_star(GAMMA_MAX))
+        with pytest.raises(DomainError, match="GAMMA_MAX"):
+            st.b_star(math.nextafter(GAMMA_MAX, math.inf))
 
 
 class TestPRatio:
