@@ -273,17 +273,6 @@ class DenseTrajectory:
         return (np.asarray(self.ts), np.asarray(self.us),
                 np.asarray(self.dus))
 
-    def _hermite(self, i: int, t: float) -> float:
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        s2 = s * s
-        s3 = s2 * s
-        return ((2.0 * s3 - 3.0 * s2 + 1.0) * self.us[i]
-                + (s3 - 2.0 * s2 + s) * h * self.dus[i]
-                + (-2.0 * s3 + 3.0 * s2) * self.us[i + 1]
-                + (s3 - s2) * h * self.dus[i + 1])
-
     def _hermite_deriv(self, i: int, t: float) -> float:
         t0, t1 = self.ts[i], self.ts[i + 1]
         h = t1 - t0
@@ -293,28 +282,39 @@ class DenseTrajectory:
                 + (3.0 * s * s - 2.0 * s) * self.dus[i + 1])
 
     def eval(self, t: float) -> float:
-        if t < self.ts[0]:
+        ts = self.ts
+        if t < ts[0]:
             if t < self.history.lo - _EDGE_TOL:
                 raise OutOfRangeError(f"{t} below history start")
             return self.history.eval(t)
-        span = max(abs(self.ts[-1]), 1.0)
-        if t > self.ts[-1]:
-            if t > self.ts[-1] + _EDGE_TOL * span:
-                raise OutOfRangeError(f"{t} beyond last node {self.ts[-1]}")
+        # written so that NaN takes the beyond-last-node branch and raises
+        if not t <= ts[-1]:
+            if not t <= ts[-1] + _EDGE_TOL * max(abs(ts[-1]), 1.0):
+                raise OutOfRangeError(f"{t} beyond last node {ts[-1]}")
             return self.us[-1]
-        i = bisect.bisect_right(self.ts, t) - 1
-        if i >= len(self.ts) - 1:
-            return self.us[-1]
-        if t == self.ts[i]:
-            return self.us[i]
-        return self._hermite(i, t)
+        i = bisect.bisect_right(ts, t) - 1
+        us = self.us
+        if i >= len(ts) - 1:
+            return us[-1]
+        t0 = ts[i]
+        if t == t0:
+            return us[i]
+        dus = self.dus
+        h = ts[i + 1] - t0
+        s = (t - t0) / h
+        s2 = s * s
+        s3 = s2 * s
+        return ((2.0 * s3 - 3.0 * s2 + 1.0) * us[i]
+                + (s3 - 2.0 * s2 + s) * h * dus[i]
+                + (-2.0 * s3 + 3.0 * s2) * us[i + 1]
+                + (s3 - s2) * h * dus[i + 1])
 
     def deriv(self, t: float) -> float:
         if t < self.ts[0]:
             if t < self.history.lo - _EDGE_TOL:
                 raise OutOfRangeError(f"{t} below history start")
             return self.history.deriv(t)
-        if t > self.ts[-1]:
+        if not t <= self.ts[-1]:
             raise OutOfRangeError(f"{t} beyond last node")
         i = min(bisect.bisect_right(self.ts, t) - 1, len(self.ts) - 2)
         return self._hermite_deriv(i, t)
@@ -389,24 +389,16 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     traj = DenseTrajectory(init)
     t = t0
     u = float(init.eval(t0)) if u0 is None else float(u0)
+    f, tau, init_eval, traj_eval = rhs.f, rhs.delay_arg, init.eval, traj.eval
 
     def delayed(tt: float) -> float:
-        ta = rhs.delay_arg(tt)
+        ta = tau(tt)
         if ta < t0:
-            return init.eval(ta)
-        return traj.eval(ta)
-
-    def f(tt: float, uu: float) -> float:
-        return rhs.f(tt, uu, delayed(tt))
-
-    def rk4(ta: float, ua: float, h: float, k1: float) -> float:
-        k2 = f(ta + 0.5 * h, ua + 0.5 * h * k1)
-        k3 = f(ta + 0.5 * h, ua + 0.5 * h * k2)
-        k4 = f(ta + h, ua + h * k3)
-        return ua + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            return init_eval(ta)
+        return traj_eval(ta)
 
     traj._append(t, u, 0.0)
-    du = f(t, u)
+    du = f(t, u, delayed(t))
     traj.dus[0] = du
     span_len = t1 - t0
 
@@ -424,21 +416,40 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         h = min(h, caps(t))
         if h < 1e-14 * span_len:
             raise StepUnderflowError(t, h)
-        # both steps from (t, u) start with the node derivative du
-        u_full = rk4(t, u, h, du)
-        u_half = rk4(t, u, 0.5 * h, du)
-        u2 = rk4(t + 0.5 * h, u_half, 0.5 * h, f(t + 0.5 * h, u_half))
+        # step doubling: one RK4 step of h against two of h/2, all three
+        # starting with the node derivative du; the delayed value depends
+        # only on the stage abscissa, so each distinct abscissa is looked
+        # up once (tm is shared by five stages)
+        hh = 0.5 * h
+        qh = 0.5 * hh
+        tm, te = t + hh, t + h
+        tq, t3, te2 = t + qh, tm + qh, tm + hh
+        dm, de, dq, d3 = delayed(tm), delayed(te), delayed(tq), delayed(t3)
+        de2 = de if te2 == te else delayed(te2)
+        k2 = f(tm, u + hh * du, dm)
+        k3 = f(tm, u + hh * k2, dm)
+        k4 = f(te, u + h * k3, de)
+        u_full = u + h * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        k2 = f(tq, u + qh * du, dq)
+        k3 = f(tq, u + qh * k2, dq)
+        k4 = f(tm, u + hh * k3, dm)
+        u_half = u + hh * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        k1 = f(tm, u_half, dm)
+        k2 = f(t3, u_half + qh * k1, d3)
+        k3 = f(t3, u_half + qh * k2, d3)
+        k4 = f(te2, u_half + hh * k3, de2)
+        u2 = u_half + hh * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         est = abs(u2 - u_full)
         scale = tol * (1.0 + abs(u2))
         if est <= scale or h <= 1e-13 * max(1.0, abs(t)):
             t_new = t + h
             if abs(u2) > value_cap:
-                traj._append(t_new, u2, f(t_new, u2))
+                traj._append(t_new, u2, f(t_new, u2, delayed(t_new)))
                 raise BlowUpError(t_new, traj)
             t = t_new
             u = u2
             ud = delayed(t)
-            du = rhs.f(t, u, ud)
+            du = f(t, u, ud)
             traj._append(t, u, du)
             if rhs.f_u is not None:
                 lip = abs(rhs.f_u(t, u, ud))

@@ -35,6 +35,29 @@ class StepUnderflowError(GelshootError):
         self.step = step
 
 
+class SeriesOverflowError(GelshootError):
+    """A local power-series coefficient left the floating-point range."""
+
+    def __init__(self, where, order):
+        super().__init__(f"{where}: coefficient of order {order} is not "
+                         "finite")
+        self.where = where
+        self.order = order
+
+
+class SolverFailureError(GelshootError):
+    """An external ODE solver stopped before the end of its span.
+
+    Carries the last abscissa the solver reached and its own message.
+    """
+
+    def __init__(self, location, solver_message):
+        super().__init__(f"ODE solver failed at t={location:.6g}: "
+                         f"{solver_message}")
+        self.location = location
+        self.solver_message = solver_message
+
+
 class BracketFailureError(GelshootError):
     """Both bisection endpoints classified identically."""
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError
+from .errors import BlowUpError, DomainError, SolverFailureError
 from .profiles import ModelParams
 
 VALUE_CAP = 1e12
@@ -137,7 +137,7 @@ def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
                     method="DOP853", rtol=tol, atol=min(tol * 1e-2, 1e-14),
                     events=hit_cap, dense_output=True)
     if not sol.success and sol.status != 1:
-        raise DomainError(f"integration failed: {sol.message}")
+        raise SolverFailureError(float(sol.t[-1]), sol.message)
     blew = sol.status == 1
     t_last = float(sol.t[-1])
     snap_t = np.linspace(chain.t, t_last, n_out)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SeriesOverflowError
 
 LN2 = math.log(2.0)
 # largest gamma for which 2**gamma is a finite double, the one upper bound
@@ -124,6 +124,27 @@ class PowerSeries:
         return len(self.coefficients) - 1
 
 
+def _quadratic_delay_series(c0: float, c1: float, r: float, N: int,
+                            where: str) -> np.ndarray:
+    """Coefficients of u' = c0 u(y)^2 - c1 u(r y)^2, u(0) = 1:
+
+        a_{n+1} = (c0 - c1 r^n) / (n+1) * sum_{k<=n} a_k a_{n-k}.
+
+    Raises SeriesOverflowError at the first coefficient that is not finite.
+    """
+    a = np.zeros(N + 1)
+    a[0] = 1.0
+    rn = 1.0  # r^n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N):
+            conv = float(np.dot(a[: n + 1], a[n::-1]))
+            a[n + 1] = (c0 - c1 * rn) * conv / (n + 1)
+            if not math.isfinite(a[n + 1]):
+                raise SeriesOverflowError(where, n + 1)
+            rn *= r
+    return a
+
+
 def local_series(params: ModelParams, N: int) -> PowerSeries:
     """Series coefficients of H(y) = sum a_n y^n near y = 0.
 
@@ -136,15 +157,10 @@ def local_series(params: ModelParams, N: int) -> PowerSeries:
     """
     if N < 1:
         raise DomainError("series order N must be >= 1")
-    sigma, q = params.sigma, params.q
-    a = np.zeros(N + 1)
-    a[0] = 1.0
-    qn = 1.0  # q^n
-    for n in range(N):
-        conv = float(np.dot(a[: n + 1], a[n::-1]))
-        a[n + 1] = (1.0 - sigma * qn) * conv / (n + 1)
-        qn *= q
-    c = max(abs(sigma - 1.0), 1.0)
+    a = _quadratic_delay_series(
+        1.0, params.sigma, params.q, N,
+        f"local series at gamma={params.gamma:g}, b={params.b:g}")
+    c = max(abs(params.sigma - 1.0), 1.0)
     return PowerSeries(coefficients=a, expansion_point=0.0,
                        validity_radius_estimate=1.0 / c)
 
@@ -158,13 +174,8 @@ def pantograph_series(p: float, eta: float, N: int) -> PowerSeries:
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"delay ratio must lie in (0,1), got {p}")
-    a = np.zeros(N + 1)
-    a[0] = 1.0
-    pn = 1.0
-    for n in range(N):
-        conv = float(np.dot(a[: n + 1], a[n::-1]))
-        a[n + 1] = (eta - pn) * conv / (n + 1)
-        pn *= p
+    a = _quadratic_delay_series(eta, 1.0, p, N,
+                                f"pantograph series at p={p:g}, eta={eta:g}")
     c = max(abs(eta - 1.0), 1.0)
     return PowerSeries(coefficients=a, validity_radius_estimate=1.0 / c)
 

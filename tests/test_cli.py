@@ -123,6 +123,29 @@ class TestExitCodes:
                            "--grid", "oops")
         assert code == 1
 
+    def test_series_overflow_is_typed(self, capsys, recwarn):
+        # at gamma=30, b=3 the local series coefficients leave the double
+        # range; the error names the series, not a step underflow
+        code, _, err = run(capsys, "classify", "--gamma", "30", "--b", "3")
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["type"] == "SeriesOverflowError"
+        assert "gamma=30, b=3" in doc["message"]
+        assert "order" in doc["message"]
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_large_gamma_below_overflow_still_classifies(self, capsys):
+        code, out, _ = run(capsys, "classify", "--gamma", "20", "--b", "3")
+        assert code == 0
+        assert json.loads(out)["result"]["class"] == "ConvergesToConstant"
+
+    def test_simulator_failure_is_numerical(self, capsys):
+        code, _, err = run(capsys, "simulate", "--sites", "60")
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["type"] == "SolverFailureError"
+        assert "failed at t=" in doc["message"]
+
 
 class TestRemainingSubcommands:
     def test_cheap_handlers_run_clean(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 
@@ -112,6 +113,12 @@ class TestDenseOutput:
             traj.eval(6.0)
         with pytest.raises(OutOfRangeError):
             traj.eval_many(np.array([1.0, 5.5]))
+        # NaN compares false with every node; it must not fall through to
+        # the last node value
+        with pytest.raises(OutOfRangeError):
+            traj.eval(math.nan)
+        with pytest.raises(OutOfRangeError):
+            traj.deriv(math.nan)
 
 
 class TestMonotonicityAndBound:
@@ -220,6 +227,153 @@ class TestWorkCounts:
         accepted = len(traj.ts) - 1
         assert accepted > 0
         assert len(calls) == 1 + 11 * accepted + 10 * traj.n_rejected
+
+    def test_one_lookup_per_stage_abscissa(self):
+        # the start node, four or five distinct stage abscissae per
+        # attempted step, and the new node of an accepted step
+        calls = []
+        p = make_params(2.0, 2.3)
+        rhs = dc.h_equation(p)
+
+        def counted(y):
+            calls.append(y)
+            return rhs.delay_arg(y)
+
+        s = local_series(p, 40)
+        y0 = series_switchover(s)
+        traj = dc.integrate(dataclasses.replace(rhs, delay_arg=counted),
+                            dc.SeriesHistory(s, y0), (y0, 40.0), tol=1e-9)
+        accepted, rejected = len(traj.ts) - 1, traj.n_rejected
+        assert rejected > 0
+        assert 1 + 5 * accepted + 4 * rejected <= len(calls)
+        assert len(calls) <= 1 + 6 * accepted + 5 * rejected
+
+
+# ---------------------------------------------------------------------------
+# reference integrator: the step loop as it was before the stage lookups
+# were shared (one RK4 closure, one delayed lookup per stage, the original
+# dense evaluation); integrate must reproduce it bit for bit
+
+
+class _ReferenceTrajectory(dc.DenseTrajectory):
+    def _hermite(self, i, t):
+        t0, t1 = self.ts[i], self.ts[i + 1]
+        h = t1 - t0
+        s = (t - t0) / h
+        s2 = s * s
+        s3 = s2 * s
+        return ((2.0 * s3 - 3.0 * s2 + 1.0) * self.us[i]
+                + (s3 - 2.0 * s2 + s) * h * self.dus[i]
+                + (-2.0 * s3 + 3.0 * s2) * self.us[i + 1]
+                + (s3 - s2) * h * self.dus[i + 1])
+
+    def eval(self, t):
+        if t < self.ts[0]:
+            return self.history.eval(t)
+        span = max(abs(self.ts[-1]), 1.0)
+        if t > self.ts[-1]:
+            if t > self.ts[-1] + dc._EDGE_TOL * span:
+                raise OutOfRangeError(t)
+            return self.us[-1]
+        i = bisect.bisect_right(self.ts, t) - 1
+        if i >= len(self.ts) - 1:
+            return self.us[-1]
+        if t == self.ts[i]:
+            return self.us[i]
+        return self._hermite(i, t)
+
+
+def reference_integrate(rhs, init, span, tol, u0=None):
+    t0, t1 = float(span[0]), float(span[1])
+    traj = _ReferenceTrajectory(init)
+    t = t0
+    u = float(init.eval(t0)) if u0 is None else float(u0)
+
+    def delayed(tt):
+        ta = rhs.delay_arg(tt)
+        if ta < t0:
+            return init.eval(ta)
+        return traj.eval(ta)
+
+    def f(tt, uu):
+        return rhs.f(tt, uu, delayed(tt))
+
+    def rk4(ta, ua, h, k1):
+        k2 = f(ta + 0.5 * h, ua + 0.5 * h * k1)
+        k3 = f(ta + 0.5 * h, ua + 0.5 * h * k2)
+        k4 = f(ta + h, ua + h * k3)
+        return ua + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+    def caps(tt):
+        c = min(dc.order_step_cap(tol, tt), t1 - tt)
+        return min(c, rhs.step_cap(tt) * (1.0 - 1e-12))
+
+    du = f(t, u)
+    traj._append(t, u, du)
+    h = min(caps(t), 0.05 / (1.0 + abs(du)))
+    while t < t1 - dc._EDGE_TOL * max(1.0, abs(t1)):
+        h = min(h, caps(t))
+        u_full = rk4(t, u, h, du)
+        u_half = rk4(t, u, 0.5 * h, du)
+        u2 = rk4(t + 0.5 * h, u_half, 0.5 * h, f(t + 0.5 * h, u_half))
+        est = abs(u2 - u_full)
+        scale = tol * (1.0 + abs(u2))
+        if est <= scale or h <= 1e-13 * max(1.0, abs(t)):
+            t = t + h
+            u = u2
+            du = f(t, u)
+            traj._append(t, u, du)
+            h *= min(5.0, max(0.2, 0.9 * (scale / est) ** 0.2)) \
+                if est > 0.0 else 5.0
+        else:
+            traj.n_rejected += 1
+            h *= max(0.2, 0.9 * (scale / est) ** 0.2)
+    return traj
+
+
+def _bytes(traj):
+    return tuple(np.asarray(a, dtype=float).tobytes()
+                 for a in (traj.ts, traj.us, traj.dus))
+
+
+def _h_run():
+    p = make_params(2.0, 2.3)
+    s = local_series(p, 40)
+    y0 = series_switchover(s)
+    return dc.h_equation(p), dc.SeriesHistory(s, y0), (y0, 40.0), {}
+
+
+def _phi_run():
+    p = make_params(2.0, 3.0)
+    return (dc.phi_equation(p),
+            dc.FunctionHistory(lambda z: 0.5 * math.exp(z), -p.d, 0.0),
+            (0.0, 6.0), {})
+
+
+def _linear_g_run():
+    return (dc.linear_g_equation(), dc.PointSourceHistory(1.0), (1.0, 12.0),
+            {"u0": 1.0})
+
+
+def _gamma1_log_run():
+    return (dc.gamma1_log_equation(1.5),
+            dc.FunctionHistory(lambda z: 1.0 / (1.0 + math.exp(z)),
+                               -dc.LN2, 0.0),
+            (0.0, 10.0), {})
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("make_run", [_h_run, _phi_run, _linear_g_run,
+                                          _gamma1_log_run])
+    def test_trajectory_bytes_identical(self, make_run):
+        rhs, init, span, kw = make_run()
+        new = dc.integrate(rhs, init, span, tol=1e-9, **kw)
+        ref = reference_integrate(rhs, init, span, 1e-9, **kw)
+        assert len(new.ts) > 20
+        assert _bytes(new) == _bytes(ref)
+        assert new.n_rejected == ref.n_rejected
+        if make_run is _h_run:
+            assert new.n_rejected > 0
 
 
 class TestCsvExport:

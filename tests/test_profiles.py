@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gelshoot.errors import DomainError
+from gelshoot.errors import DomainError, SeriesOverflowError
 from gelshoot.profiles import (GAMMA_MAX, LN2, ModelParams, PowerSeries,
                                ProfileGrid, convert, explicit_solution_residual,
                                local_series, make_params, pantograph_series,
@@ -108,6 +108,13 @@ class TestLocalSeries:
         assert np.all(np.abs(s.coefficients) <= c ** n * (1.0 + 1e-12))
         assert s.validity_radius_estimate == pytest.approx(1.0 / c)
 
+    def test_overflow_is_typed(self, recwarn):
+        with pytest.raises(SeriesOverflowError) as info:
+            local_series(make_params(30.0, 3.0), 40)
+        assert 1 < info.value.order <= 40
+        assert "gamma=30, b=3" in str(info.value)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
 
 class TestSeriesEval:
     def test_constant_series(self):
@@ -146,6 +153,14 @@ class TestPantographSeries:
         for n in range(13):
             assert s.coefficients[n] == pytest.approx(
                 (-1.0) ** n / math.factorial(n), rel=1e-12)
+
+    def test_overflow_is_typed(self, recwarn):
+        # a1 = eta - 1 ~ 1e200, so a2 ~ a1^2 leaves the double range
+        with pytest.raises(SeriesOverflowError) as info:
+            pantograph_series(0.5, 1e200, 12)
+        assert info.value.order == 2
+        assert "p=0.5, eta=1e+200" in str(info.value)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 class TestExplicitResiduals:
