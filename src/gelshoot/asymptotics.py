@@ -22,7 +22,7 @@ import numpy as np
 
 from . import delaycore as dc
 from .errors import DomainError
-from .profiles import LN2
+from .profiles import LN2, horner
 
 B_CRITICAL = LN2
 GAMMA1_B1_LIMIT = (1.0 - LN2) / LN2
@@ -71,19 +71,14 @@ class Gamma1Profile:
 
     def eval(self, x):
         u = np.power(np.asarray(x, dtype=float), self.alpha)
-        acc = np.zeros_like(u)
-        for c in self.coefficients[::-1]:
-            acc = acc * u + c
+        acc = horner(self.coefficients, u)
         return float(acc) if np.isscalar(x) else acc
 
     def eval_deriv(self, x):
         x_arr = np.asarray(x, dtype=float)
         u = np.power(x_arr, self.alpha)
-        n = np.arange(1, len(self.coefficients))
-        acc = np.zeros_like(u)
-        for k in n[::-1]:
-            acc = acc * u + k * self.coefficients[k]
-        out = acc * self.alpha * u / x_arr
+        c = self.coefficients
+        out = horner(np.arange(1, len(c)) * c[1:], u) * self.alpha * u / x_arr
         return float(out) if np.isscalar(x) else out
 
     def switchover(self, tol: float = 1e-14) -> float:

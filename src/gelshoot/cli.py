@@ -2,9 +2,10 @@
 
 Outputs are CSV (17 significant digits) or JSON; every run emits a
 provenance header echoing the resolved configuration.  Exit codes: 0 on
-success, 1 on domain errors, 2 on numerical failures (with an error JSON
-on stderr).  A config file of key=value lines seeds the options and flags
-override it; GELSHOOT_LOG in {quiet, info, debug} sets verbosity.
+success, 1 on domain errors (bad flags and values included), 2 on
+numerical failures (with an error JSON on stderr).  A config file of
+key=value lines seeds the options and flags override it; GELSHOOT_LOG in
+{quiet, info, debug} sets verbosity.
 """
 
 from __future__ import annotations
@@ -19,16 +20,10 @@ import sys
 import numpy as np
 
 from . import __version__, profiles
-from .errors import DomainError, GelshootError
+from .errors import BlowUpError, DomainError, GelshootError
 from .profiles import make_params
 
 log = logging.getLogger("gelshoot")
-
-SUBCOMMANDS = ("params", "profile", "classify", "scan-b", "bracket-bbar",
-               "b-star", "winding", "stability-scan", "greens-q",
-               "greens-verify", "fixedpoint", "eps-of-eta", "bbar",
-               "gamma1", "psi-asym", "laplace", "tails", "simulate",
-               "fig2", "fig3")
 
 
 def fmt(v) -> str:
@@ -129,8 +124,7 @@ def cmd_classify(a):
 def cmd_scan_b(a):
     from . import shooting
     grid = parse_grid(a.grid)
-    rows = shooting.scan_b(a.gamma, grid, y_max=a.y_max, tol=a.tol,
-                           jobs=a.jobs)
+    rows = shooting.scan_b(a.gamma, grid, y_max=a.y_max, tol=a.tol)
     write_csv(a.out, ["gamma", "b", "class", "y_event", "extra"],
               ((r["gamma"], r["b"], r["class"], r["y_event"],
                 json.dumps(r["extra"]).replace(",", ";")) for r in rows),
@@ -158,7 +152,7 @@ def cmd_winding(a):
 def cmd_stability_scan(a):
     from . import stability
     grid = parse_grid(a.grid)
-    rows = stability.stability_scan(a.gamma, grid, jobs=a.jobs)
+    rows = stability.stability_scan(a.gamma, grid)
     write_csv(a.out, ["gamma", "b", "winding", "d_tilde", "d_star"],
               ((r["gamma"], r["b"], r["winding"], r["d_tilde"],
                 r["d_star"]) for r in rows), a.echo)
@@ -284,10 +278,8 @@ def cmd_simulate(a):
     chain = gelsim.make_chain(a.xi0, a.gamma, a.sites, a.init)
     try:
         sol = gelsim.evolve_chain(chain, a.t_end, tol=a.tol)
-    except GelshootError as err:
-        sol = getattr(err, "solution", None)
-        if sol is None:
-            raise
+    except BlowUpError as err:
+        sol = err.solution
     rows = []
     for j, t in enumerate(sol.t):
         for k, xi in enumerate(chain.sites):
@@ -342,110 +334,18 @@ HANDLERS = {
 
 
 # ---------------------------------------------------------------------------
-# self tests: tiny example tables per subcommand
-
-
-def _close(a, b, tol):
-    return abs(a - b) <= tol
-
-
-def selftest(name: str) -> int:
-    checks = []
-    if name == "b-star":
-        from . import stability
-        checks = [("b*(2) near 2.5374", _close(stability.b_star(2.0),
-                                               2.5374403762870335, 1e-12)),
-                  ("b*(30) matches the large-gamma limit",
-                   _close(stability.b_star(30.0),
-                          3.0 * math.sqrt(3.0) * math.log(2.0) / math.pi,
-                          1e-3))]
-    elif name == "params":
-        p = make_params(2.0, 4.0)
-        checks = [("sigma = sqrt(2)", _close(p.sigma, math.sqrt(2.0), 1e-15)),
-                  ("q = 2^(-1/4)", _close(p.q, 2.0 ** -0.25, 1e-15)),
-                  ("phi_inf(3) = 1/3",
-                   _close(make_params(3.0, 1.0).phi_inf, 1.0 / 3.0, 1e-15))]
-    elif name == "greens-q":
-        from . import greens
-        checks = [("Q(1)", _close(greens.q_eval(1.0), -0.07680055520582965,
-                                  1e-9)),
-                  ("c0 series vs quadrature",
-                   _close(greens.c0_moment(), greens.c0_moment_quad(),
-                          1e-9))]
-    elif name == "winding":
-        from . import stability
-        w0 = stability.winding_number(make_params(2.0, 3.0)).winding
-        w1 = stability.winding_number(make_params(2.0, 2.3)).winding
-        checks = [("stable side has no turns", w0 == 0),
-                  ("unstable side has one turn", w1 == 1)]
-    elif name == "classify":
-        from . import shooting
-        kinds = [shooting.classify(make_params(2.0, b), y_max=200.0).kind
-                 for b in (2.05, 2.3, 10.0)]
-        checks = [("b=2.05 changes sign", kinds[0] == "SignChange"),
-                  ("b=2.3 oscillates", kinds[1] == "Oscillating"),
-                  ("b=10 settles on the constant",
-                   kinds[2] == "ConvergesToConstant")]
-    elif name == "laplace":
-        from . import asymptotics
-        lq = asymptotics.laplace_quantities(1.0)
-        checks = [("t*(1)", _close(lq.t_star, 1.5936242600400401, 1e-10)),
-                  ("D(1)", _close(lq.D, 0.18624975627100618, 1e-10)),
-                  ("W(1)", _close(lq.W, 0.5252241460859855, 1e-8))]
-    elif name == "tails":
-        from . import asymptotics
-        te = asymptotics.tail_exponents(0.1, 1.0)
-        checks = [("beta(0.1)", _close(te.beta, 6.578813478960584, 1e-12)),
-                  ("alpha = beta - 1", te.alpha == te.beta - 1.0)]
-    elif name == "gamma1":
-        from . import asymptotics
-        checks = [("alpha(ln2) > 2",
-                   asymptotics.alpha_root(math.log(2.0)) > 2.0),
-                  ("alpha(1) = 1",
-                   _close(asymptotics.alpha_root(1.0), 1.0, 1e-12))]
-    elif name == "fixedpoint":
-        from . import fixedpoint
-        st = fixedpoint.picard_solve(0.01, 0.01)
-        checks = [("converged", st.sup_diff_history[-1] < 1e-10),
-                  ("limit value stored at the origin",
-                   _close(st.W[0], -st.F_value, 1e-12))]
-    elif name == "eps-of-eta":
-        from . import fixedpoint
-        eps, _ = fixedpoint.eps_of_eta(0.01)
-        checks = [("slope near 0.21", _close(eps / 0.01, 0.2097, 0.01))]
-    elif name == "bbar":
-        from . import fixedpoint
-        crit = fixedpoint.bbar_of_gamma(13.0)
-        checks = [("bbar(13) near 1.0003", _close(crit.bbar, 1.0003, 5e-4)),
-                  ("profile positive", float(np.min(crit.h)) > 0.0)]
-    elif name == "simulate":
-        from . import gelsim
-        ch = gelsim.make_chain(1.3, 2.0, 0, lambda x: 0.7)
-        sol = gelsim.evolve_chain(ch, 2.0, tol=1e-12)
-        exact = gelsim.single_site_closed_form(1.3, 2.0, 0.7, sol.t)
-        checks = [("single-site closed form",
-                   float(np.max(np.abs(sol.f[0] - exact))) < 1e-10)]
-    elif name == "psi-asym":
-        from . import asymptotics
-        rows = asymptotics.psi_asymptotics_check(1.0, [0.1, 0.05])
-        checks = [("defect shrinks with eps",
-                   abs(rows[1]["r"]) < abs(rows[0]["r"]))]
-    else:
-        # remaining subcommands exercise machinery covered above
-        checks = [("no dedicated table; module import", True)]
-    ok = True
-    for label, passed in checks:
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {label}")
-        ok &= passed
-    return 0 if ok else 2
-
-
-# ---------------------------------------------------------------------------
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a domain error (exit 1, error JSON on stderr)."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="gelshoot",
         description="self-similar gelling profiles of the diagonal "
                     "coagulation kernel")
@@ -465,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=defaults.get("y_max", 500.0))
         p.add_argument("--grid", default=defaults.get("grid"))
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--selftest", action="store_true")
         return p
 
     add("params", gamma=2.0, b=2.0)
@@ -524,8 +421,7 @@ def _apply_config(args, argv):
             if k not in explicit:
                 cur = getattr(args, k)
                 cast = type(cur) if cur is not None else str
-                setattr(args, k, cast(v) if cast is not bool
-                        else v.lower() in ("1", "true", "yes"))
+                setattr(args, k, cast(v))
     return args
 
 
@@ -535,14 +431,11 @@ def main(argv=None) -> int:
         level={"quiet": logging.WARNING, "info": logging.INFO,
                "debug": logging.DEBUG}.get(level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args = _apply_config(args, sys.argv[1:] if argv is None else argv)
-        if args.selftest:
-            return selftest(args.command)
         public = {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("command", "selftest", "echo") and
-                  v is not None}
+                  if k not in ("command", "echo") and v is not None}
         args.echo = " ".join(f"{k}={v}" for k, v in public.items())
         log.debug("resolved config: %s", args.echo)
         HANDLERS[args.command](args)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (BlowUpError, DomainError, OutOfRangeError,
                      StepUnderflowError)
-from .profiles import (LN2, ModelParams, PowerSeries, series_eval,
+from .profiles import (LN2, ModelParams, PowerSeries, horner, series_eval,
                        series_eval_many)
 
 TOL_REF = 1e-10
@@ -168,6 +168,8 @@ class SeriesHistory(History):
         self.series = series
         self.lo = series.expansion_point
         self.hi = hi
+        c = series.coefficients
+        self.deriv_coefficients = np.arange(1, len(c)) * c[1:]
 
     def eval(self, t: float) -> float:
         return series_eval(self.series, t)
@@ -176,11 +178,8 @@ class SeriesHistory(History):
         return series_eval_many(self.series, np.asarray(t, dtype=float))
 
     def deriv(self, t: float) -> float:
-        u = t - self.series.expansion_point
-        acc = 0.0
-        for n in range(self.series.order, 0, -1):
-            acc = acc * u + n * self.series.coefficients[n]
-        return acc
+        return horner(self.deriv_coefficients,
+                      t - self.series.expansion_point)
 
 
 class FunctionHistory(History):

@@ -17,13 +17,15 @@ class BlowUpError(GelshootError):
     """Solution magnitude exceeded the configured cap.
 
     Carries the abscissa where the cap was exceeded and the partial
-    trajectory computed up to that point.
+    result computed up to that point: the integrator's trajectory, or the
+    simulator's chain solution.
     """
 
-    def __init__(self, location, trajectory=None):
+    def __init__(self, location, trajectory=None, solution=None):
         super().__init__(f"solution exceeded value cap near {location:.6g}")
         self.location = location
         self.trajectory = trajectory
+        self.solution = solution
 
 
 class StepUnderflowError(GelshootError):

@@ -133,9 +133,13 @@ def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
     hit_cap.terminal = True
     hit_cap.direction = -1.0
 
-    sol = solve_ivp(chain_rhs(chain), (chain.t, t_end), chain.f,
-                    method="DOP853", rtol=tol, atol=min(tol * 1e-2, 1e-14),
-                    events=hit_cap, dense_output=True)
+    # trial stages may overflow before the cap event sees an accepted step;
+    # such a run ends in SolverFailureError below, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(chain_rhs(chain), (chain.t, t_end), chain.f,
+                        method="DOP853", rtol=tol,
+                        atol=min(tol * 1e-2, 1e-14), events=hit_cap,
+                        dense_output=True)
     if not sol.success and sol.status != 1:
         raise SolverFailureError(float(sol.t[-1]), sol.message)
     blew = sol.status == 1
@@ -147,9 +151,7 @@ def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
         t=snap_t, f=snap_f, t_steps=sol.t, f_steps=sol.y, blew_up=blew,
         dense=sol.sol)
     if blew:
-        err = BlowUpError(t_last)
-        err.solution = out
-        raise err
+        raise BlowUpError(t_last, solution=out)
     return out
 
 

@@ -180,21 +180,26 @@ def pantograph_series(p: float, eta: float, N: int) -> PowerSeries:
     return PowerSeries(coefficients=a, validity_radius_estimate=1.0 / c)
 
 
-def series_eval(series: PowerSeries, y: float) -> float:
-    """Horner evaluation of the truncated series at y."""
-    u = y - series.expansion_point
+def horner(coefficients, u):
+    """sum_n coefficients[n] u^n by Horner's rule, for a float or an array u.
+
+    The one polynomial evaluation of the package: series values, their
+    derivatives (with coefficients n c_n) and the borderline profile.
+    """
     acc = 0.0
-    for c in series.coefficients[::-1]:
+    for c in coefficients[::-1]:
         acc = acc * u + c
     return acc
+
+
+def series_eval(series: PowerSeries, y: float) -> float:
+    """Horner evaluation of the truncated series at y."""
+    return horner(series.coefficients, y - series.expansion_point)
 
 
 def series_eval_many(series: PowerSeries, y: np.ndarray) -> np.ndarray:
-    u = np.asarray(y, dtype=float) - series.expansion_point
-    acc = np.zeros_like(u)
-    for c in series.coefficients[::-1]:
-        acc = acc * u + c
-    return acc
+    return horner(series.coefficients,
+                  np.asarray(y, dtype=float) - series.expansion_point)
 
 
 def series_error_estimate(series: PowerSeries, y: float) -> float:

@@ -190,8 +190,8 @@ def classify(params: ModelParams, y_max: float = 500.0,
 
 
 def scan_b(gamma: float, b_grid, y_max: float = 500.0,
-           tols: ClassifyTols = ClassifyTols(), tol: float = 1e-9,
-           jobs: int = 1) -> list[dict]:
+           tols: ClassifyTols = ClassifyTols(),
+           tol: float = 1e-9) -> list[dict]:
     """Classify each b on a grid; per-point failures are recorded rows."""
 
     def one(b: float) -> dict:
@@ -209,10 +209,6 @@ def scan_b(gamma: float, b_grid, y_max: float = 500.0,
             row["extra"] = {"error": f"{type(err).__name__}: {err}"}
         return row
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(one, b_grid))
     return [one(b) for b in b_grid]
 
 

@@ -216,7 +216,7 @@ def stability_empirical(params: ModelParams, perturbation,
                        escaped=escaped)
 
 
-def stability_scan(gamma: float, b_values, jobs: int = 1) -> list[dict]:
+def stability_scan(gamma: float, b_values) -> list[dict]:
     """Winding and threshold data for a list of b values at fixed gamma."""
 
     def one(b: float) -> dict:
@@ -231,10 +231,6 @@ def stability_scan(gamma: float, b_values, jobs: int = 1) -> list[dict]:
             "d_star": cp.d_star,
         }
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(one, b_values))
     return [one(b) for b in b_values]
 
 

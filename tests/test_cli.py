@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gelshoot
-from gelshoot.cli import main, parse_grid
+from gelshoot.cli import build_parser, main, parse_grid
 from gelshoot.errors import DomainError
 from gelshoot.profiles import GAMMA_MAX
 
@@ -17,6 +18,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def child_env() -> dict:
+    """Environment for a fresh interpreter that imports this source tree."""
+    src = str(Path(gelshoot.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestBasicCommands:
@@ -146,14 +156,40 @@ class TestExitCodes:
         assert doc["type"] == "SolverFailureError"
         assert "failed at t=" in doc["message"]
 
+    def test_simulator_failure_stderr_is_one_json_document(self):
+        # a fresh process, so numpy warnings would reach stderr unfiltered
+        proc = subprocess.run([sys.executable, "-m", "gelshoot.cli",
+                               "simulate", "--sites", "60"], env=child_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["type"] == "SolverFailureError"
+
+    @pytest.mark.parametrize("argv", [("classify", "--gamma", "abc"),
+                                      ("classify", "--nope", "1"),
+                                      ("scan-b", "--jobs", "2"),
+                                      ()])
+    def test_usage_error_is_a_domain_error(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "domain"
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",),
+                                      ("classify", "--help")])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 0
+        assert capsys.readouterr().out
+
 
 class TestRemainingSubcommands:
     def test_cheap_handlers_run_clean(self, tmp_path, capsys):
         table = [
             ("greens-q", "--grid", "0:5:11"),
             ("tails", "--eps", "0.1", "--eta", "1"),
-            ("stability-scan", "--gamma", "2", "--grid", "1:6:6",
-             "--jobs", "2"),
+            ("stability-scan", "--gamma", "2", "--grid", "1:6:6"),
             ("psi-asym", "--eta", "1", "--eps-list", "0.1,0.05"),
             ("simulate", "--gamma", "2", "--sites", "6", "--t-end", "2"),
             ("eps-of-eta", "--eta", "0.01"),
@@ -202,14 +238,23 @@ class TestGridParsing:
             parse_grid("1:3")
 
 
-class TestSelftests:
-    @pytest.mark.parametrize("name", ["params", "b-star", "winding",
-                                      "laplace", "tails", "gamma1",
-                                      "greens-q"])
-    def test_fast_selftests_pass(self, name, capsys):
-        code, out, _ = run(capsys, name, "--selftest")
-        assert code == 0
-        assert "FAIL" not in out
+class TestReadme:
+    def test_every_command_line_parses(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines, fenced = [], False
+        for line in readme.read_text().splitlines():
+            if line.startswith("```"):
+                fenced = not fenced
+            elif fenced and line.startswith("gelshoot "):
+                lines.append(line)
+        assert lines
+        parser = build_parser()
+        for line in lines:
+            tokens = shlex.split(line, comments=True)[1:]
+            try:
+                parser.parse_args(tokens)
+            except DomainError as err:
+                pytest.fail(f"README line {line!r} does not parse: {err}")
 
 
 class TestGammaBound:
@@ -254,14 +299,11 @@ print(json.dumps(report))
 def cold_report():
     """One fresh process: import the CLI, then run the scipy-free
     subcommands followed by two that need scipy, one after another."""
-    src = str(Path(gelshoot.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     argvs = [[name] for name in SCIPY_FREE] + SCIPY_ROUTES
     proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT,
-                           json.dumps(argvs)], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
+                           json.dumps(argvs)], env=child_env(),
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
     return {"import": report[0]["scipy"],
             **{r["argv"][0]: r for r in report[1:]}}

@@ -77,13 +77,6 @@ class TestScan:
         with pytest.raises(TypeError, match="bad call"):
             sh.scan_b(2.0, [3.0])
 
-    def test_parallel_matches_serial(self):
-        grid = [2.05, 2.3, 6.0]
-        serial = sh.scan_b(2.0, grid, y_max=100.0)
-        parallel = sh.scan_b(2.0, grid, y_max=100.0, jobs=3)
-        assert [r["class"] for r in serial] == \
-            [r["class"] for r in parallel]
-
 
 class TestBracket:
     def test_gamma_two_bracket_inside_expected_interval(self):
