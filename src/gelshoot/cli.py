@@ -68,16 +68,21 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as err:
+        raise DomainError(f"cannot read config file {path!r}: {err}") \
+            from err
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line {raw!r}")
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"bad config line {raw!r}")
+        k, v = line.split("=", 1)
+        out[k.strip().replace("-", "_")] = v.strip()
     return out
 
 
@@ -337,6 +342,12 @@ HANDLERS = {
 # argument wiring
 
 
+# flags shared by several subcommands; each subcommand takes only those
+# its handler reads, with the default it names in build_parser
+COMMON_FLAGS = {"gamma": float, "b": float, "tol": float, "y_max": float,
+                "grid": str}
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is a domain error (exit 1, error JSON on stderr)."""
 
@@ -353,31 +364,27 @@ def build_parser() -> argparse.ArgumentParser:
                      version=f"gelshoot {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **defaults):
+    def add(name, **common):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="key=value file; flags override")
-        p.add_argument("--gamma", type=float, default=defaults.get("gamma"))
-        p.add_argument("--b", type=float, default=defaults.get("b"))
-        p.add_argument("--tol", type=float,
-                       default=defaults.get("tol", 1e-9))
-        p.add_argument("--y-max", type=float, dest="y_max",
-                       default=defaults.get("y_max", 500.0))
-        p.add_argument("--grid", default=defaults.get("grid"))
+        for dest, default in common.items():
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           type=COMMON_FLAGS[dest], default=default)
         p.add_argument("--out", default=None)
         return p
 
     add("params", gamma=2.0, b=2.0)
-    add("profile", gamma=2.0, b=3.0, y_max=200.0)
-    add("classify", gamma=2.0, b=3.0)
-    add("scan-b", gamma=2.0, grid="2.05:10:8")
-    p = add("bracket-bbar", gamma=2.0)
+    add("profile", gamma=2.0, b=3.0, tol=1e-9, y_max=200.0)
+    add("classify", gamma=2.0, b=3.0, tol=1e-9, y_max=500.0)
+    add("scan-b", gamma=2.0, tol=1e-9, y_max=500.0, grid="2.05:10:8")
+    p = add("bracket-bbar", gamma=2.0, tol=1e-9, y_max=500.0)
     p.add_argument("--tol-b", type=float, dest="tol_b", default=1e-3)
     p = add("b-star", gamma=2.0)
     p.add_argument("--digits", type=int, default=5)
     add("winding", gamma=2.0, b=3.0)
     add("stability-scan", gamma=2.0, grid="1:6:11")
-    add("greens-q")
+    add("greens-q", grid=None)
     p = add("greens-verify", tol=1e-10)
     p.add_argument("--t-max", type=float, dest="t_max", default=1e6)
     p = add("fixedpoint", tol=1e-12)
@@ -386,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eps-of-eta", tol=1e-9)
     p.add_argument("--eta", type=float, default=0.01)
     add("bbar", gamma=13.0)
-    p = add("gamma1", y_max=1e5, tol=1e-10)
+    p = add("gamma1", b=None, tol=1e-10, y_max=1e5)
     p.add_argument("--a1", type=float, default=-1.0)
     p = add("psi-asym")
     p.add_argument("--eta", type=float, default=1.0)
@@ -406,23 +413,30 @@ def build_parser() -> argparse.ArgumentParser:
                         "seeds and emit diagnostics JSON")
     p = add("fig2", gamma=2.0)
     p.add_argument("--b-list", dest="b_list", default="3.0,2.3,0.25")
-    add("fig3", gamma=2.0, b=2.3, y_max=200.0)
+    add("fig3", gamma=2.0, b=2.3, tol=1e-9, y_max=200.0)
     return top
 
 
-def _apply_config(args, argv):
-    if getattr(args, "config", None):
-        overrides = load_config(args.config)
-        explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
-                    for a in argv if a.startswith("--")}
-        for k, v in overrides.items():
-            if not hasattr(args, k):
-                raise DomainError(f"unknown config key {k!r}")
-            if k not in explicit:
-                cur = getattr(args, k)
-                cast = type(cur) if cur is not None else str
-                setattr(args, k, cast(v))
-    return args
+def parse_args(argv: list) -> argparse.Namespace:
+    """Parse a command line, seeding it from its --config file if any.
+
+    The file's settings are parsed as flags placed before the command
+    line's own, so flags win and every value goes through its flag's type.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    settings = load_config(args.config)
+    for k in settings:
+        if k in ("command", "config") or not hasattr(args, k):
+            raise DomainError(f"unknown config key {k!r} for {args.command}")
+    at = argv.index(args.command) + 1
+    tokens = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+    try:
+        return parser.parse_args(argv[:at] + tokens + argv[at:])
+    except DomainError as err:
+        raise DomainError(f"config file {args.config!r}: {err}") from err
 
 
 def main(argv=None) -> int:
@@ -432,8 +446,7 @@ def main(argv=None) -> int:
                "debug": logging.DEBUG}.get(level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = build_parser().parse_args(argv)
-        args = _apply_config(args, sys.argv[1:] if argv is None else argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         public = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("command", "echo") and v is not None}
         args.echo = " ".join(f"{k}={v}" for k, v in public.items())

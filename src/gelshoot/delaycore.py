@@ -152,7 +152,9 @@ class History:
         raise NotImplementedError
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
-        return np.array([self.eval(float(s)) for s in np.asarray(t).ravel()])
+        t = np.asarray(t, dtype=float)
+        return np.array([self.eval(float(s)) for s in t.ravel()]) \
+            .reshape(t.shape)
 
     def deriv(self, t: float) -> float:
         h = 1e-6 * max(1.0, abs(t))
@@ -190,10 +192,6 @@ class FunctionHistory(History):
 
     def eval(self, t: float) -> float:
         return float(self.fn(t))
-
-    def eval_many(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.array([float(self.fn(s)) for s in t.ravel()]).reshape(t.shape)
 
 
 class ConstantHistory(History):
@@ -246,7 +244,6 @@ class DenseTrajectory:
         self.ts: list[float] = []
         self.us: list[float] = []
         self.dus: list[float] = []
-        self.interpolation = "cubic-hermite"
         self.n_rejected = 0
         self.lipschitz_estimate = 0.0
         self.event_t: Optional[float] = None

@@ -16,13 +16,18 @@ infinity; driving F to zero in eps at fixed eta selects the decaying
 profile, and the pair (eps, eta) maps back to the critical shooting
 parameter b.
 
-All integrals run on a fixed graded grid with per-panel Gauss rules; the
-kernel matrices depend only on the grid, so a Picard sweep reduces to a
-pair of matrix-vector products.
+All integrals run on one fixed graded grid on [0, X_MAX] with per-panel
+Gauss rules.  The kernel matrices depend only on the grid, so they are
+built once per process and a Picard sweep reduces to a pair of
+matrix-vector products.  The range is fixed because the residue route
+for Gtilde is accurate only up to x = 40: at small xi, cancellation in
+its partial-fraction weights costs a relative error of 6.5e-3 at x = 60
+and the sign at x = 80.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -31,11 +36,10 @@ import numpy as np
 from . import greens
 from .errors import DomainError, GelshootError, NoSignChangeError, \
     NonContractionError
-from .greens import GreensEval
 from .profiles import LN2
 
-X_MAX_DEFAULT = 40.0
-N_NODES_DEFAULT = 700
+X_MAX = 40.0
+N_NODES = 700
 
 
 class PositivityViolationError(GelshootError):
@@ -50,15 +54,11 @@ _GL3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 class FixedPointGrid:
-    """Graded quadrature grid on [0, x_max] with cached Green kernels."""
+    """Graded quadrature grid on [0, X_MAX] with precomputed Green kernels."""
 
-    def __init__(self, x_max: float = X_MAX_DEFAULT,
-                 n_nodes: int = N_NODES_DEFAULT,
-                 cfg: GreensEval = GreensEval()):
-        self.x_max = x_max
-        self.cfg = cfg
+    def __init__(self):
         self.x = np.concatenate([[0.0],
-                                 np.geomspace(1e-4, x_max, n_nodes - 1)])
+                                 np.geomspace(1e-4, X_MAX, N_NODES - 1)])
         mid = 0.5 * (self.x[1:] + self.x[:-1])
         half = 0.5 * (self.x[1:] - self.x[:-1])
         self.g = (mid[:, None] + half[:, None] * _GL3_X[None, :]).ravel()
@@ -73,12 +73,11 @@ class FixedPointGrid:
         mask = m_panel[None, :] < np.arange(len(self.x))[:, None]
         self.K = np.where(mask, K, 0.0) * self.gw[None, :]
         self.exq_w = self.exq_g * self.gw
-        self._panel_of_g = m_panel
 
     # -- interpolation ------------------------------------------------------
 
     def interp(self, W: np.ndarray, dW: np.ndarray, pts: np.ndarray):
-        """Cubic Hermite values of the gridded function at pts in [0, x_max]."""
+        """Cubic Hermite values of the grid function at pts in [0, X_MAX]."""
         x = self.x
         i = np.clip(np.searchsorted(x, pts, side="right") - 1, 0,
                     len(x) - 2)
@@ -120,16 +119,10 @@ class FixedPointGrid:
         return T, dT, F
 
 
-_GRID_CACHE: dict = {}
-
-
-def default_grid(x_max: float = X_MAX_DEFAULT,
-                 n_nodes: int = N_NODES_DEFAULT,
-                 cfg: GreensEval = GreensEval()) -> FixedPointGrid:
-    key = (x_max, n_nodes, cfg)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = FixedPointGrid(x_max, n_nodes, cfg)
-    return _GRID_CACHE[key]
+@functools.cache
+def default_grid() -> FixedPointGrid:
+    """The process's one grid; its kernels take about 12 MB."""
+    return FixedPointGrid()
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +143,10 @@ class FixedPointState:
     sup_diff_history: tuple
     decay_rate_fit: float | None = None
     amplitude_fit: float | None = None
-    x_max: float = X_MAX_DEFAULT
-    n_nodes: int = N_NODES_DEFAULT
 
     def interp(self, pts):
-        grid = default_grid(self.x_max, self.n_nodes)
-        return grid.interp(self.W, self.dW, np.asarray(pts, dtype=float))
+        return default_grid().interp(self.W, self.dW,
+                                     np.asarray(pts, dtype=float))
 
     def to_dict(self) -> dict:
         return {
@@ -166,57 +157,48 @@ class FixedPointState:
         }
 
 
-def zero_state(eps: float, eta: float,
-               x_max: float = X_MAX_DEFAULT,
-               n_nodes: int = N_NODES_DEFAULT) -> FixedPointState:
-    grid = default_grid(x_max, n_nodes)
+def zero_state(eps: float, eta: float) -> FixedPointState:
+    grid = default_grid()
     z = np.zeros_like(grid.x)
     return FixedPointState(x=grid.x, W=z, dW=z.copy(), eps=eps, eta=eta,
-                           F_value=0.0, iterations=0, sup_diff_history=(),
-                           x_max=x_max, n_nodes=n_nodes)
+                           F_value=0.0, iterations=0, sup_diff_history=())
 
 
-def r_eval(state: FixedPointState, x, eps: float | None = None,
-           eta: float | None = None):
+def r_eval(state: FixedPointState, x):
     """Pointwise R[W] using the state's interpolant."""
-    grid = default_grid(state.x_max, state.n_nodes)
-    eps = state.eps if eps is None else eps
-    eta = state.eta if eta is None else eta
     x_arr = np.asarray(x, dtype=float)
-    out = grid.r_terms(state.W, state.dW, np.atleast_1d(x_arr), eps, eta)
+    out = default_grid().r_terms(state.W, state.dW, np.atleast_1d(x_arr),
+                                 state.eps, state.eta)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
-def apply_T(state: FixedPointState,
-            cfg: GreensEval = GreensEval(),
-            x_max: float | None = None) -> FixedPointState:
+def apply_T(state: FixedPointState) -> FixedPointState:
     """One application of the integral operator to the state."""
-    x_max = state.x_max if x_max is None else x_max
-    grid = default_grid(x_max, state.n_nodes, cfg)
-    T, dT, F = grid.apply(state.W, state.dW, state.eps, state.eta)
+    T, dT, F = default_grid().apply(state.W, state.dW, state.eps, state.eta)
     sup = float(np.max(np.abs(T - state.W)))
     return replace(state, W=T, dW=dT, F_value=F,
                    iterations=state.iterations + 1,
                    sup_diff_history=state.sup_diff_history + (sup,))
 
 
+_DECAY_RATES = (0.49, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)
+
+
 def certify_decay(x: np.ndarray, values: np.ndarray, x_lo: float,
-                  x_hi: float, rates=None, slack: float = 1.05):
+                  x_hi: float):
     """Largest envelope rate d with |v(x)| <= M e^(-d x) non-violated.
 
     Scans candidate rates from above; d certifies when |v| e^(d x) never
-    exceeds slack times its running minimum on [x_lo, x_hi] (the envelope
+    exceeds 1.05 times its running minimum on [x_lo, x_hi] (the envelope
     is effectively non-increasing there).  Returns (M, d) or (None, None).
     """
-    if rates is None:
-        rates = [0.49, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05]
     mask = (x >= x_lo) & (x <= x_hi) & (np.abs(values) > 1e-250)
     if mask.sum() < 10:
         return None, None
     xs, vs = x[mask], np.abs(values[mask])
-    for d in rates:
+    for d in _DECAY_RATES:
         env = vs * np.exp(d * xs)
-        if np.all(env <= slack * np.minimum.accumulate(env)):
+        if np.all(env <= 1.05 * np.minimum.accumulate(env)):
             M = float(np.max(np.abs(values) * np.exp(d * np.minimum(x, x_hi))))
             return M, d
     return None, None
@@ -224,8 +206,7 @@ def certify_decay(x: np.ndarray, values: np.ndarray, x_lo: float,
 
 def _decay_fit(state: FixedPointState):
     """Certified (amplitude, rate) of |W| <= (eps+eta) M e^(-rate x)."""
-    M, rate = certify_decay(state.x, state.W, 0.2 * state.x_max,
-                            0.9 * state.x_max)
+    M, rate = certify_decay(state.x, state.W, 0.2 * X_MAX, 0.9 * X_MAX)
     if M is None:
         return None, None
     scale = state.eps + state.eta
@@ -233,8 +214,6 @@ def _decay_fit(state: FixedPointState):
 
 
 def picard_solve(eps: float, eta: float,
-                 cfg: GreensEval = GreensEval(),
-                 x_max: float = X_MAX_DEFAULT,
                  tol: float = 1e-12,
                  max_iter: int = 80,
                  warm_start: FixedPointState | None = None) -> FixedPointState:
@@ -246,11 +225,13 @@ def picard_solve(eps: float, eta: float,
     """
     if not -1.0 < eps < 1.0 or not abs(eta) < 1.0:
         raise DomainError("need -1 < eps < 1 (delay ratio) and |eta| < 1")
-    state = zero_state(eps, eta, x_max=x_max)
-    if warm_start is not None and warm_start.x_max == x_max:
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
+    state = zero_state(eps, eta)
+    if warm_start is not None:
         state = replace(state, W=warm_start.W.copy(),
                         dW=warm_start.dW.copy())
-    grid = default_grid(x_max, state.n_nodes, cfg)
+    grid = default_grid()
     history = []
     grew = 0
     for k in range(max_iter):
@@ -277,16 +258,15 @@ def f_eval(state: FixedPointState) -> float:
     """F(W, eps, eta), recomputed from the state's W.
 
     The fixed-point normalization parks the limiting value at W(0) = -F,
-    so |W(x_max)| doubles as a sanity check on the domain truncation.
+    so |W(X_MAX)| doubles as a sanity check on the domain truncation.
     """
-    grid = default_grid(state.x_max, state.n_nodes)
+    grid = default_grid()
     Rg = grid.r_terms(state.W, state.dW, grid.g, state.eps, state.eta)
     return float(np.sum(grid.exq_w * Rg))
 
 
 def contraction_factor(eps: float, eta: float, w1: np.ndarray,
-                       w2: np.ndarray,
-                       x_max: float = X_MAX_DEFAULT) -> float:
+                       w2: np.ndarray) -> float:
     """sup|T[W1] - T[W2]| / sup|W1 - W2| for two admissible profiles.
 
     The inputs are value arrays on the default grid; derivatives are taken
@@ -294,7 +274,7 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
     """
     from scipy.interpolate import CubicSpline
 
-    grid = default_grid(x_max)
+    grid = default_grid()
     d1 = CubicSpline(grid.x, w1)(grid.x, 1)
     d2 = CubicSpline(grid.x, w2)(grid.x, 1)
     T1, _, _ = grid.apply(w1, d1, eps, eta)
@@ -308,29 +288,28 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
 # the critical curve eps(eta) and the critical shooting parameter
 
 
-def eps_of_eta(eta: float, tol: float = 1e-9,
-               cfg: GreensEval = GreensEval(),
-               x_max: float = X_MAX_DEFAULT,
-               eps_hi: float | None = None):
+def eps_of_eta(eta: float, tol: float = 1e-9):
     """Root of eps -> F at fixed eta, by bracketed secant iteration.
 
-    F(0, eta) < 0 < F(eps_hi, eta) because F grows in eps (slope near the
+    F(0, eta) < 0 < F(10 eta, eta) because F grows in eps (slope near the
     first Q moment) and starts negative (slope in eta is negative).  Stops
     at |F| < tol; returns (eps, converged state).
     """
     if not 0.0 <= eta <= 0.05:
         raise DomainError("eta must lie in [0, 0.05] for the contraction")
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
     if eta == 0.0:
-        return 0.0, picard_solve(0.0, 0.0, cfg=cfg, x_max=x_max)
+        return 0.0, picard_solve(0.0, 0.0)
     lo = 0.0
-    hi = eps_hi if eps_hi is not None else 10.0 * eta
-    state = picard_solve(lo, eta, cfg=cfg, x_max=x_max)
+    hi = 10.0 * eta
+    state = picard_solve(lo, eta)
     f_lo = f_eval(state)
-    st_hi = picard_solve(hi, eta, cfg=cfg, x_max=x_max, warm_start=state)
+    st_hi = picard_solve(hi, eta, warm_start=state)
     f_hi = f_eval(st_hi)
     if f_lo * f_hi > 0.0:
         hi *= 2.0
-        st_hi = picard_solve(hi, eta, cfg=cfg, x_max=x_max, warm_start=st_hi)
+        st_hi = picard_solve(hi, eta, warm_start=st_hi)
         f_hi = f_eval(st_hi)
         if f_lo * f_hi > 0.0:
             raise NoSignChangeError(lo, f_lo, hi, f_hi)
@@ -342,8 +321,7 @@ def eps_of_eta(eta: float, tol: float = 1e-9,
             else 0.5 * (lo + hi)
         if not lo < eps_new < hi:
             eps_new = 0.5 * (lo + hi)
-        best = picard_solve(eps_new, eta, cfg=cfg, x_max=x_max,
-                            warm_start=best)
+        best = picard_solve(eps_new, eta, warm_start=best)
         f_new = f_eval(best)
         if abs(f_new) < tol:
             return eps_new, best
@@ -370,17 +348,14 @@ class CriticalProfile:
         return np.exp(-np.asarray(pts, dtype=float)) + self.state.interp(pts)
 
 
-def bbar_of_gamma(gamma: float, tol_b: float = 1e-10,
-                  cfg: GreensEval = GreensEval(),
-                  x_max: float = X_MAX_DEFAULT,
-                  f_tol: float = 1e-9) -> CriticalProfile:
+def bbar_of_gamma(gamma: float) -> CriticalProfile:
     """Critical shooting parameter at large homogeneity.
 
     Solves the coupled relations eta = 2^(2/b + 1 - gamma),
-    2^(1/b) = 2/(1 + eps), eps = eps(eta) by direct iteration from b = 1;
-    eta shrinks like 2^(2-gamma), so the loop contracts strongly.  The
-    reconstructed h = e^(-x) + W must stay positive and decay; violations
-    raise PositivityViolationError.
+    2^(1/b) = 2/(1 + eps), eps = eps(eta) by direct iteration from b = 1
+    until b moves by less than 1e-10; eta shrinks like 2^(2-gamma), so the
+    loop contracts strongly.  The reconstructed h = e^(-x) + W must stay
+    positive and decay; violations raise PositivityViolationError.
     """
     b = 1.0
     eta = 2.0 ** (2.0 / b + 1.0 - gamma)
@@ -392,9 +367,9 @@ def bbar_of_gamma(gamma: float, tol_b: float = 1e-10,
     state = None
     for _ in range(40):
         eta = 2.0 ** (2.0 / b + 1.0 - gamma)
-        eps, state = eps_of_eta(eta, tol=f_tol, cfg=cfg, x_max=x_max)
+        eps, state = eps_of_eta(eta)
         b_new = LN2 / (LN2 - math.log1p(eps))
-        if abs(b_new - b) < tol_b:
+        if abs(b_new - b) < 1e-10:
             b = b_new
             break
         b = b_new
@@ -402,14 +377,14 @@ def bbar_of_gamma(gamma: float, tol_b: float = 1e-10,
     if float(np.min(h)) < -1e-9:
         raise PositivityViolationError(
             f"reconstructed profile reaches {float(np.min(h)):.3e}")
-    _, rate = certify_decay(state.x, h, 4.0, 0.9 * x_max)
+    _, rate = certify_decay(state.x, h, 4.0, 0.9 * X_MAX)
     if rate is None:
         raise PositivityViolationError("no exponential envelope certified")
     return CriticalProfile(gamma=gamma, bbar=b, eps=eps, eta=eta,
                            state=state, h=h, tail_rate_fit=rate)
 
 
-def profile_in_h_variables(crit: CriticalProfile, n_pts: int = 400):
+def profile_in_h_variables(crit: CriticalProfile):
     """Map the critical h back through the rescalings to (y, H) and (x, Phi).
 
     h(x) = H(x / sigma) with sigma = 1/eta, and Phi(x) = y H(y) at

@@ -103,13 +103,10 @@ class ChainSolution:
     t_steps: np.ndarray         # the solver's accepted step abscissae
     f_steps: np.ndarray         # states at accepted steps
     blew_up: bool
-    dense: object = None        # the solver's dense interpolant
+    dense: object               # the solver's dense interpolant
 
     def state_at(self, t: float) -> np.ndarray:
-        if self.dense is not None:
-            return np.asarray(self.dense(t))
-        return np.array([np.interp(t, self.t, self.f[k])
-                         for k in range(self.f.shape[0])])
+        return np.asarray(self.dense(t))
 
 
 def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,

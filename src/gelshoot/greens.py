@@ -162,10 +162,8 @@ class GreensEval:
     like 2^(2n) / 2^(n(n+1)/2), so the cap is rarely reached).
     """
 
-    N_q: int = _NQ
     L_tilde: float = 0.75
     T_max: float = 200.0
-    nodes_per_panel: int = 8
     N_terms: int = 16
     tail_target: float = 1e-8
 

@@ -114,6 +114,43 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in err
 
+    def test_bad_value_is_a_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("gamma = abc\n")
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "domain"
+        assert "--gamma" in doc["message"] and "'abc'" in doc["message"]
+        assert str(cfg) in doc["message"]
+
+    def test_missing_file_is_a_domain_error(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.cfg"
+        code, out, err = run(capsys, "params", "--config", str(missing))
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "domain"
+        assert str(missing) in doc["message"]
+
+    def test_key_the_subcommand_does_not_read_rejected(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 3\ntol = 1e-12\n")
+        code, _, err = run(capsys, "bbar", "--config", str(cfg))
+        assert code == 1
+        assert "unknown config key 'tol'" in json.loads(err)["message"]
+
+    def test_values_take_the_flag_type(self, tmp_path, capsys):
+        # gamma1's --b has no default, so the value's type comes from the
+        # flag, not from a default value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b = 1\na1 = -1\ny-max = 1e4\n")
+        code, out, err = run(capsys, "gamma1", "--config", str(cfg))
+        assert code == 0, err
+        _, flags_out, _ = run(capsys, "gamma1", "--b", "1", "--a1", "-1",
+                              "--y-max", "1e4")
+        assert json.loads(out)["result"] == json.loads(flags_out)["result"]
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
@@ -174,6 +211,31 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "domain"
+
+    @pytest.mark.parametrize("argv", [("params", "--tol", "1"),
+                                      ("bbar", "--tol", "1e-12"),
+                                      ("greens-q", "--gamma", "2"),
+                                      ("laplace", "--y-max", "5"),
+                                      ("tails", "--b", "9"),
+                                      ("b-star", "--b", "3"),
+                                      ("psi-asym", "--grid", "0:1:3")])
+    def test_flag_the_handler_does_not_read_is_rejected(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "domain"
+        assert argv[1] in doc["message"]
+
+    @pytest.mark.parametrize("argv", [("fixedpoint", "--tol", "0"),
+                                      ("fixedpoint", "--tol", "-1"),
+                                      ("fixedpoint", "--tol", "nan"),
+                                      ("eps-of-eta", "--tol", "0")])
+    def test_fixedpoint_tolerance_must_be_positive(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "domain"
+        assert "tol must be positive" in doc["message"]
 
     @pytest.mark.parametrize("argv", [("--help",), ("--version",),
                                       ("classify", "--help")])

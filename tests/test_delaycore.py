@@ -91,6 +91,13 @@ class TestDenseOutput:
         traj = dc.integrate(rhs, hist, (0.0, 3.0), tol=1e-9)
         assert traj.eval(1.234) == 0.25
 
+    def test_function_history_eval_many_keeps_shape(self):
+        hist = dc.FunctionHistory(lambda z: 0.5 * math.exp(z), -2.0, 0.0)
+        ts = np.linspace(-2.0, 0.0, 6).reshape(2, 3)
+        out = hist.eval_many(ts)
+        assert out.shape == (2, 3)
+        assert out.tolist() == [[hist.eval(t) for t in row] for row in ts]
+
     def test_restart_consistency(self):
         p = make_params(2.0, 4.0)
         s = local_series(p, 40)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -99,6 +100,13 @@ class TestPicard:
         with pytest.raises(DomainError):
             fp.picard_solve(1.5, 0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            fp.picard_solve(0.01, 0.01, tol=tol)
+        with pytest.raises(DomainError, match="tol must be positive"):
+            fp.eps_of_eta(0.01, tol=tol)
+
 
 class TestDerivativeConsistency:
     def test_stored_slope_matches_value_spline(self):
@@ -198,3 +206,35 @@ class TestStateDump:
         assert d["eps"] == 0.01 and d["eta"] == 0.005
         assert len(d["grid"]) == len(d["W"])
         assert d["iterations"] == st.iterations
+
+
+class TestOneGrid:
+    def test_one_grid_per_process(self, monkeypatch):
+        builds = []
+        init = fp.FixedPointGrid.__init__
+
+        def counting_init(self):
+            builds.append(self)
+            init(self)
+
+        monkeypatch.setattr(fp.FixedPointGrid, "__init__", counting_init)
+        fp.default_grid.cache_clear()
+        st = fp.picard_solve(0.01, 0.01)
+        fp.f_eval(st)
+        fp.r_eval(st, [0.5, 2.0])
+        fp.apply_T(st)
+        st.interp([0.5, 2.0])
+        fp.eps_of_eta(0.005)
+        x = fp.default_grid().x
+        fp.contraction_factor(0.01, 0.01, 0.01 * np.exp(-x),
+                              0.01 * np.exp(-x / 2.0))
+        assert len(builds) == 1
+        assert fp.default_grid() is builds[0]
+
+    def test_no_function_takes_a_grid_knob(self):
+        for name, obj in vars(fp).items():
+            if inspect.isfunction(obj) and obj.__module__ == fp.__name__:
+                params = inspect.signature(obj).parameters
+                assert not {"cfg", "x_max", "n_nodes"} & set(params), name
+        assert not inspect.signature(fp.FixedPointGrid).parameters
+        assert not inspect.signature(fp.default_grid).parameters
