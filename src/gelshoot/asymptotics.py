@@ -234,10 +234,10 @@ class LaplaceQuantities:
 
 def t_star(eta: float) -> float:
     """Unique positive root of t / (1 - e^-t) = 2 eta, for eta > 1/2."""
-    if not eta > 0.5:
-        raise DomainError("eta must exceed 1/2")
-    from scipy.optimize import brentq
     lo, hi = 1e-12, 2.0 * eta
+    if not (eta > 0.5 and math.isfinite(hi)):
+        raise DomainError("eta must exceed 1/2, with 2 eta finite")
+    from scipy.optimize import brentq
     # t/(1-e^-t) increases from 1 at t=0+ to infinity
     return brentq(lambda t: t / (-math.expm1(-t)) - 2.0 * eta, lo, hi,
                   xtol=1e-15, rtol=4 * np.finfo(float).eps)
@@ -279,6 +279,8 @@ def psi_asymptotics_check(eta: float, eps_list) -> list[dict]:
     lq = laplace_quantities(eta)
     rows = []
     for eps in eps_list:
+        if not 0.0 < eps < 1.0:
+            raise DomainError("eps must lie in (0,1)")
         lp = psi_log_eval(eps, eta / eps)
         pred = math.log(lq.U) - 0.5 * math.log(eps) + lq.W / eps
         rows.append({"eps": float(eps), "log_psi": lp, "log_pred": pred,
@@ -323,6 +325,8 @@ def tail_exponents(eps: float, eta_bar: float) -> TailExponents:
     K0 e^(sigma (y-y_bar)) e^(-c0 e^(sigma (y-y_bar))) in the transition."""
     if not 0.0 < eps < 0.5:
         raise DomainError("eps must lie in (0, 1/2)")
+    if not 0.0 < eta_bar < math.inf:
+        raise DomainError("eta_bar must be positive and finite")
     beta = -LN2 / math.log1p(-eps)
     return TailExponents(
         eps=eps,

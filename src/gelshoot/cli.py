@@ -67,6 +67,15 @@ def parse_grid(spec: str) -> np.ndarray:
             from err
 
 
+def parse_floats(spec: str) -> list:
+    """v1,v2,... as floats."""
+    try:
+        return [float(s) for s in spec.split(",")]
+    except ValueError as err:
+        raise DomainError(f"bad number list {spec!r}; expected v1,v2,...") \
+            from err
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -100,6 +109,8 @@ def cmd_params(a):
 
 def cmd_b_star(a):
     from . import stability
+    if a.digits < 0:
+        raise DomainError("--digits must not be negative")
     v = stability.b_star(a.gamma)
     if a.out is not None:
         emit_json(a.out, {"gamma": a.gamma, "b_star": v}, a.echo)
@@ -243,8 +254,7 @@ def cmd_gamma1(a):
 
 def cmd_psi_asym(a):
     from . import asymptotics
-    eps_list = [float(s) for s in a.eps_list.split(",")]
-    rows = asymptotics.psi_asymptotics_check(a.eta, eps_list)
+    rows = asymptotics.psi_asymptotics_check(a.eta, parse_floats(a.eps_list))
     write_csv(a.out, ["eps", "logPsi", "logPred", "r"],
               ((r["eps"], r["log_psi"], r["log_pred"], r["r"])
                for r in rows), a.echo)
@@ -294,8 +304,7 @@ def cmd_simulate(a):
 
 def cmd_fig2(a):
     from . import stability
-    bs = [float(s) for s in a.b_list.split(",")]
-    for b in bs:
+    for b in parse_floats(a.b_list):
         p = make_params(a.gamma, b)
         z = stability.curve_samples(p)
         path = None

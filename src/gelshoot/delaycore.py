@@ -46,15 +46,13 @@ VALUE_CAP = 1e12
 class DelayRHS:
     """Descriptor of u'(t) = f(t, u(t), u(tau(t))) with tau(t) < t.
 
-    step_cap(t) is the largest h with tau(t + h) <= t; f_u, when given, is
-    the partial derivative of f in u, used for conditioning estimates.
+    step_cap(t) is the largest h with tau(t + h) <= t.
     """
 
     name: str
     f: Callable[[float, float, float], float]
     delay_arg: Callable[[float], float]
     step_cap: Callable[[float], float]
-    f_u: Optional[Callable[[float, float, float], float]] = None
 
 
 def _proportional_cap(p: float) -> Callable[[float], float]:
@@ -70,7 +68,6 @@ def h_equation(params: ModelParams) -> DelayRHS:
         f=lambda y, u, ud: -s * ud * ud + u * u,
         delay_arg=lambda y: q * y,
         step_cap=_proportional_cap(q),
-        f_u=lambda y, u, ud: 2.0 * u,
     )
 
 
@@ -82,7 +79,6 @@ def phi_equation(params: ModelParams) -> DelayRHS:
         f=lambda z, u, ud: u - th * ud * ud + u * u,
         delay_arg=lambda z: z - d,
         step_cap=lambda z: d,
-        f_u=lambda z, u, ud: 1.0 + 2.0 * u,
     )
 
 
@@ -101,7 +97,6 @@ def rescaled_h_equation(eps: float, eta: float) -> DelayRHS:
         f=lambda x, u, ud: -ud * ud + eta * u * u,
         delay_arg=lambda x: p * x,
         step_cap=_proportional_cap(p),
-        f_u=lambda x, u, ud: 2.0 * eta * u,
     )
 
 
@@ -112,7 +107,6 @@ def linear_g_equation() -> DelayRHS:
         f=lambda x, u, ud: u - 2.0 * ud,
         delay_arg=lambda x: 0.5 * x,
         step_cap=_proportional_cap(0.5),
-        f_u=lambda x, u, ud: 1.0,
     )
 
 
@@ -123,7 +117,6 @@ def gamma1_phi_equation(b: float) -> DelayRHS:
         f=lambda x, u, ud: (u * u - ud * ud) / (b * x),
         delay_arg=lambda x: 0.5 * x,
         step_cap=_proportional_cap(0.5),
-        f_u=lambda x, u, ud: 2.0 * u / (b * x),
     )
 
 
@@ -134,7 +127,6 @@ def gamma1_log_equation(b: float) -> DelayRHS:
         f=lambda z, u, ud: (u * u - ud * ud) / b,
         delay_arg=lambda z: z - LN2,
         step_cap=lambda z: LN2,
-        f_u=lambda z, u, ud: 2.0 * u / b,
     )
 
 
@@ -229,6 +221,21 @@ class PointSourceHistory(History):
 # ---------------------------------------------------------------------------
 # dense trajectory
 
+
+def hermite(ts: np.ndarray, us: np.ndarray, dus: np.ndarray,
+            t: np.ndarray) -> np.ndarray:
+    """Piecewise cubic Hermite values at t of nodes ts, values us, slopes dus.
+
+    Points outside [ts[0], ts[-1]] take the cubic of the nearest panel.
+    """
+    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    s = (t - ts[i]) / h
+    s2, s3 = s * s, s * s * s
+    return ((2 * s3 - 3 * s2 + 1) * us[i] + (s3 - 2 * s2 + s) * h * dus[i]
+            + (-2 * s3 + 3 * s2) * us[i + 1] + (s3 - s2) * h * dus[i + 1])
+
+
 _EDGE_TOL = 1e-12
 
 
@@ -245,7 +252,6 @@ class DenseTrajectory:
         self.us: list[float] = []
         self.dus: list[float] = []
         self.n_rejected = 0
-        self.lipschitz_estimate = 0.0
         self.event_t: Optional[float] = None
 
     # -- construction -----------------------------------------------------
@@ -331,16 +337,7 @@ class DenseTrajectory:
             span = max(abs(float(ts[-1])), 1.0)
             if np.any(x > ts[-1] + _EDGE_TOL * span):
                 raise OutOfRangeError("evaluation beyond last node")
-            x = np.minimum(x, ts[-1])
-            i = np.clip(np.searchsorted(ts, x, side="right") - 1,
-                        0, len(ts) - 2)
-            h = ts[i + 1] - ts[i]
-            s = (x - ts[i]) / h
-            s2, s3 = s * s, s * s * s
-            out[inside] = ((2 * s3 - 3 * s2 + 1) * us[i]
-                           + (s3 - 2 * s2 + s) * h * dus[i]
-                           + (-2 * s3 + 3 * s2) * us[i + 1]
-                           + (s3 - s2) * h * dus[i + 1])
+            out[inside] = hermite(ts, us, dus, np.minimum(x, ts[-1]))
         return out.reshape(t.shape)
 
     def to_csv(self, path):
@@ -375,6 +372,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     when the step control collapses.
     """
     t0, t1 = float(span[0]), float(span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError(f"span ({t0}, {t1}) must be finite")
     if not t1 > t0:
         raise DomainError("span must be increasing")
     if not tol > 0.0:
@@ -444,13 +443,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
                 raise BlowUpError(t_new, traj)
             t = t_new
             u = u2
-            ud = delayed(t)
-            du = f(t, u, ud)
+            du = f(t, u, delayed(t))
             traj._append(t, u, du)
-            if rhs.f_u is not None:
-                lip = abs(rhs.f_u(t, u, ud))
-                if lip > traj.lipschitz_estimate:
-                    traj.lipschitz_estimate = lip
             if stop_condition is not None and stop_condition(t, u):
                 traj.event_t = t
                 return traj

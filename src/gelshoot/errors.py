@@ -98,6 +98,18 @@ class NonContractionError(GelshootError):
         self.history = list(history)
 
 
+class RoundoffFloorError(GelshootError):
+    """An iteration stopped converging at round-off, above the tolerance."""
+
+    def __init__(self, tol, floor, history):
+        super().__init__(
+            f"tol {tol:.3e} is below the round-off floor {floor:.3e}; "
+            f"sup-diff stopped falling at {history[-1]:.3e}")
+        self.tol = tol
+        self.floor = floor
+        self.history = list(history)
+
+
 class OriginOnCurveError(GelshootError):
     """The stability curve passes through the origin (boundary case)."""
 

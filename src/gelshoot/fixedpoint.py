@@ -34,8 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import greens
+from .delaycore import hermite
 from .errors import DomainError, GelshootError, NoSignChangeError, \
-    NonContractionError
+    NonContractionError, RoundoffFloorError
 from .profiles import LN2
 
 X_MAX = 40.0
@@ -78,14 +79,7 @@ class FixedPointGrid:
 
     def interp(self, W: np.ndarray, dW: np.ndarray, pts: np.ndarray):
         """Cubic Hermite values of the grid function at pts in [0, X_MAX]."""
-        x = self.x
-        i = np.clip(np.searchsorted(x, pts, side="right") - 1, 0,
-                    len(x) - 2)
-        h = x[i + 1] - x[i]
-        s = (pts - x[i]) / h
-        s2, s3 = s * s, s ** 3
-        return ((2 * s3 - 3 * s2 + 1) * W[i] + (s3 - 2 * s2 + s) * h * dW[i]
-                + (-2 * s3 + 3 * s2) * W[i + 1] + (s3 - s2) * h * dW[i + 1])
+        return hermite(self.x, W, dW, pts)
 
     # -- operator -----------------------------------------------------------
 
@@ -105,8 +99,6 @@ class FixedPointGrid:
 
     def apply(self, W: np.ndarray, dW: np.ndarray, eps: float, eta: float):
         """One sweep of the integral operator: returns (T, dT, F)."""
-        from scipy.interpolate import CubicSpline
-
         Rg = self.r_terms(W, dW, self.g, eps, eta)
         panel_q = (self.exq_w * Rg).reshape(-1, 3).sum(axis=1)
         suffix = np.concatenate([np.cumsum(panel_q[::-1])[::-1], [0.0]])
@@ -114,7 +106,8 @@ class FixedPointGrid:
         F = float(suffix[0])
         # derivative: dT(x) = R(x) - 2 e^(-x/2) (T(x/2) + F)
         Rx = self.r_terms(W, dW, self.x, eps, eta)
-        t_half = CubicSpline(self.x, T)(0.5 * self.x)
+        # T(x/2) from the incoming slopes: at the fixed point T = W, dT = dW
+        t_half = self.interp(T, dW, 0.5 * self.x)
         dT = Rx - 2.0 * np.exp(-0.5 * self.x) * (t_half + F)
         return T, dT, F
 
@@ -221,7 +214,10 @@ def picard_solve(eps: float, eta: float,
 
     Outside the small-parameter contraction regime the iteration may
     diverge; three consecutive sup-difference increases raise
-    NonContractionError rather than hiding the failure.
+    NonContractionError rather than hiding the failure.  A sup-difference
+    that stops falling within 16 ulps of max|W| is round-off (sweeps at
+    eps = eta = 0.01 stall at 3.4 ulps), and a tol below it raises
+    RoundoffFloorError.
     """
     if not -1.0 < eps < 1.0 or not abs(eta) < 1.0:
         raise DomainError("need -1 < eps < 1 (delay ratio) and |eta| < 1")
@@ -242,6 +238,9 @@ def picard_solve(eps: float, eta: float,
                         sup_diff_history=tuple(history))
         if sup < tol:
             break
+        floor = 16.0 * np.finfo(float).eps * float(np.max(np.abs(T)))
+        if len(history) >= 2 and history[-2] <= sup <= floor:
+            raise RoundoffFloorError(tol, floor, history)
         if len(history) >= 2 and sup > history[-2]:
             grew += 1
             if grew >= 3:
@@ -270,13 +269,11 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
     """sup|T[W1] - T[W2]| / sup|W1 - W2| for two admissible profiles.
 
     The inputs are value arrays on the default grid; derivatives are taken
-    from a spline so the comparison depends only on the values.
+    by finite differences so the comparison depends only on the values.
     """
-    from scipy.interpolate import CubicSpline
-
     grid = default_grid()
-    d1 = CubicSpline(grid.x, w1)(grid.x, 1)
-    d2 = CubicSpline(grid.x, w2)(grid.x, 1)
+    d1 = np.gradient(w1, grid.x, edge_order=2)
+    d2 = np.gradient(w2, grid.x, edge_order=2)
     T1, _, _ = grid.apply(w1, d1, eps, eta)
     T2, _, _ = grid.apply(w2, d2, eps, eta)
     num = float(np.max(np.abs(T1 - T2)))

@@ -64,6 +64,8 @@ def make_chain(xi0: float, gamma: float, K: int, init,
 
     feeder: 'zero', 'stationary' (the power-law value at xi0/2), or a float.
     """
+    if K < 0:
+        raise DomainError(f"site count K = {K} must not be negative")
     sites = xi0 * 2.0 ** np.arange(K + 1)
     if callable(init):
         f0 = np.array([float(init(x)) for x in sites])
@@ -260,6 +262,8 @@ def gelation_scan(gamma: float, init="exp", n_chains: int = 64,
     between consecutive rescaled profiles; a decreasing sequence indicates
     approach to a self-similar shape.
     """
+    if n_chains < 1:
+        raise DomainError(f"n_chains = {n_chains} must be positive")
     seeds = np.geomspace(1.0, 2.0, n_chains, endpoint=False)
     a0 = (gamma + 3.0) / 2.0
     b0 = 2.0 / (gamma - 1.0) if gamma != 1.0 else math.inf

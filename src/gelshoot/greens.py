@@ -140,14 +140,6 @@ def g_by_ode(x: float, xi: float, tol: float = 1e-10) -> float:
     return traj.eval(x)
 
 
-def g_trajectory(x_end: float, xi: float, tol: float = 1e-10):
-    """Dense trajectory of G(., xi) on [xi, x_end]."""
-    if not x_end > xi > 0.0:
-        raise DomainError("need x_end > xi > 0")
-    return dc.integrate(dc.linear_g_equation(), dc.PointSourceHistory(xi),
-                        (xi, x_end), tol=tol, u0=1.0)
-
-
 # ---------------------------------------------------------------------------
 # route 2: contour quadrature of the Gtilde terms
 

@@ -248,6 +248,8 @@ def bracket_bbar(gamma: float, tol_b: float = 1e-3, y_max: float = 500.0,
         raise BracketFailureError(lo, hi, k_lo, k_hi)
     while hi - lo > tol_b:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles
         k_mid = kind(mid)
         if k_mid == "SignChange":
             lo = mid

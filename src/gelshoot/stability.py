@@ -151,6 +151,8 @@ def b_star_by_winding(gamma: float, tol_b: float = 1e-4) -> float:
         raise DomainError("bisection endpoints do not straddle the boundary")
     while hi - lo > tol_b:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles
         try:
             w = winding_number(make_params(gamma, mid)).winding
         except OriginOnCurveError:

@@ -237,6 +237,14 @@ class TestExitCodes:
         assert doc["error"] == "domain"
         assert "tol must be positive" in doc["message"]
 
+    def test_tolerance_below_roundoff_is_numerical(self, capsys):
+        code, out, err = run(capsys, "fixedpoint", "--tol", "1e-20")
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["type"] == "RoundoffFloorError"
+        assert "tol 1.000e-20" in doc["message"]
+        assert "round-off floor" in doc["message"]
+
     @pytest.mark.parametrize("argv", [("--help",), ("--version",),
                                       ("classify", "--help")])
     def test_help_and_version_exit_zero(self, argv, capsys):
@@ -244,6 +252,33 @@ class TestExitCodes:
             main(list(argv))
         assert info.value.code == 0
         assert capsys.readouterr().out
+
+
+# each of these once ended in a Python traceback, or for an infinite y_max
+# in a zero-step "Undetermined" with exit 0
+FUZZ = [
+    ("psi-asym", "--eps-list", ""),
+    ("psi-asym", "--eps-list", "0"),
+    ("fig2", "--b-list", ""),
+    ("fig2", "--b-list", "3,x"),
+    ("b-star", "--digits", "-1"),
+    ("simulate", "--sites", "-1"),
+    ("simulate", "--scan", "-1"),
+    ("laplace", "--eta", "inf"),
+    ("laplace", "--eta", "1e308"),
+    ("tails", "--eta", "0"),
+    ("classify", "--gamma", "2", "--b", "3", "--y-max", "inf"),
+]
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("argv", FUZZ, ids=" ".join)
+    def test_bad_input_is_one_domain_line(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "domain"
 
 
 class TestRemainingSubcommands:
@@ -335,8 +370,9 @@ class TestGammaBound:
 # import budget: which subcommands load scipy.  The pytest process has scipy
 # loaded already, so the checks run in a fresh interpreter.
 
-SCIPY_FREE = ["params", "b-star", "classify", "winding", "tails", "greens-q"]
-SCIPY_ROUTES = [["laplace", "--eta", "1"], ["fixedpoint"]]
+SCIPY_FREE = ["params", "b-star", "classify", "winding", "tails", "greens-q",
+              "fixedpoint", "eps-of-eta", "bbar"]
+SCIPY_ROUTES = [["laplace", "--eta", "1"]]
 
 _COLD_SCRIPT = """
 import contextlib, io, json, sys
@@ -360,7 +396,7 @@ print(json.dumps(report))
 @pytest.fixture(scope="module")
 def cold_report():
     """One fresh process: import the CLI, then run the scipy-free
-    subcommands followed by two that need scipy, one after another."""
+    subcommands followed by one that needs scipy, one after another."""
     argvs = [[name] for name in SCIPY_FREE] + SCIPY_ROUTES
     proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT,
                            json.dumps(argvs)], env=child_env(),
@@ -397,7 +433,6 @@ class TestImportBudget:
     def test_fixedpoint_output_unchanged(self, cold_report, capsys):
         entry = cold_report["fixedpoint"]
         assert entry["code"] == 0
-        assert "scipy.interpolate" in entry["scipy"]
         _, out, _ = run(capsys, "fixedpoint")
         assert entry["stdout"] == out
         doc = json.loads(out)["result"]

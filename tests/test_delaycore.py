@@ -194,6 +194,13 @@ class TestFailureModes:
         with pytest.raises(DomainError):
             dc.integrate(dc.limit_h_equation(0.0), hist, (y0, y0 - 1.0))
 
+    @pytest.mark.parametrize("end", [math.inf, math.nan])
+    def test_non_finite_span_end_rejected(self, end):
+        # an infinite end used to take zero steps and return the start node
+        hist, y0 = exp_history()
+        with pytest.raises(DomainError, match="finite"):
+            dc.integrate(dc.limit_h_equation(0.0), hist, (y0, end))
+
     def test_event_stops_the_run(self):
         hist, y0 = exp_history()
         traj = dc.integrate(dc.limit_h_equation(0.0), hist, (y0, 10.0),
@@ -202,16 +209,6 @@ class TestFailureModes:
         assert traj.event_t is not None
         assert traj.event_t < 1.0
         assert traj.us[-1] < 0.5
-
-
-class TestConditioning:
-    def test_lipschitz_estimate_reported(self):
-        p = make_params(2.0, 4.0)
-        s = local_series(p, 40)
-        y0 = series_switchover(s)
-        traj = dc.integrate(dc.h_equation(p), dc.SeriesHistory(s, y0),
-                            (y0, 10.0), tol=1e-9)
-        assert 0.0 < traj.lipschitz_estimate <= 2.0
 
 
 class TestWorkCounts:

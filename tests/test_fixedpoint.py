@@ -7,7 +7,8 @@ from scipy.interpolate import CubicSpline
 
 from gelshoot import fixedpoint as fp
 from gelshoot import shooting as sh
-from gelshoot.errors import DomainError, NonContractionError
+from gelshoot.errors import (DomainError, NonContractionError,
+                             RoundoffFloorError)
 from gelshoot.greens import c0_moment, eta_derivative_moment
 
 # series oracles for the two gradient components at the origin
@@ -100,6 +101,18 @@ class TestPicard:
         with pytest.raises(DomainError):
             fp.picard_solve(1.5, 0.0)
 
+    def test_tolerance_below_roundoff_is_not_divergence(self):
+        # the sup-difference stalls near 1.7e-18, a few ulps of max|W|;
+        # it used to end in NonContractionError after five equal sweeps
+        with pytest.raises(RoundoffFloorError) as info:
+            fp.picard_solve(0.01, 0.01, tol=1e-20)
+        err = info.value
+        assert err.tol == 1e-20
+        assert err.history[-1] <= err.floor < 1e-16
+        assert err.history[-1] >= err.history[-2]
+        assert "1.000e-20" in str(err)
+        assert f"{err.floor:.3e}" in str(err)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(DomainError, match="tol must be positive"):
@@ -176,6 +189,15 @@ class TestBbar:
         crit = fp.bbar_of_gamma(gamma)
         br = sh.bracket_bbar(gamma, tol_b=1e-3)
         assert br.b_lo <= crit.bbar <= br.b_hi
+
+    @pytest.mark.parametrize("gamma", [8.0, 10.0, 13.0])
+    def test_bracket_midpoint_matches_fixed_point(self, gamma):
+        # two independent routes to bbar: shooting bisection and the fixed
+        # point; the gap (-1.6e-7 to -1.7e-7) is the integrator's error at
+        # its default tol 1e-9 and grows to -8.8e-7 at tol 1e-8
+        br = sh.bracket_bbar(gamma, tol_b=1e-9)
+        mid = 0.5 * (br.b_lo + br.b_hi)
+        assert abs(mid - fp.bbar_of_gamma(gamma).bbar) <= 3e-7
 
     def test_direct_integration_cross_check(self):
         # the reconstructed profile solves the rescaled delay equation

@@ -99,6 +99,20 @@ class TestBracket:
         with pytest.raises(DomainError):
             sh.bracket_bbar(2.0, tol_b=0.0)
 
+    def test_stops_at_adjacent_doubles(self, monkeypatch):
+        # a tol_b below the spacing of doubles used to bisect forever
+        calls = []
+        classify = sh.classify
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(sh, "classify", counted)
+        br = sh.bracket_bbar(2.0, tol_b=1e-300, y_max=50.0)
+        assert br.b_hi == np.nextafter(br.b_lo, np.inf)
+        assert len(calls) < 60
+
 
 class TestLimitProfile:
     def test_positive_eps_stays_positive_with_floor(self):

@@ -105,6 +105,25 @@ class TestWinding:
         assert st.b_star_by_winding(2.0, 1e-4) == pytest.approx(
             st.b_star(2.0), abs=1e-3)
 
+    def test_bisection_stops_at_adjacent_doubles(self, monkeypatch):
+        # a tol_b below the spacing of doubles used to bisect forever; an
+        # exact step at b_star stands in for the winding count, which stops
+        # resolving roots this close to the boundary
+        ref = st.b_star(2.0)
+        calls = []
+
+        def step(params):
+            calls.append(params.b)
+            w = int(params.b < ref)
+            return st.WindingResult(winding=w, root_count=2 * w,
+                                    curve=np.empty(0), R=50.0,
+                                    min_distance=1.0)
+
+        monkeypatch.setattr(st, "winding_number", step)
+        b = st.b_star_by_winding(2.0, tol_b=1e-300)
+        assert abs(b - ref) <= 2.0 * np.spacing(ref)
+        assert len(calls) < 60
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0, 5.0])
