@@ -222,18 +222,29 @@ class PointSourceHistory(History):
 # dense trajectory
 
 
-def hermite(ts: np.ndarray, us: np.ndarray, dus: np.ndarray,
-            t: np.ndarray) -> np.ndarray:
-    """Piecewise cubic Hermite values at t of nodes ts, values us, slopes dus.
-
-    Points outside [ts[0], ts[-1]] take the cubic of the nearest panel.
+def hermite_weights(ts: np.ndarray, t: np.ndarray) -> tuple:
+    """Panel index i and the cubic Hermite weights at t of us[i], dus[i],
+    us[i+1] and dus[i+1] on nodes ts.  Points outside [ts[0], ts[-1]] take
+    the cubic of the nearest panel.
     """
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     h = ts[i + 1] - ts[i]
     s = (t - ts[i]) / h
     s2, s3 = s * s, s * s * s
-    return ((2 * s3 - 3 * s2 + 1) * us[i] + (s3 - 2 * s2 + s) * h * dus[i]
-            + (-2 * s3 + 3 * s2) * us[i + 1] + (s3 - s2) * h * dus[i + 1])
+    return (i, 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h,
+            -2 * s3 + 3 * s2, (s3 - s2) * h)
+
+
+def hermite_apply(w: tuple, us: np.ndarray, dus: np.ndarray) -> np.ndarray:
+    """Hermite values of nodal values us and slopes dus at prepared weights."""
+    i, a0, b0, a1, b1 = w
+    return a0 * us[i] + b0 * dus[i] + a1 * us[i + 1] + b1 * dus[i + 1]
+
+
+def hermite(ts: np.ndarray, us: np.ndarray, dus: np.ndarray,
+            t: np.ndarray) -> np.ndarray:
+    """Cubic Hermite values at t of nodes ts, values us and slopes dus."""
+    return hermite_apply(hermite_weights(ts, t), us, dus)
 
 
 _EDGE_TOL = 1e-12

@@ -111,7 +111,12 @@ class RoundoffFloorError(GelshootError):
 
 
 class OriginOnCurveError(GelshootError):
-    """The stability curve passes through the origin (boundary case)."""
+    """The stability curve passes through the origin, or closer to it than
+    its sampling resolves (boundary case)."""
+
+
+class WindingCountError(GelshootError):
+    """The argument-principle count is not an even integer."""
 
 
 class TruncationWarning(UserWarning):

@@ -17,12 +17,12 @@ profile, and the pair (eps, eta) maps back to the critical shooting
 parameter b.
 
 All integrals run on one fixed graded grid on [0, X_MAX] with per-panel
-Gauss rules.  The kernel matrices depend only on the grid, so they are
-built once per process and a Picard sweep reduces to a pair of
-matrix-vector products.  The range is fixed because the residue route
-for Gtilde is accurate only up to x = 40: at small xi, cancellation in
-its partial-fraction weights costs a relative error of 6.5e-3 at x = 60
-and the sign at x = 80.
+Gauss rules.  The kernels and the interpolation weights depend only on
+the grid (the delayed ones also on eps), so they are built once and a
+Picard sweep reduces to one matrix-vector product plus gathers.  The
+range is fixed because the residue route for Gtilde is accurate only up
+to x = 40: at small xi, cancellation in its partial-fraction weights
+costs a relative error of 6.5e-3 at x = 60 and the sign at x = 80.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import greens
-from .delaycore import hermite
+from .delaycore import hermite, hermite_apply, hermite_weights
 from .errors import DomainError, GelshootError, NoSignChangeError, \
     NonContractionError, RoundoffFloorError
 from .profiles import LN2
@@ -52,6 +52,27 @@ class PositivityViolationError(GelshootError):
 
 _GL3_X = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+
+
+class _PointPlan:
+    """Hermite weights and exponentials of R[W] at a point set: at the
+    points and their halves once, at the delayed halves once per eps."""
+
+    def __init__(self, x: np.ndarray, pts: np.ndarray):
+        self.x, self.pts, self._delayed = x, pts, (None,)
+        self.here = hermite_weights(x, pts)
+        self.half = hermite_weights(x, 0.5 * pts)
+        self.e_here, self.e_half = np.exp(-pts), np.exp(-(0.5 * pts))
+
+    def delayed(self, eps: float) -> tuple:
+        """Weights, e^(-(1+eps) pts), e^(-(1+eps) pts/2) for the latest eps."""
+        plan = self._delayed
+        if plan[0] != eps:  # one tuple, so a reader never mixes two eps
+            half_eps = 0.5 * self.pts * (1.0 + eps)
+            plan = (eps, hermite_weights(self.x, half_eps),
+                    np.exp(-self.pts * (1.0 + eps)), np.exp(-half_eps))
+            self._delayed = plan
+        return plan[1:]
 
 
 class FixedPointGrid:
@@ -74,6 +95,8 @@ class FixedPointGrid:
         mask = m_panel[None, :] < np.arange(len(self.x))[:, None]
         self.K = np.where(mask, K, 0.0) * self.gw[None, :]
         self.exq_w = self.exq_g * self.gw
+        self.at_g = _PointPlan(self.x, self.g)
+        self.at_x = _PointPlan(self.x, self.x)
 
     # -- interpolation ------------------------------------------------------
 
@@ -83,32 +106,31 @@ class FixedPointGrid:
 
     # -- operator -----------------------------------------------------------
 
-    def r_terms(self, W: np.ndarray, dW: np.ndarray, pts: np.ndarray,
+    def r_terms(self, W: np.ndarray, dW: np.ndarray, at: _PointPlan,
                 eps: float, eta: float) -> np.ndarray:
-        """R[W] at the points: source, delayed-shift, quadratic, coupling."""
-        half = 0.5 * pts
-        half_eps = half * (1.0 + eps)
-        w_half = self.interp(W, dW, half)
-        w_half_eps = self.interp(W, dW, half_eps)
-        w_here = self.interp(W, dW, pts)
-        return (np.exp(-pts) - np.exp(-pts * (1.0 + eps))
-                + 2.0 * np.exp(-half) * w_half
-                - 2.0 * np.exp(-half_eps) * w_half_eps
+        """R[W] on a plan: source, delayed-shift, quadratic, coupling."""
+        w_eps, e_eps, e_half_eps = at.delayed(eps)
+        w_half = hermite_apply(at.half, W, dW)
+        w_half_eps = hermite_apply(w_eps, W, dW)
+        w_here = hermite_apply(at.here, W, dW)
+        return (at.e_here - e_eps
+                + 2.0 * at.e_half * w_half
+                - 2.0 * e_half_eps * w_half_eps
                 - w_half_eps ** 2
-                + eta * (np.exp(-pts) + w_here) ** 2)
+                + eta * (at.e_here + w_here) ** 2)
 
     def apply(self, W: np.ndarray, dW: np.ndarray, eps: float, eta: float):
         """One sweep of the integral operator: returns (T, dT, F)."""
-        Rg = self.r_terms(W, dW, self.g, eps, eta)
+        Rg = self.r_terms(W, dW, self.at_g, eps, eta)
         panel_q = (self.exq_w * Rg).reshape(-1, 3).sum(axis=1)
         suffix = np.concatenate([np.cumsum(panel_q[::-1])[::-1], [0.0]])
         T = -suffix + self.K @ Rg
         F = float(suffix[0])
         # derivative: dT(x) = R(x) - 2 e^(-x/2) (T(x/2) + F)
-        Rx = self.r_terms(W, dW, self.x, eps, eta)
+        Rx = self.r_terms(W, dW, self.at_x, eps, eta)
         # T(x/2) from the incoming slopes: at the fixed point T = W, dT = dW
-        t_half = self.interp(T, dW, 0.5 * self.x)
-        dT = Rx - 2.0 * np.exp(-0.5 * self.x) * (t_half + F)
+        t_half = hermite_apply(self.at_x.half, T, dW)
+        dT = Rx - 2.0 * self.at_x.e_half * (t_half + F)
         return T, dT, F
 
 
@@ -160,8 +182,9 @@ def zero_state(eps: float, eta: float) -> FixedPointState:
 def r_eval(state: FixedPointState, x):
     """Pointwise R[W] using the state's interpolant."""
     x_arr = np.asarray(x, dtype=float)
-    out = default_grid().r_terms(state.W, state.dW, np.atleast_1d(x_arr),
-                                 state.eps, state.eta)
+    grid = default_grid()
+    at = _PointPlan(grid.x, np.atleast_1d(x_arr))
+    out = grid.r_terms(state.W, state.dW, at, state.eps, state.eta)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
@@ -260,7 +283,7 @@ def f_eval(state: FixedPointState) -> float:
     so |W(X_MAX)| doubles as a sanity check on the domain truncation.
     """
     grid = default_grid()
-    Rg = grid.r_terms(state.W, state.dW, grid.g, state.eps, state.eta)
+    Rg = grid.r_terms(state.W, state.dW, grid.at_g, state.eps, state.eta)
     return float(np.sum(grid.exq_w * Rg))
 
 

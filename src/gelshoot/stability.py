@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import delaycore as dc
-from .errors import DomainError, OriginOnCurveError
+from .errors import DomainError, OriginOnCurveError, WindingCountError
 from .profiles import LN2, ModelParams, check_gamma, make_params
 
 
@@ -82,6 +82,16 @@ def _unwrapped_angle_sum(z: np.ndarray) -> float:
     return float(np.sum(d))
 
 
+def _closest_approach(st: float, dt: float, t: float) -> float:
+    """min |F(it)| near t, by Newton steps on the slope of |F(it)|^2."""
+    for _ in range(6):
+        c, s = math.cos(dt * t), math.sin(dt * t)
+        u, v, du, dv = c - st, t - s, -dt * s, 1.0 - dt * c
+        t -= (u * du + v * dv) / (du * du + dv * dv
+                                  + dt * dt * (v * s - u * c))
+    return abs(complex(math.cos(dt * t) - st, t - math.sin(dt * t)))
+
+
 def winding_number(params: ModelParams, R: float | None = None,
                    n_samples: int = 20000) -> WindingResult:
     """Count unstable characteristic roots by the argument principle.
@@ -90,7 +100,9 @@ def winding_number(params: ModelParams, R: float | None = None,
     curve {F(it)} + {F(R e^(i theta))}; its total winding around the origin
     equals the number of roots with positive real part, which is even by
     conjugate symmetry.  The reported winding is the pair count: 0 exactly
-    when b > b_star.
+    when b > b_star.  A pass nearer the origin than the sampling resolves
+    raises OriginOnCurveError; a count that is not an even integer raises
+    WindingCountError.
     """
     cp = CharProblem.from_params(params)
     st, dt = cp.sigma_tilde, cp.d_tilde
@@ -124,17 +136,26 @@ def winding_number(params: ModelParams, R: float | None = None,
 
     closed = np.concatenate([z1[::-1], z2])   # down the axis, then the arc
     closed = np.append(closed, closed[0])
+    # the samples can step over a pass closer to the origin than the chords'
+    # sag dt^2 h^2 / 8 (|F''| = dt^2, spacing h) and count it on the wrong
+    # side: refine the closest sampled approach and require a margin of 8
     min_distance = float(np.min(np.abs(closed)))
-    if min_distance < 1e-8:
+    k = int(np.argmin(np.abs(z1)))
+    h = float(np.max(np.diff(t[max(k - 1, 0):k + 2])))
+    closest = min(min_distance, _closest_approach(st, dt, float(t[k])))
+    resolution = max(1e-8, dt * dt * h * h)
+    if closest < resolution:
         raise OriginOnCurveError(
-            f"curve passes within {min_distance:.2e} of the origin")
+            f"curve passes within {closest:.2e} of the origin, below the "
+            f"sampling's resolution {resolution:.2e}")
 
     total = _unwrapped_angle_sum(closed) / (2.0 * math.pi)
     count = int(round(total))
     if abs(total - count) > 0.05:
-        raise DomainError(f"non-integer winding {total:.4f}; raise n_samples")
+        raise WindingCountError(
+            f"non-integer winding {total:.4f}; raise n_samples")
     if count < 0 or count % 2 != 0:
-        raise DomainError(f"unexpected root count {count}")
+        raise WindingCountError(f"unexpected root count {count}")
     return WindingResult(winding=count // 2, root_count=count,
                          curve=z1, R=R, min_distance=min_distance)
 

@@ -165,6 +165,15 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "numerical"
 
+    def test_winding_next_to_b_star_is_numerical(self, capsys):
+        # b_star(2) - 1.5e-15: the curve passes 1e-16 from the origin
+        code, out, err = run(capsys, "winding", "--gamma", "2",
+                             "--b", "2.5374403762870325")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["type"] == "OriginOnCurveError"
+
     def test_bad_grid_spec(self, capsys):
         code, _, err = run(capsys, "scan-b", "--gamma", "2",
                            "--grid", "oops")

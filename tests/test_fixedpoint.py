@@ -58,6 +58,129 @@ class TestApplyT:
         assert np.max(np.abs(out.W - st.W)) < 1e-10
 
 
+# reference: the sweep as it was before the interpolation plan, with the
+# Hermite inline and every weight and exponential rebuilt on each call; the
+# plan only reorganises this arithmetic, so its results must match bytewise
+
+
+def reference_hermite(ts, us, dus, t):
+    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    s = (t - ts[i]) / h
+    s2, s3 = s * s, s * s * s
+    return ((2 * s3 - 3 * s2 + 1) * us[i] + (s3 - 2 * s2 + s) * h * dus[i]
+            + (-2 * s3 + 3 * s2) * us[i + 1] + (s3 - s2) * h * dus[i + 1])
+
+
+def reference_r_terms(x, W, dW, pts, eps, eta):
+    half = 0.5 * pts
+    half_eps = half * (1.0 + eps)
+    w_half = reference_hermite(x, W, dW, half)
+    w_half_eps = reference_hermite(x, W, dW, half_eps)
+    w_here = reference_hermite(x, W, dW, pts)
+    return (np.exp(-pts) - np.exp(-pts * (1.0 + eps))
+            + 2.0 * np.exp(-half) * w_half
+            - 2.0 * np.exp(-half_eps) * w_half_eps
+            - w_half_eps ** 2
+            + eta * (np.exp(-pts) + w_here) ** 2)
+
+
+def reference_apply(grid, W, dW, eps, eta):
+    Rg = reference_r_terms(grid.x, W, dW, grid.g, eps, eta)
+    panel_q = (grid.exq_w * Rg).reshape(-1, 3).sum(axis=1)
+    suffix = np.concatenate([np.cumsum(panel_q[::-1])[::-1], [0.0]])
+    T = -suffix + grid.K @ Rg
+    F = float(suffix[0])
+    Rx = reference_r_terms(grid.x, W, dW, grid.x, eps, eta)
+    t_half = reference_hermite(grid.x, T, dW, 0.5 * grid.x)
+    dT = Rx - 2.0 * np.exp(-0.5 * grid.x) * (t_half + F)
+    return T, dT, F
+
+
+def reference_f_eval(state):
+    grid = fp.default_grid()
+    Rg = reference_r_terms(grid.x, state.W, state.dW, grid.g, state.eps,
+                           state.eta)
+    return float(np.sum(grid.exq_w * Rg))
+
+
+def _bytes(*arrays):
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+# alternating eps, so a plan kept from the previous eps would show
+SWEEP_PARAMS = [(0.01, 0.01), (0.02, 0.005), (0.01, 0.003), (-0.01, 0.03),
+                (0.0, 0.0), (2.05e-4, 2.0 ** -10)]
+
+
+class TestSweepPlanBitwise:
+    @pytest.mark.parametrize("start", ["zero", "converged"])
+    def test_apply_bytes_identical(self, start):
+        grid = fp.default_grid()
+        for eps, eta in SWEEP_PARAMS:
+            st = fp.zero_state(eps, eta) if start == "zero" \
+                else fp.picard_solve(eps, eta)
+            for _ in range(2):
+                new = grid.apply(st.W, st.dW, eps, eta)
+                ref = reference_apply(grid, st.W, st.dW, eps, eta)
+                assert _bytes(*new) == _bytes(*ref), (eps, eta)
+
+    def test_f_eval_and_r_eval_bytes_identical(self):
+        xs = np.linspace(0.0, 39.0, 77)
+        grid = fp.default_grid()
+        for eps, eta in SWEEP_PARAMS:
+            st = fp.picard_solve(eps, eta)
+            assert fp.f_eval(st) == reference_f_eval(st)
+            assert _bytes(fp.r_eval(st, xs)) == _bytes(reference_r_terms(
+                grid.x, st.W, st.dW, xs, eps, eta))
+
+    def test_contraction_factor_identical(self):
+        grid = fp.default_grid()
+        w1 = 0.01 * np.exp(-grid.x / 4.0) * np.sin(grid.x)
+        w2 = 0.005 * np.exp(-grid.x / 3.0) * np.cos(grid.x / 2.0)
+        d1 = np.gradient(w1, grid.x, edge_order=2)
+        d2 = np.gradient(w2, grid.x, edge_order=2)
+        T1, _, _ = reference_apply(grid, w1, d1, 0.01, 0.01)
+        T2, _, _ = reference_apply(grid, w2, d2, 0.01, 0.01)
+        ref = float(np.max(np.abs(T1 - T2))) \
+            / float(np.max(np.abs(w1 - w2)))
+        assert fp.contraction_factor(0.01, 0.01, w1, w2) == ref
+
+    def test_bbar_identical(self, monkeypatch):
+        new = fp.bbar_of_gamma(13.0)
+        monkeypatch.setattr(fp.FixedPointGrid, "apply", reference_apply)
+        monkeypatch.setattr(fp, "f_eval", reference_f_eval)
+        ref = fp.bbar_of_gamma(13.0)
+        assert (new.bbar, new.eps) == (ref.bbar, ref.eps)
+        assert _bytes(new.state.W, new.state.dW, new.h) \
+            == _bytes(ref.state.W, ref.state.dW, ref.h)
+
+
+class TestSweepPlanWork:
+    def test_weights_built_twice_per_solve(self, monkeypatch):
+        # a solve holds eps fixed: weights at its two delayed point sets
+        # are built once, whatever the sweep count, and f_eval reuses them
+        grid = fp.default_grid()
+        calls = []
+        weights = fp.hermite_weights
+
+        def counting(ts, t):
+            calls.append(len(t))
+            return weights(ts, t)
+
+        monkeypatch.setattr(fp, "hermite_weights", counting)
+        for eps, eta in ((0.0137, 0.01), (0.0071, 0.002)):
+            calls.clear()
+            st = fp.picard_solve(eps, eta, tol=1e-14)
+            assert st.iterations >= 6
+            fp.f_eval(st)
+            fp.apply_T(st)
+            assert sorted(calls) == sorted([len(grid.g), len(grid.x)])
+        calls.clear()
+        fp.picard_solve(0.0071, 0.004)
+        assert calls == []
+
+
 class TestPicard:
     def test_trivial_parameters_converge_immediately(self):
         st = fp.picard_solve(0.0, 0.0)
@@ -189,6 +312,16 @@ class TestBbar:
         crit = fp.bbar_of_gamma(gamma)
         br = sh.bracket_bbar(gamma, tol_b=1e-3)
         assert br.b_lo <= crit.bbar <= br.b_hi
+
+    def test_bracket_gap_shrinks_with_integrator_tol(self):
+        # the gap is the shooting route's error: -1.6e-7 at the default
+        # integrator tol 1e-9 and -3.0e-8 at tol 1e-10 (about 1 s)
+        bbar = fp.bbar_of_gamma(10.0).bbar
+        gaps = []
+        for tol in (1e-9, 1e-10):
+            br = sh.bracket_bbar(10.0, tol_b=1e-9, tol=tol)
+            gaps.append(abs(0.5 * (br.b_lo + br.b_hi) - bbar))
+        assert gaps[1] < gaps[0]
 
     @pytest.mark.parametrize("gamma", [8.0, 10.0, 13.0])
     def test_bracket_midpoint_matches_fixed_point(self, gamma):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gelshoot import stability as st
-from gelshoot.errors import DomainError, OriginOnCurveError
+from gelshoot.errors import DomainError, OriginOnCurveError, \
+    WindingCountError
 from gelshoot.profiles import GAMMA_MAX, make_params
 
 B_STAR_2 = 2.5374403762870340        # frozen high-precision evaluation
@@ -100,6 +101,27 @@ class TestWinding:
                 == 0
             assert st.winding_number(make_params(2.0, bs - 1e-4)).winding \
                 == 1
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("k", range(3, 16))
+    def test_near_boundary_counts_right_or_declines(self, k, side):
+        # within about 1e-8 of b_star the samples step over the pass near
+        # the origin: the count must be declined there, never wrong (it
+        # used to read 0 at b_star - 1e-9); from 1e-6 out it must resolve
+        b = st.b_star(2.0) + side * 10.0 ** -k
+        try:
+            w = st.winding_number(make_params(2.0, b))
+        except OriginOnCurveError:
+            assert k > 6
+            return
+        assert w.winding == (1 if side < 0.0 else 0)
+
+    @pytest.mark.parametrize("turns", [0.5, 1.0, -2.0])
+    def test_bad_count_is_a_numerical_error(self, monkeypatch, turns):
+        monkeypatch.setattr(st, "_unwrapped_angle_sum",
+                            lambda z: 2.0 * math.pi * turns)
+        with pytest.raises(WindingCountError):
+            st.winding_number(make_params(2.0, 2.3))
 
     def test_bisection_matches_closed_form(self):
         assert st.b_star_by_winding(2.0, 1e-4) == pytest.approx(
