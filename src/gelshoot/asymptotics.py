@@ -74,19 +74,14 @@ class Gamma1Profile:
         acc = horner(self.coefficients, u)
         return float(acc) if np.isscalar(x) else acc
 
-    def eval_deriv(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        u = np.power(x_arr, self.alpha)
-        c = self.coefficients
-        out = horner(np.arange(1, len(c)) * c[1:], u) * self.alpha * u / x_arr
-        return float(out) if np.isscalar(x) else out
-
-    def switchover(self, tol: float = 1e-14) -> float:
-        """Largest x where the last retained series term stays below tol."""
+    def switchover(self) -> float:
+        """Largest x where the last retained series term stays below 1e-14,
+        at most 2."""
         aN = abs(self.coefficients[-1])
         if aN == 0.0:
             return 1.0
-        return min((tol / aN) ** (1.0 / (self.truncation * self.alpha)), 2.0)
+        return min((1e-14 / aN) ** (1.0 / (self.truncation * self.alpha)),
+                   2.0)
 
 
 def gamma1_series(b: float, a1: float, N: int) -> Gamma1Profile:
@@ -152,8 +147,9 @@ def gamma1_b1_limit(a1: float, x_max: float = 1e5,
 # linearized growth function Psi and its saddle-point asymptotics
 
 
-def _psi_log_terms(eps: float, y: float, N: int | None) -> np.ndarray:
-    """Logs of the positive series terms of Psi(y), lowest order first."""
+def _psi_log_terms(eps: float, y: float) -> np.ndarray:
+    """Logs of the positive series terms of Psi(y), lowest order first,
+    until they fall 36 below the largest (at most 100000 terms)."""
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0,1)")
     if y < 0.0:
@@ -164,47 +160,44 @@ def _psi_log_terms(eps: float, y: float, N: int | None) -> np.ndarray:
     log_prod = 0.0
     log_fact = 0.0
     ly = math.log(y)
-    n = 1
-    cap = N if N is not None else 100000
-    while n <= cap:
+    for n in range(1, 100001):
         log_prod += math.log1p(-(1.0 - eps) ** n)
         log_fact += math.log(n + 1.0)
         logs.append(n * LN2 + log_prod - log_fact + (n + 1) * ly)
-        if N is None and n > 8:
+        if n > 8:
             m = max(logs)
             if logs[-1] < m - 36.0 and logs[-1] < logs[-2]:
                 break
-        n += 1
     return np.asarray(logs)
 
 
-def psi_log_eval(eps: float, y: float, N: int | None = None) -> float:
+def psi_log_eval(eps: float, y: float) -> float:
     """log Psi(y), summed stably in log space (Psi's terms are positive)."""
-    logs = _psi_log_terms(eps, y, N)
+    logs = _psi_log_terms(eps, y)
     m = float(np.max(logs))
     if m == -math.inf:
         return -math.inf
     return m + math.log(float(np.sum(np.exp(logs - m))))
 
 
-def psi_series_eval(eps: float, y: float, N: int | None = None) -> float:
+def psi_series_eval(eps: float, y: float) -> float:
     """Psi(y) = y + sum 2^n prod_k (1-(1-eps)^k) / (n+1)! y^(n+1).
 
-    Term count adapts until the tail is negligible unless N is given.
-    Values beyond the double range overflow; use psi_log_eval there.
+    Term count adapts until the tail is negligible.  Values beyond the
+    double range overflow; use psi_log_eval there.
     """
-    lv = psi_log_eval(eps, y, N)
+    lv = psi_log_eval(eps, y)
     if lv > 700.0:
         raise OverflowError(
             f"Psi overflows doubles (log Psi = {lv:.1f}); use psi_log_eval")
     return math.exp(lv)
 
 
-def psi_derivative(eps: float, y: float, N: int | None = None) -> float:
+def psi_derivative(eps: float, y: float) -> float:
     """Term-wise derivative of the Psi series."""
     if y == 0.0:
         return 1.0
-    logs = _psi_log_terms(eps, y, N)
+    logs = _psi_log_terms(eps, y)
     n = np.arange(len(logs))
     ly = math.log(y)
     dlogs = logs - ly + np.log(n + 1.0)
@@ -339,20 +332,19 @@ def tail_exponents(eps: float, eta_bar: float) -> TailExponents:
     )
 
 
-def matching_closure(eps: float, eta_bar: float, c0_amp: float = 1.0) -> dict:
+def matching_closure(eps: float, eta_bar: float) -> dict:
     """Propagate the transition amplitudes to the far field and back.
 
-    Given c0 and K0 = (4 ln2/eta_bar) c0, the scale bridges
+    Given c0 = 1 and K0 = (4 ln2/eta_bar) c0, the scale bridges
     c1 = c0 (eps/eta_bar)^beta and K1 = K0 (eps/eta_bar)^alpha force
     K1 = 4 c1 ln2 / eps exactly when alpha - beta = -1 is used exactly;
     4 c1 beta (1-eps)^2 is the same quantity to leading order in eps.
     """
     te = tail_exponents(eps, eta_bar)
-    K0 = te.K0_over_c0 * c0_amp
     # work in logs: the scale factors overflow doubles for small eps
     log_scale = math.log(eps / eta_bar)
-    log_c1 = math.log(c0_amp) + te.beta * log_scale
-    log_K1 = math.log(K0) + te.alpha * log_scale
+    log_c1 = te.beta * log_scale
+    log_K1 = math.log(te.K0_over_c0) + te.alpha * log_scale
     log_K1_identity = math.log(4.0 * LN2 / eps) + log_c1
     log_K1_leading = math.log(4.0 * te.beta * (1.0 - eps) ** 2) + log_c1
     return {

@@ -47,9 +47,15 @@ def write_csv(path, header, rows, provenance):
 
 
 def emit_json(path, payload, provenance):
+    """Write the result as strict JSON; a NaN or infinity in it is a
+    numerical failure, and nothing is written."""
     doc = {"provenance": {"tool": f"gelshoot {__version__}",
                           "config": provenance}, "result": payload}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise FloatingPointError(f"result is not finite: {err}") from err
+    text += "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -318,8 +324,7 @@ def cmd_fig2(a):
 def cmd_fig3(a):
     from . import shooting
     p = make_params(a.gamma, a.b)
-    traj = shooting.h_profile(p, a.y_max, tol=a.tol,
-                              stop_on_sign_change=True)
+    traj = shooting.h_profile(p, a.y_max, tol=a.tol)
     ts, us, dus = traj.nodes()
     keep = ts > 0.0
     ts, us = ts[keep], us[keep]

@@ -370,8 +370,7 @@ def order_step_cap(tol: float, t: float) -> float:
 def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
               u0: Optional[float] = None,
               stop_condition: Optional[Callable[[float, float], bool]] = None,
-              value_cap: float = VALUE_CAP,
-              h_max: float = math.inf) -> DenseTrajectory:
+              value_cap: float = VALUE_CAP) -> DenseTrajectory:
     """Integrate a delay ODE over span = (t_start, t_end).
 
     The initial value defaults to the history evaluated at t_start (pass u0
@@ -409,8 +408,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     span_len = t1 - t0
 
     def caps(tt: float) -> float:
-        c = min(order_step_cap(tol, tt), h_max, t1 - tt)
-        return min(c, rhs.step_cap(tt) * (1.0 - 1e-12))
+        return min(order_step_cap(tol, tt), t1 - tt,
+                   rhs.step_cap(tt) * (1.0 - 1e-12))
 
     h = min(caps(t), 0.05 / (1.0 + abs(du)))
     if h <= 0.0:

@@ -37,7 +37,7 @@ from . import greens
 from .delaycore import hermite, hermite_apply, hermite_weights
 from .errors import DomainError, GelshootError, NoSignChangeError, \
     NonContractionError, RoundoffFloorError
-from .profiles import LN2
+from .profiles import LN2, check_gamma
 
 X_MAX = 40.0
 N_NODES = 700
@@ -250,18 +250,14 @@ def picard_solve(eps: float, eta: float,
     if warm_start is not None:
         state = replace(state, W=warm_start.W.copy(),
                         dW=warm_start.dW.copy())
-    grid = default_grid()
-    history = []
     grew = 0
-    for k in range(max_iter):
-        T, dT, F = grid.apply(state.W, state.dW, eps, eta)
-        sup = float(np.max(np.abs(T - state.W)))
-        history.append(sup)
-        state = replace(state, W=T, dW=dT, F_value=F, iterations=k + 1,
-                        sup_diff_history=tuple(history))
+    for _ in range(max_iter):
+        state = apply_T(state)
+        history = state.sup_diff_history
+        sup = history[-1]
         if sup < tol:
             break
-        floor = 16.0 * np.finfo(float).eps * float(np.max(np.abs(T)))
+        floor = 16.0 * np.finfo(float).eps * float(np.max(np.abs(state.W)))
         if len(history) >= 2 and history[-2] <= sup <= floor:
             raise RoundoffFloorError(tol, floor, history)
         if len(history) >= 2 and sup > history[-2]:
@@ -271,7 +267,7 @@ def picard_solve(eps: float, eta: float,
         else:
             grew = 0
     else:
-        raise NonContractionError(history)
+        raise NonContractionError(state.sup_diff_history)
     M, rate = _decay_fit(state)
     return replace(state, amplitude_fit=M, decay_rate_fit=rate)
 
@@ -377,6 +373,7 @@ def bbar_of_gamma(gamma: float) -> CriticalProfile:
     loop contracts strongly.  The reconstructed h = e^(-x) + W must stay
     positive and decay; violations raise PositivityViolationError.
     """
+    gamma = check_gamma(gamma)
     b = 1.0
     eta = 2.0 ** (2.0 / b + 1.0 - gamma)
     if eta > 0.05:

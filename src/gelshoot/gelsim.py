@@ -24,11 +24,6 @@ from .profiles import ModelParams
 
 VALUE_CAP = 1e12
 
-INITIAL_PROFILES = {
-    "exp": lambda xi: math.exp(-xi),
-    "stationary": None,    # filled per-gamma: xi^(-(gamma+3)/2)
-}
-
 
 @dataclass(frozen=True)
 class DyadicChain:
@@ -112,13 +107,13 @@ class ChainSolution:
 
 
 def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
-                 n_out: int = 65, cap: float = VALUE_CAP) -> ChainSolution:
+                 cap: float = VALUE_CAP) -> ChainSolution:
     """Advance a chain to t_end with adaptive explicit stepping.
 
     Stops early (BlowUpError) if any site exceeds the cap; the partial
-    solution rides on the exception.  Snapshots come from the dense
-    interpolant; accepted-step states are kept alongside (nonnegativity
-    holds at accepted steps).
+    solution rides on the exception.  The 65 uniform snapshots come from
+    the dense interpolant; accepted-step states are kept alongside
+    (nonnegativity holds at accepted steps).
     """
     if not t_end > chain.t:
         raise DomainError("t_end must exceed the chain time")
@@ -143,7 +138,7 @@ def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
         raise SolverFailureError(float(sol.t[-1]), sol.message)
     blew = sol.status == 1
     t_last = float(sol.t[-1])
-    snap_t = np.linspace(chain.t, t_last, n_out)
+    snap_t = np.linspace(chain.t, t_last, 65)
     snap_f = sol.sol(snap_t)
     out = ChainSolution(
         chain=replace(chain, f=sol.y[:, -1], t=t_last),
@@ -224,27 +219,26 @@ class SimDiagnostics:
     horizon: float
 
 
-def riccati_blowup_estimate(t: np.ndarray, f: np.ndarray,
-                            window: int = 12) -> Optional[float]:
+def riccati_blowup_estimate(t: np.ndarray, f: np.ndarray) -> Optional[float]:
     """Extrapolated time at which 1/f would hit zero.
 
-    Fits 1/f linearly over the tail of the longest growth stretch of the
-    site.  This extrapolation is finite whenever the site is being fed
+    Fits 1/f linearly over the last 12 points of the longest growth stretch
+    of the site.  This extrapolation is finite whenever the site is being fed
     faster than it drains; it is a gelation diagnostic, not a statement
     that the pointwise density diverges.  Returns None for sites that
     never grow.
     """
     pos = f > 0.0
     grow = np.nonzero(pos[1:] & pos[:-1] & (np.diff(f) > 0.0))[0]
-    if len(grow) < window:
+    if len(grow) < 12:
         return None
     # longest contiguous growth stretch
     breaks = np.nonzero(np.diff(grow) > 1)[0]
     segments = np.split(grow, breaks + 1)
     seg = max(segments, key=len)
-    if len(seg) < window:
+    if len(seg) < 12:
         return None
-    idx = np.concatenate([seg, [seg[-1] + 1]])[-window:]
+    idx = np.concatenate([seg, [seg[-1] + 1]])[-12:]
     inv = 1.0 / f[idx]
     slope, intercept = np.polyfit(t[idx], inv, 1)
     if slope >= 0.0:

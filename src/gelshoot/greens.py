@@ -150,13 +150,11 @@ class GreensEval:
 
     L_tilde is the vertical-contour abscissa, strictly inside (1/2, 1);
     T_max caps the truncated integration range in the imaginary direction;
-    N_terms caps the term count of the contour series (term magnitudes fall
-    like 2^(2n) / 2^(n(n+1)/2), so the cap is rarely reached).
+    tail_target is the omitted tail each contour term may leave.
     """
 
     L_tilde: float = 0.75
     T_max: float = 200.0
-    N_terms: int = 16
     tail_target: float = 1e-8
 
     def __post_init__(self):
@@ -226,13 +224,15 @@ def gtilde_quadrature(x: float, xi: float,
                       cfg: GreensEval = GreensEval()) -> float:
     """Gtilde(x, xi) as a truncated sum of contour-term quadratures.
 
-    Emits TruncationWarning when the estimated omitted tail of any term
+    The sum stops after 16 terms (term magnitudes fall like
+    2^(2n) / 2^(n(n+1)/2), so the cap is rarely reached).  Emits
+    TruncationWarning when the estimated omitted tail of any term
     exceeds cfg.tail_target.
     """
     if not x > xi > 0.0:
         raise DomainError("need x > xi > 0")
     total = 0.0
-    for n in range(1, cfg.N_terms + 1):
+    for n in range(1, 17):
         coef = term_coefficient(n)
         a = x - 2.0 ** n * xi
         # crude whole-term bound: |coef| e^(a L) * O(1/n)
@@ -287,13 +287,14 @@ def contour_term_residues(n: int, a) -> np.ndarray:
     return float(out) if np.isscalar(a) or a_arr.ndim == 0 else out
 
 
-def gtilde_exact(x, xi, n_terms: int = 24):
-    """Gtilde by the residue closed form; vectorized over x or xi."""
+def gtilde_exact(x, xi):
+    """Gtilde by the residue closed form, at most 24 terms; vectorized over
+    x or xi."""
     x_arr = np.asarray(x, dtype=float)
     xi_arr = np.asarray(xi, dtype=float)
     shape = np.broadcast_shapes(x_arr.shape, xi_arr.shape)
     total = np.zeros(shape)
-    for n in range(1, n_terms + 1):
+    for n in range(1, 25):
         a = x_arr - 2.0 ** n * xi_arr
         coef = term_coefficient(n)
         if abs(coef) * math.exp(float(np.max(a, initial=-np.inf))) \
@@ -303,10 +304,10 @@ def gtilde_exact(x, xi, n_terms: int = 24):
     return float(total) if total.ndim == 0 else total
 
 
-def g_decomposition(x, xi, n_terms: int = 24):
+def g_decomposition(x, xi):
     """G(x, xi) = e^x Q(xi) + Gtilde(x, xi) via the exact residue route."""
     x_arr = np.asarray(x, dtype=float)
-    out = np.exp(x_arr) * q_eval(xi) + gtilde_exact(x_arr, xi, n_terms)
+    out = np.exp(x_arr) * q_eval(xi) + gtilde_exact(x_arr, xi)
     return float(out) if np.isscalar(x) else out
 
 
@@ -314,23 +315,18 @@ def g_decomposition(x, xi, n_terms: int = 24):
 # bound audits
 
 
-def bounds_audit(xi_grid=None, x_offsets=None, xi_pairs=None,
-                 cfg: GreensEval = GreensEval()) -> dict:
+def bounds_audit() -> dict:
     """Fit the smallest constants in the decay and Lipschitz bounds.
 
     Fits C0 with |Q(xi)| <= C0 e^(-xi), the growth exponent of Gtilde in
-    x - xi against the admissible rate 1 - beta = L_tilde, and the
-    Lipschitz constant of xi -> e^xi Q(xi) relative to e^(-xi).
+    x - xi against the admissible rate 1 - beta = L_tilde (the default
+    contour abscissa), and the Lipschitz constant of xi -> e^xi Q(xi)
+    relative to e^(-xi).
     """
-    if xi_grid is None:
-        xi_grid = np.linspace(0.0, 20.0, 201)
-    if x_offsets is None:
-        x_offsets = np.linspace(0.05, 10.0, 120)
-    if xi_pairs is None:
-        base = np.linspace(0.2, 6.0, 30)
-        xi_pairs = [(t, t + h) for t in base for h in (1e-3, 0.1)]
-
-    xi_grid = np.asarray(xi_grid, dtype=float)
+    xi_grid = np.linspace(0.0, 20.0, 201)
+    xi_pairs = [(t, t + h) for t in np.linspace(0.2, 6.0, 30)
+                for h in (1e-3, 0.1)]
+    L = GreensEval.L_tilde
     c0_q = float(np.max(np.abs(q_eval(xi_grid)) * np.exp(xi_grid)))
 
     # Lipschitz of e^xi Q(xi), measured against e^(-xi_lo)
@@ -342,17 +338,16 @@ def bounds_audit(xi_grid=None, x_offsets=None, xi_pairs=None,
 
     # growth of Gtilde(x, xi) in x - xi at fixed xi = 1
     xi0 = 1.0
-    xs = xi0 + np.asarray(x_offsets, dtype=float)
+    xs = xi0 + np.linspace(0.05, 10.0, 120)
     g = gtilde_exact(xs, xi0)
     mask = np.abs(g) > 1e-12
     slope = float(np.polyfit(xs[mask] - xi0, np.log(np.abs(g[mask])), 1)[0])
-    c0_g = float(np.max(np.abs(g) * np.exp(-(1.0 - (1.0 - cfg.L_tilde))
-                                           * (xs - xi0))))
+    c0_g = float(np.max(np.abs(g) * np.exp(-(1.0 - (1.0 - L)) * (xs - xi0))))
     return {
         "c0_q": c0_q,
         "c0_q_lipschitz": c0_lip,
         "gtilde_rate_fit": slope,
-        "gtilde_rate_allowed": cfg.L_tilde,
+        "gtilde_rate_allowed": L,
         "gtilde_prefactor": c0_g,
-        "rate_ok": slope <= cfg.L_tilde + 0.01,
+        "rate_ok": slope <= L + 0.01,
     }

@@ -209,8 +209,8 @@ def series_error_estimate(series: PowerSeries, y: float) -> float:
     return abs(series.coefficients[n]) * u ** n
 
 
-def series_switchover(series: PowerSeries, tol: float = 1e-14) -> float:
-    """Largest y at which the last few series terms stay below tol.
+def series_switchover(series: PowerSeries) -> float:
+    """Largest y at which the last few series terms stay below 1e-14.
 
     Scans a log grid inside the radius estimate; the returned point is where
     stepping should take over from the series.
@@ -221,10 +221,10 @@ def series_switchover(series: PowerSeries, tol: float = 1e-14) -> float:
     if not math.isfinite(hi):
         hi = 1.0
     grid = np.geomspace(1e-8, 0.95 * hi, 400)
-    # require the three highest retained orders below tol, not just the last
+    # require the three highest retained orders small, not just the last
     tail = (a[n] * grid ** n + a[n - 1] * grid ** (n - 1)
             + a[n - 2] * grid ** (n - 2))
-    ok = tail < tol
+    ok = tail < 1e-14
     if not ok.any():
         return float(grid[0])
     return float(grid[np.nonzero(ok)[0][-1]])

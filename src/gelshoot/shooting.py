@@ -30,23 +30,15 @@ from .profiles import (ModelParams, make_params, local_series,
 from .stability import b_star
 
 
-@dataclass(frozen=True)
-class ClassifyTols:
-    """Decision thresholds for the classifier.
-
-    tol_neg:      depth below zero that counts as a sign change
-    tol_conv:     allowed deviation of the log-profile from the constant at
-                  the end of the run
-    conv_window:  trailing window (in z) that must stay within tol_conv
-    min_extrema:  interior extrema required to call the run oscillating
-    extrema_amp:  minimum swing between successive extrema that counts
-    """
-
-    tol_neg: float = 1e-9
-    tol_conv: float = 1e-3
-    conv_window: float = 0.25
-    min_extrema: int = 3
-    extrema_amp: float = 1e-4
+# classifier thresholds: the depth below zero that counts as a sign change,
+# the allowed deviation of the log-profile from the constant over the
+# trailing CONV_WINDOW (in z) of the run, and the number of interior extrema
+# with swings above EXTREMA_AMP that makes a run oscillating
+TOL_NEG = 1e-9
+TOL_CONV = 1e-3
+CONV_WINDOW = 0.25
+MIN_EXTREMA = 3
+EXTREMA_AMP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -75,21 +67,19 @@ class Classification:
         return out
 
 
-def h_profile(params: ModelParams, y_max: float, tol: float = 1e-9,
-              n_series: int = 40, stop_on_sign_change: bool = True,
-              tol_neg: float = 1e-9) -> dc.DenseTrajectory:
-    """Series-started trajectory of the H equation on [0, y_max]."""
-    series = local_series(params, n_series)
-    y0 = series_switchover(series)
-    y0 = min(y0, 0.25 * y_max)
+def h_profile(params: ModelParams, y_max: float,
+              tol: float = 1e-9) -> dc.DenseTrajectory:
+    """Series-started trajectory of the H equation on [0, y_max], stopped
+    at the first node below -TOL_NEG."""
+    series = local_series(params, 40)
+    y0 = min(series_switchover(series), 0.25 * y_max)
     hist = dc.SeriesHistory(series, y0)
     rhs = dc.h_equation(params)
-    stop = (lambda y, u: u < -tol_neg) if stop_on_sign_change else None
     try:
         return dc.integrate(rhs, hist, (y0, y_max), tol=tol,
-                            stop_condition=stop)
+                            stop_condition=lambda y, u: u < -TOL_NEG)
     except BlowUpError as err:
-        if err.trajectory is not None and err.trajectory.us[-1] < -tol_neg:
+        if err.trajectory is not None and err.trajectory.us[-1] < -TOL_NEG:
             err.trajectory.event_t = err.trajectory.ts[-1]
             return err.trajectory
         raise
@@ -138,7 +128,6 @@ def _phi_extrema(ts, us, dus, amp_tol: float):
 
 
 def classify(params: ModelParams, y_max: float = 500.0,
-             tols: ClassifyTols = ClassifyTols(),
              tol: float = 1e-9) -> Classification:
     """Classify the long-time behavior of the profile for (gamma, b).
 
@@ -147,22 +136,22 @@ def classify(params: ModelParams, y_max: float = 500.0,
     if params.b <= params.b0:
         raise DomainError(
             f"classification needs b > b0 = {params.b0:.6g}, got {params.b}")
-    traj = h_profile(params, y_max, tol=tol, tol_neg=tols.tol_neg)
+    traj = h_profile(params, y_max, tol=tol)
     ts, us, dus = traj.nodes()
 
     if traj.event_t is not None:
-        y_cross = _refine_crossing(traj, -tols.tol_neg)
+        y_cross = _refine_crossing(traj, -TOL_NEG)
         return Classification(kind="SignChange", trajectory=traj,
                               y_cross=y_cross)
 
-    n_ext, phi = _phi_extrema(ts, us, dus, tols.extrema_amp)
+    n_ext, phi = _phi_extrema(ts, us, dus, EXTREMA_AMP)
     min_level = float(np.min(phi))
     dev = np.abs(phi - params.phi_inf)
     z = np.log(ts)
-    window = z >= z[-1] - tols.conv_window
+    window = z >= z[-1] - CONV_WINDOW
     tail_residual = float(np.max(dev[window]))
 
-    if n_ext >= tols.min_extrema and min_level > 0.0:
+    if n_ext >= MIN_EXTREMA and min_level > 0.0:
         ratios = ()
         try:
             _, ratios_list = _plateau_levels(traj)
@@ -178,8 +167,8 @@ def classify(params: ModelParams, y_max: float = 500.0,
     # converged
     quarter = z >= z[-1] - 0.25 * (z[-1] - z[0])
     n_tail_ext, _ = _phi_extrema(ts[quarter], us[quarter], dus[quarter],
-                                 tols.extrema_amp)
-    if tail_residual < tols.tol_conv and n_tail_ext == 0:
+                                 EXTREMA_AMP)
+    if tail_residual < TOL_CONV and n_tail_ext == 0:
         return Classification(kind="ConvergesToConstant", trajectory=traj,
                               tail_residual=tail_residual)
 
@@ -190,15 +179,13 @@ def classify(params: ModelParams, y_max: float = 500.0,
 
 
 def scan_b(gamma: float, b_grid, y_max: float = 500.0,
-           tols: ClassifyTols = ClassifyTols(),
            tol: float = 1e-9) -> list[dict]:
     """Classify each b on a grid; per-point failures are recorded rows."""
 
     def one(b: float) -> dict:
         row = {"gamma": gamma, "b": float(b)}
         try:
-            c = classify(make_params(gamma, b), y_max=y_max, tols=tols,
-                         tol=tol)
+            c = classify(make_params(gamma, b), y_max=y_max, tol=tol)
             row["class"] = c.kind
             row["y_event"] = c.y_cross if c.y_cross is not None else ""
             row["extra"] = c.evidence()
@@ -225,7 +212,6 @@ class CriticalBracket:
 
 
 def bracket_bbar(gamma: float, tol_b: float = 1e-3, y_max: float = 500.0,
-                 tols: ClassifyTols = ClassifyTols(),
                  tol: float = 1e-9) -> CriticalBracket:
     """Bisect the SignChange boundary in b, starting from (b0, b_star).
 
@@ -240,8 +226,7 @@ def bracket_bbar(gamma: float, tol_b: float = 1e-3, y_max: float = 500.0,
     hi = b_star(gamma)
 
     def kind(b: float) -> str:
-        return classify(make_params(gamma, b), y_max=y_max, tols=tols,
-                        tol=tol).kind
+        return classify(make_params(gamma, b), y_max=y_max, tol=tol).kind
 
     k_lo, k_hi = kind(lo), kind(hi)
     if (k_lo == "SignChange") == (k_hi == "SignChange"):
@@ -272,30 +257,28 @@ class LimitRun:
 
 
 def limit_profile(eps: float, y_max: float = 2e5, tol: float = 1e-9,
-                  eta: float = 0.0, tol_neg: float = 1e-9) -> LimitRun:
+                  eta: float = 0.0) -> LimitRun:
     """Series-started run of h' = -h(y(1+eps)/2)^2 + eta h(y)^2, h(0)=1."""
     p = 0.5 * (1.0 + eps)
     series = pantograph_series(p, eta, 40)
     y0 = series_switchover(series)
     rhs = dc.rescaled_h_equation(eps, eta)
     traj = dc.integrate(rhs, dc.SeriesHistory(series, y0), (y0, y_max),
-                        tol=tol, stop_condition=lambda y, u: u < -tol_neg)
+                        tol=tol, stop_condition=lambda y, u: u < -TOL_NEG)
     crossed = None
     if traj.event_t is not None:
-        crossed = _refine_crossing(traj, -tol_neg)
+        crossed = _refine_crossing(traj, -TOL_NEG)
     return LimitRun(trajectory=traj, eps=eps, crossed_zero_at=crossed)
 
 
-def _plateau_levels(traj: dc.DenseTrajectory, tread_slope: float = 0.6,
-                    riser_slope: float = 1.0, level_cap: float = 0.5,
-                    pts_per_decade: int = 30):
+def _plateau_levels(traj: dc.DenseTrajectory):
     """Plateau levels of a stair-like positive profile.
 
     Treads of the stair are interior local minima of the logarithmic slope
-    |d ln h / d ln y| (flat in h over a wide y range), separated by risers
-    where the slope exceeds riser_slope.  A tread counts when its slope
-    minimum is below tread_slope and its level sits below level_cap times
-    the starting value, which excludes the flat start at the origin.
+    |d ln h / d ln y| (flat in h over a wide y range), sampled at 30 points
+    per decade and separated by risers where the slope exceeds 1.  A tread
+    counts when its slope minimum is below 0.6 and its level sits below
+    half the starting value, which excludes the flat start at the origin.
     """
     ts, us, _ = traj.nodes()
     pos = us > 0.0
@@ -306,7 +289,7 @@ def _plateau_levels(traj: dc.DenseTrajectory, tread_slope: float = 0.6,
     y_hi = ts[last] * 0.999
     if y_hi <= y_lo * 1.5:
         raise NoPlateausError("profile span too short for plateau detection")
-    n = max(16, int(pts_per_decade * math.log10(y_hi / y_lo)))
+    n = max(16, int(30 * math.log10(y_hi / y_lo)))
     y = np.geomspace(y_lo, y_hi, n)
     h = traj.eval_many(y)
     if np.any(h <= 0.0):
@@ -319,16 +302,16 @@ def _plateau_levels(traj: dc.DenseTrajectory, tread_slope: float = 0.6,
     levels, spans = [], []
     i = 1
     while i < len(y) - 1:
-        if s[i] < tread_slope and s[i] <= s[i - 1] and s[i] <= s[i + 1]:
+        if s[i] < 0.6 and s[i] <= s[i - 1] and s[i] <= s[i + 1]:
             j0 = i
-            while j0 > 0 and s[j0 - 1] < riser_slope:
+            while j0 > 0 and s[j0 - 1] < 1.0:
                 j0 -= 1
             j1 = i
-            while j1 < len(y) - 1 and s[j1 + 1] < riser_slope:
+            while j1 < len(y) - 1 and s[j1 + 1] < 1.0:
                 j1 += 1
             k = i + int(np.argmin(s[i:j1 + 1]))
             level = float(h[k])
-            if level < level_cap * u_start and j0 > 0:
+            if level < 0.5 * u_start and j0 > 0:
                 levels.append(level)
                 spans.append((float(y[j0]), float(y[j1])))
             i = j1 + 1
@@ -341,14 +324,13 @@ def _plateau_levels(traj: dc.DenseTrajectory, tread_slope: float = 0.6,
     return list(zip(levels, spans)), ratios
 
 
-def plateau_diagnostics(traj: dc.DenseTrajectory, eps: float,
-                        slope_tol: float = 0.6) -> dict:
+def plateau_diagnostics(traj: dc.DenseTrajectory, eps: float) -> dict:
     """Successive plateau levels and ratios of a stair-like limit profile.
 
     For small eps > 0 the ratios approach c0 * eps with an O(eps^2)
     correction, c0 being the first moment of the Green kernel Q.
     """
-    levels, ratios = _plateau_levels(traj, tread_slope=slope_tol)
+    levels, ratios = _plateau_levels(traj)
     return {
         "eps": eps,
         "levels": [lv for lv, _ in levels],

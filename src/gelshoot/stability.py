@@ -82,6 +82,11 @@ def _unwrapped_angle_sum(z: np.ndarray) -> float:
     return float(np.sum(d))
 
 
+def _axis_image(st: float, dt: float, t: np.ndarray) -> np.ndarray:
+    """F(it) = e^(-i dt t) + it - st, the image of the imaginary axis."""
+    return (-st + np.cos(dt * t)) + 1j * (t - np.sin(dt * t))
+
+
 def _closest_approach(st: float, dt: float, t: float) -> float:
     """min |F(it)| near t, by Newton steps on the slope of |F(it)|^2."""
     for _ in range(6):
@@ -115,7 +120,7 @@ def winding_number(params: ModelParams, R: float | None = None,
         raise DomainError("R too small for the turn-counting region")
 
     t = np.linspace(-R, R, n_samples)
-    z1 = (-st + np.cos(dt * t)) + 1j * (t - np.sin(dt * t))
+    z1 = _axis_image(st, dt, t)
 
     # refine where the curve comes near the origin
     dist = np.abs(z1)
@@ -125,7 +130,7 @@ def winding_number(params: ModelParams, R: float | None = None,
         lo = t[max(idx[0] - 1, 0)]
         hi = t[min(idx[-1] + 1, len(t) - 1)]
         tref = np.linspace(lo, hi, 8 * n_samples // 10)
-        zref = (-st + np.cos(dt * tref)) + 1j * (tref - np.sin(dt * tref))
+        zref = _axis_image(st, dt, tref)
         t = np.concatenate([t[t < lo], tref, t[t > hi]])
         z1 = np.concatenate([z1[: np.sum(t < lo)], zref,
                              z1[len(z1) - np.sum(t > hi):]])
@@ -199,10 +204,12 @@ class DecayReport:
     escaped: bool = False
 
 
-def stability_empirical(params: ModelParams, perturbation,
-                        horizon: float = 200.0,
-                        tol: float = 1e-9) -> DecayReport:
-    """Integrate the log-variable equation from a perturbed constant history.
+DECAY_HORIZON = 200.0
+
+
+def stability_empirical(params: ModelParams, perturbation) -> DecayReport:
+    """Integrate the log-variable equation from a perturbed constant history
+    up to z = DECAY_HORIZON.
 
     The history on [-d, 0] is phi_inf + perturbation(z).  For b > b_star the
     deviation decays exponentially; the report carries the fitted rate.  On
@@ -220,7 +227,7 @@ def stability_empirical(params: ModelParams, perturbation,
     escape = max(100.0 * sup0, 2.0 * pinf)
     hist = dc.FunctionHistory(lambda z: pinf + perturbation(z), -d, 0.0)
     rhs = dc.phi_equation(params)
-    traj = dc.integrate(rhs, hist, (0.0, horizon), tol=tol,
+    traj = dc.integrate(rhs, hist, (0.0, DECAY_HORIZON), tol=1e-9,
                         stop_condition=lambda z, u: abs(u - pinf) > escape)
     ts, us, _ = traj.nodes()
     dev = np.abs(us - pinf)
@@ -235,7 +242,7 @@ def stability_empirical(params: ModelParams, perturbation,
         rate = float(-np.polyfit(ts[good], np.log(dev[good]), 1)[0])
     decayed = (not escaped) and final < 1e-6 * max(1.0, pinf)
     return DecayReport(decayed=decayed, final_deviation=final,
-                       sup_deviation=sup, rate_fit=rate, horizon=horizon,
+                       sup_deviation=sup, rate_fit=rate, horizon=DECAY_HORIZON,
                        escaped=escaped)
 
 
@@ -257,12 +264,9 @@ def stability_scan(gamma: float, b_values) -> list[dict]:
     return [one(b) for b in b_values]
 
 
-def curve_samples(params: ModelParams, R: float | None = None,
-                  n_samples: int = 4000) -> np.ndarray:
+def curve_samples(params: ModelParams, n_samples: int = 4000) -> np.ndarray:
     """Imaginary-axis image of the characteristic function, for plotting."""
     cp = CharProblem.from_params(params)
-    if R is None:
-        R = max(12.0, 6.0 / cp.d_tilde)
-    t = np.linspace(-R, R, n_samples)
-    return (-cp.sigma_tilde + np.cos(cp.d_tilde * t)) \
-        + 1j * (t - np.sin(cp.d_tilde * t))
+    R = max(12.0, 6.0 / cp.d_tilde)
+    return _axis_image(cp.sigma_tilde, cp.d_tilde,
+                       np.linspace(-R, R, n_samples))

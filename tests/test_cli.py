@@ -174,6 +174,20 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert json.loads(err)["type"] == "OriginOnCurveError"
 
+    @pytest.mark.parametrize("out", [None, "tails.json"])
+    def test_non_finite_result_is_numerical(self, out, tmp_path, capsys):
+        # eta = 1e-310 makes ln2/eta overflow: strict JSON refuses Infinity
+        argv = ["tails", "--eps", "0.1", "--eta", "1e-310"]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "numerical"
+        assert "not finite" in doc["message"]
+        assert not list(tmp_path.iterdir())
+
     def test_bad_grid_spec(self, capsys):
         code, _, err = run(capsys, "scan-b", "--gamma", "2",
                            "--grid", "oops")
@@ -277,6 +291,7 @@ FUZZ = [
     ("laplace", "--eta", "1e308"),
     ("tails", "--eta", "0"),
     ("classify", "--gamma", "2", "--b", "3", "--y-max", "inf"),
+    ("bbar", "--gamma", "inf"),
 ]
 
 
@@ -366,7 +381,8 @@ class TestReadme:
 class TestGammaBound:
     @pytest.mark.parametrize("argv", [("params", "--gamma", "1e4"),
                                       ("b-star", "--gamma", "1e4"),
-                                      ("classify", "--gamma", "1500")])
+                                      ("classify", "--gamma", "1500"),
+                                      ("bbar", "--gamma", "1e4")])
     def test_overflowing_gamma_is_a_domain_error(self, argv, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1

@@ -1,6 +1,11 @@
+import dataclasses
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
+from gelshoot import asymptotics, gelsim, greens
 from gelshoot import shooting as sh
 from gelshoot.errors import (BracketFailureError, DomainError,
                              NoPlateausError)
@@ -158,3 +163,50 @@ class TestPlateaus:
         diag = sh.plateau_diagnostics(run.trajectory, 0.02)
         target = C0 * 0.02
         assert abs(diag["ratios"][0] - target) / target < 0.30
+
+
+# functions and the parameters they must not take: a value that no caller
+# sets is a module constant or a literal, not a defaulted parameter
+RETIRED = [
+    ("shooting.h_profile", {"n_series", "tol_neg", "stop_on_sign_change"}),
+    ("shooting.classify", {"tols"}),
+    ("shooting.scan_b", {"tols"}),
+    ("shooting.bracket_bbar", {"tols"}),
+    ("shooting.limit_profile", {"tol_neg"}),
+    ("shooting._plateau_levels",
+     {"tread_slope", "riser_slope", "level_cap", "pts_per_decade"}),
+    ("shooting.plateau_diagnostics", {"slope_tol"}),
+    ("delaycore.integrate", {"h_max"}),
+    ("stability.curve_samples", {"R"}),
+    ("stability.stability_empirical", {"horizon", "tol"}),
+    ("gelsim.evolve_chain", {"n_out"}),
+    ("gelsim.riccati_blowup_estimate", {"window"}),
+    ("greens.gtilde_exact", {"n_terms"}),
+    ("greens.g_decomposition", {"n_terms"}),
+    ("greens.bounds_audit", {"xi_grid", "x_offsets", "xi_pairs", "cfg"}),
+    ("asymptotics.psi_log_eval", {"N"}),
+    ("asymptotics.psi_series_eval", {"N"}),
+    ("asymptotics.psi_derivative", {"N"}),
+    ("asymptotics._psi_log_terms", {"N"}),
+    ("asymptotics.Gamma1Profile.switchover", {"tol"}),
+    ("asymptotics.matching_closure", {"c0_amp"}),
+    ("profiles.series_switchover", {"tol"}),
+]
+
+
+class TestRetiredKnobs:
+    @pytest.mark.parametrize("path,retired", RETIRED,
+                             ids=[path for path, _ in RETIRED])
+    def test_function_takes_no_retired_knob(self, path, retired):
+        module, *attrs = path.split(".")
+        obj = importlib.import_module(f"gelshoot.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert not retired & set(inspect.signature(obj).parameters)
+
+    def test_retired_holders_are_gone(self):
+        assert not hasattr(sh, "ClassifyTols")
+        assert not hasattr(gelsim, "INITIAL_PROFILES")
+        assert not hasattr(asymptotics.Gamma1Profile, "eval_deriv")
+        fields = {f.name for f in dataclasses.fields(greens.GreensEval)}
+        assert "N_terms" not in fields
