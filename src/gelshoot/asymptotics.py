@@ -24,7 +24,6 @@ from . import delaycore as dc
 from .errors import DomainError
 from .profiles import LN2, horner
 
-B_CRITICAL = LN2
 GAMMA1_B1_LIMIT = (1.0 - LN2) / LN2
 
 

@@ -32,17 +32,22 @@ def fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows, provenance):
-    lines = [f"# gelshoot {__version__}", f"# config: {provenance}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write(path, text: str):
+    """Write text to the file at path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def write_csv(path, header, rows, provenance):
+    lines = [f"# gelshoot {__version__}", f"# config: {provenance}"]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    _write(path, "\n".join(lines) + "\n")
+    if path is not None:
         log.info("wrote %d rows to %s", len(lines) - 3, path)
 
 
@@ -55,12 +60,7 @@ def emit_json(path, payload, provenance):
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as err:
         raise FloatingPointError(f"result is not finite: {err}") from err
-    text += "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, text + "\n")
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -340,18 +340,6 @@ def cmd_fig3(a):
         write_csv(None, ["z", "phi"], zip(np.log(ts), ts * us), a.echo)
 
 
-HANDLERS = {
-    "params": cmd_params, "profile": cmd_profile, "classify": cmd_classify,
-    "scan-b": cmd_scan_b, "bracket-bbar": cmd_bracket_bbar,
-    "b-star": cmd_b_star, "winding": cmd_winding,
-    "stability-scan": cmd_stability_scan, "greens-q": cmd_greens_q,
-    "greens-verify": cmd_greens_verify, "fixedpoint": cmd_fixedpoint,
-    "eps-of-eta": cmd_eps_of_eta, "bbar": cmd_bbar, "gamma1": cmd_gamma1,
-    "psi-asym": cmd_psi_asym, "laplace": cmd_laplace, "tails": cmd_tails,
-    "simulate": cmd_simulate, "fig2": cmd_fig2, "fig3": cmd_fig3,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument wiring
 
@@ -378,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
                      version=f"gelshoot {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **common):
+    def add(name, handler, **common):
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", default=None,
                        help="key=value file; flags override")
         for dest, default in common.items():
@@ -388,36 +377,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         return p
 
-    add("params", gamma=2.0, b=2.0)
-    add("profile", gamma=2.0, b=3.0, tol=1e-9, y_max=200.0)
-    add("classify", gamma=2.0, b=3.0, tol=1e-9, y_max=500.0)
-    add("scan-b", gamma=2.0, tol=1e-9, y_max=500.0, grid="2.05:10:8")
-    p = add("bracket-bbar", gamma=2.0, tol=1e-9, y_max=500.0)
+    add("params", cmd_params, gamma=2.0, b=2.0)
+    add("profile", cmd_profile, gamma=2.0, b=3.0, tol=1e-9, y_max=200.0)
+    add("classify", cmd_classify, gamma=2.0, b=3.0, tol=1e-9, y_max=500.0)
+    add("scan-b", cmd_scan_b, gamma=2.0, tol=1e-9, y_max=500.0,
+        grid="2.05:10:8")
+    p = add("bracket-bbar", cmd_bracket_bbar, gamma=2.0, tol=1e-9,
+            y_max=500.0)
     p.add_argument("--tol-b", type=float, dest="tol_b", default=1e-3)
-    p = add("b-star", gamma=2.0)
+    p = add("b-star", cmd_b_star, gamma=2.0)
     p.add_argument("--digits", type=int, default=5)
-    add("winding", gamma=2.0, b=3.0)
-    add("stability-scan", gamma=2.0, grid="1:6:11")
-    add("greens-q", grid=None)
-    p = add("greens-verify", tol=1e-10)
+    add("winding", cmd_winding, gamma=2.0, b=3.0)
+    add("stability-scan", cmd_stability_scan, gamma=2.0, grid="1:6:11")
+    add("greens-q", cmd_greens_q, grid=None)
+    p = add("greens-verify", cmd_greens_verify, tol=1e-10)
     p.add_argument("--t-max", type=float, dest="t_max", default=1e6)
-    p = add("fixedpoint", tol=1e-12)
+    p = add("fixedpoint", cmd_fixedpoint, tol=1e-12)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--eta", type=float, default=0.01)
-    p = add("eps-of-eta", tol=1e-9)
+    p = add("eps-of-eta", cmd_eps_of_eta, tol=1e-9)
     p.add_argument("--eta", type=float, default=0.01)
-    add("bbar", gamma=13.0)
-    p = add("gamma1", b=None, tol=1e-10, y_max=1e5)
+    add("bbar", cmd_bbar, gamma=13.0)
+    p = add("gamma1", cmd_gamma1, b=None, tol=1e-10, y_max=1e5)
     p.add_argument("--a1", type=float, default=-1.0)
-    p = add("psi-asym")
+    p = add("psi-asym", cmd_psi_asym)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--eps-list", dest="eps_list", default="0.1,0.05,0.02")
-    p = add("laplace")
+    p = add("laplace", cmd_laplace)
     p.add_argument("--eta", type=float, default=1.0)
-    p = add("tails")
+    p = add("tails", cmd_tails)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=1.0)
-    p = add("simulate", gamma=2.0, tol=1e-10)
+    p = add("simulate", cmd_simulate, gamma=2.0, tol=1e-10)
     p.add_argument("--xi0", type=float, default=1.0)
     p.add_argument("--sites", type=int, default=10)
     p.add_argument("--init", default="exp")
@@ -425,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", type=int, default=0,
                    help="run a multi-chain gelation scan with this many "
                         "seeds and emit diagnostics JSON")
-    p = add("fig2", gamma=2.0)
+    p = add("fig2", cmd_fig2, gamma=2.0)
     p.add_argument("--b-list", dest="b_list", default="3.0,2.3,0.25")
-    add("fig3", gamma=2.0, b=2.3, tol=1e-9, y_max=200.0)
+    add("fig3", cmd_fig3, gamma=2.0, b=2.3, tol=1e-9, y_max=200.0)
     return top
 
 
@@ -443,7 +434,7 @@ def parse_args(argv: list) -> argparse.Namespace:
         return args
     settings = load_config(args.config)
     for k in settings:
-        if k in ("command", "config") or not hasattr(args, k):
+        if k in ("command", "config", "handler") or not hasattr(args, k):
             raise DomainError(f"unknown config key {k!r} for {args.command}")
     at = argv.index(args.command) + 1
     tokens = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
@@ -462,10 +453,10 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         public = {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("command", "echo") and v is not None}
+                  if k not in ("command", "echo", "handler") and v is not None}
         args.echo = " ".join(f"{k}={v}" for k, v in public.items())
         log.debug("resolved config: %s", args.echo)
-        HANDLERS[args.command](args)
+        args.handler(args)
         log.info("%s finished", args.command)
         return 0
     except DomainError as err:

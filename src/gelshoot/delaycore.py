@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (BlowUpError, DomainError, OutOfRangeError,
                      StepUnderflowError)
-from .profiles import (LN2, ModelParams, PowerSeries, horner, series_eval,
+from .profiles import (LN2, ModelParams, PowerSeries, series_eval,
                        series_eval_many)
 
 TOL_REF = 1e-10
@@ -148,12 +148,6 @@ class History:
         return np.array([self.eval(float(s)) for s in t.ravel()]) \
             .reshape(t.shape)
 
-    def deriv(self, t: float) -> float:
-        h = 1e-6 * max(1.0, abs(t))
-        lo = max(self.lo, t - h)
-        hi = min(self.hi, t + h)
-        return (self.eval(hi) - self.eval(lo)) / (hi - lo)
-
 
 class SeriesHistory(History):
     """Power-series initial segment, covering [expansion point, hi]."""
@@ -162,18 +156,12 @@ class SeriesHistory(History):
         self.series = series
         self.lo = series.expansion_point
         self.hi = hi
-        c = series.coefficients
-        self.deriv_coefficients = np.arange(1, len(c)) * c[1:]
 
     def eval(self, t: float) -> float:
         return series_eval(self.series, t)
 
     def eval_many(self, t):
         return series_eval_many(self.series, np.asarray(t, dtype=float))
-
-    def deriv(self, t: float) -> float:
-        return horner(self.deriv_coefficients,
-                      t - self.series.expansion_point)
 
 
 class FunctionHistory(History):
@@ -222,17 +210,22 @@ class PointSourceHistory(History):
 # dense trajectory
 
 
+def _basis(t0, h, t) -> tuple:
+    """Hermite weights at t on the panel [t0, t0 + h], float or array."""
+    s = (t - t0) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h,
+            -2.0 * s3 + 3.0 * s2, (s3 - s2) * h)
+
+
 def hermite_weights(ts: np.ndarray, t: np.ndarray) -> tuple:
     """Panel index i and the cubic Hermite weights at t of us[i], dus[i],
     us[i+1] and dus[i+1] on nodes ts.  Points outside [ts[0], ts[-1]] take
     the cubic of the nearest panel.
     """
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-    h = ts[i + 1] - ts[i]
-    s = (t - ts[i]) / h
-    s2, s3 = s * s, s * s * s
-    return (i, 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h,
-            -2 * s3 + 3 * s2, (s3 - s2) * h)
+    return (i, *_basis(ts[i], ts[i + 1] - ts[i], t))
 
 
 def hermite_apply(w: tuple, us: np.ndarray, dus: np.ndarray) -> np.ndarray:
@@ -254,7 +247,8 @@ class DenseTrajectory:
     """Piecewise cubic Hermite record of an accepted integration.
 
     Evaluation below the first node routes to the initial segment; above the
-    last node it raises OutOfRangeError.
+    last node it raises OutOfRangeError.  The derivative covers only the
+    integrated range [ts[0], ts[-1]].
     """
 
     def __init__(self, history: History):
@@ -273,14 +267,6 @@ class DenseTrajectory:
         self.dus.append(du)
 
     # -- evaluation --------------------------------------------------------
-
-    @property
-    def t_start(self) -> float:
-        return self.ts[0]
-
-    @property
-    def t_end(self) -> float:
-        return self.ts[-1]
 
     def nodes(self):
         return (np.asarray(self.ts), np.asarray(self.us),
@@ -313,22 +299,13 @@ class DenseTrajectory:
         if t == t0:
             return us[i]
         dus = self.dus
-        h = ts[i + 1] - t0
-        s = (t - t0) / h
-        s2 = s * s
-        s3 = s2 * s
-        return ((2.0 * s3 - 3.0 * s2 + 1.0) * us[i]
-                + (s3 - 2.0 * s2 + s) * h * dus[i]
-                + (-2.0 * s3 + 3.0 * s2) * us[i + 1]
-                + (s3 - s2) * h * dus[i + 1])
+        a0, b0, a1, b1 = _basis(t0, ts[i + 1] - t0, t)
+        return a0 * us[i] + b0 * dus[i] + a1 * us[i + 1] + b1 * dus[i + 1]
 
     def deriv(self, t: float) -> float:
-        if t < self.ts[0]:
-            if t < self.history.lo - _EDGE_TOL:
-                raise OutOfRangeError(f"{t} below history start")
-            return self.history.deriv(t)
-        if not t <= self.ts[-1]:
-            raise OutOfRangeError(f"{t} beyond last node")
+        # written so that NaN raises
+        if not self.ts[0] <= t <= self.ts[-1]:
+            raise OutOfRangeError(f"{t} outside [{self.ts[0]}, {self.ts[-1]}]")
         i = min(bisect.bisect_right(self.ts, t) - 1, len(self.ts) - 2)
         return self._hermite_deriv(i, t)
 
@@ -350,13 +327,6 @@ class DenseTrajectory:
                 raise OutOfRangeError("evaluation beyond last node")
             out[inside] = hermite(ts, us, dus, np.minimum(x, ts[-1]))
         return out.reshape(t.shape)
-
-    def to_csv(self, path):
-        """CSV export with columns y, value, derivative."""
-        with open(path, "w") as fh:
-            fh.write("y,value,derivative\n")
-            for t, u, du in zip(self.ts, self.us, self.dus):
-                fh.write(f"{t:.17g},{u:.17g},{du:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +356,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         raise DomainError(f"span ({t0}, {t1}) must be finite")
     if not t1 > t0:
         raise DomainError("span must be increasing")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     if init.hi < t0 - _EDGE_TOL:
         raise DomainError("initial segment does not reach the start point")
 

@@ -98,12 +98,6 @@ class FixedPointGrid:
         self.at_g = _PointPlan(self.x, self.g)
         self.at_x = _PointPlan(self.x, self.x)
 
-    # -- interpolation ------------------------------------------------------
-
-    def interp(self, W: np.ndarray, dW: np.ndarray, pts: np.ndarray):
-        """Cubic Hermite values of the grid function at pts in [0, X_MAX]."""
-        return hermite(self.x, W, dW, pts)
-
     # -- operator -----------------------------------------------------------
 
     def r_terms(self, W: np.ndarray, dW: np.ndarray, at: _PointPlan,
@@ -160,8 +154,8 @@ class FixedPointState:
     amplitude_fit: float | None = None
 
     def interp(self, pts):
-        return default_grid().interp(self.W, self.dW,
-                                     np.asarray(pts, dtype=float))
+        """Cubic Hermite values of the grid function at pts in [0, X_MAX]."""
+        return hermite(self.x, self.W, self.dW, np.asarray(pts, dtype=float))
 
     def to_dict(self) -> dict:
         return {
@@ -244,8 +238,8 @@ def picard_solve(eps: float, eta: float,
     """
     if not -1.0 < eps < 1.0 or not abs(eta) < 1.0:
         raise DomainError("need -1 < eps < 1 (delay ratio) and |eta| < 1")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     state = zero_state(eps, eta)
     if warm_start is not None:
         state = replace(state, W=warm_start.W.copy(),
@@ -313,8 +307,8 @@ def eps_of_eta(eta: float, tol: float = 1e-9):
     """
     if not 0.0 <= eta <= 0.05:
         raise DomainError("eta must lie in [0, 0.05] for the contraction")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     if eta == 0.0:
         return 0.0, picard_solve(0.0, 0.0)
     lo = 0.0

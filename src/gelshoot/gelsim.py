@@ -117,6 +117,8 @@ def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
     """
     if not t_end > chain.t:
         raise DomainError("t_end must exceed the chain time")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if not np.all(np.isfinite(chain.f)):
         raise DomainError("chain state must be finite")
     from scipy.integrate import solve_ivp

@@ -160,6 +160,10 @@ class GreensEval:
     def __post_init__(self):
         if not 0.5 < self.L_tilde < 1.0:
             raise DomainError("L_tilde must lie strictly inside (1/2, 1)")
+        if not 0.0 < self.T_max < math.inf:
+            raise DomainError("T_max must be positive and finite")
+        if not self.tail_target > 0.0:
+            raise DomainError("tail_target must be positive")
 
 
 def term_coefficient(n: int) -> float:

@@ -28,9 +28,6 @@ LN2 = math.log(2.0)
 # on gamma for make_params and stability.b_star
 GAMMA_MAX = math.nextafter(float(sys.float_info.max_exp), 0.0)
 
-JSON_FIELDS = ("gamma", "b", "a", "sigma", "q", "d", "theta", "b0",
-               "eps_delay", "phi_inf")
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -60,7 +57,7 @@ class ModelParams:
     phi_inf: float
 
     def to_json(self) -> str:
-        return json.dumps({k: asdict(self)[k] for k in JSON_FIELDS})
+        return json.dumps(asdict(self))
 
     @staticmethod
     def from_json(text: str) -> "ModelParams":
@@ -82,12 +79,12 @@ def check_gamma(gamma: float) -> float:
 def make_params(gamma: float, b: float) -> ModelParams:
     """Build a ModelParams, populating all derived fields.
 
-    Raises DomainError for gamma outside (1, GAMMA_MAX] or b <= 0.
+    Raises DomainError for gamma outside (1, GAMMA_MAX] or b outside (0, inf).
     """
     gamma = check_gamma(gamma)
     b = float(b)
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b}")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"b must be positive and finite, got {b}")
     q = 2.0 ** (-1.0 / b)
     p = ModelParams(
         gamma=gamma,
@@ -183,8 +180,8 @@ def pantograph_series(p: float, eta: float, N: int) -> PowerSeries:
 def horner(coefficients, u):
     """sum_n coefficients[n] u^n by Horner's rule, for a float or an array u.
 
-    The one polynomial evaluation of the package: series values, their
-    derivatives (with coefficients n c_n) and the borderline profile.
+    The one polynomial evaluation of the package: series values and the
+    borderline profile.
     """
     acc = 0.0
     for c in coefficients[::-1]:

@@ -207,9 +207,6 @@ class CriticalBracket:
     gamma: float
     class_hi: str
 
-    def __contains__(self, b: float) -> bool:
-        return self.b_lo <= b <= self.b_hi
-
 
 def bracket_bbar(gamma: float, tol_b: float = 1e-3, y_max: float = 500.0,
                  tol: float = 1e-9) -> CriticalBracket:

@@ -130,10 +130,8 @@ def winding_number(params: ModelParams, R: float | None = None,
         lo = t[max(idx[0] - 1, 0)]
         hi = t[min(idx[-1] + 1, len(t) - 1)]
         tref = np.linspace(lo, hi, 8 * n_samples // 10)
-        zref = _axis_image(st, dt, tref)
         t = np.concatenate([t[t < lo], tref, t[t > hi]])
-        z1 = np.concatenate([z1[: np.sum(t < lo)], zref,
-                             z1[len(z1) - np.sum(t > hi):]])
+        z1 = _axis_image(st, dt, t)
 
     theta_arc = np.linspace(-math.pi / 2.0, math.pi / 2.0, 4000)
     zarc = R * np.exp(1j * theta_arc)

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gelshoot
 from gelshoot.cli import build_parser, main, parse_grid
 from gelshoot.errors import DomainError
-from gelshoot.profiles import GAMMA_MAX
+from gelshoot.profiles import GAMMA_MAX, make_params
+from gelshoot.shooting import h_profile
 
 
 def run(capsys, *argv):
@@ -73,6 +75,18 @@ class TestFilesAndDeterminism:
         assert run(capsys, *args)[0] == 0
         assert p1.read_bytes() == first
 
+    def test_profile_csv_header_and_precision(self, tmp_path, capsys):
+        out = tmp_path / "prof.csv"
+        code, _, _ = run(capsys, "profile", "--gamma", "2", "--b", "3",
+                         "--y-max", "50", "--out", str(out))
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[2] == "y,value,derivative"
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in lines[3:]])
+        traj = h_profile(make_params(2.0, 3.0), 50.0, tol=1e-9)
+        assert rows.tobytes() == np.column_stack(traj.nodes()).tobytes()
+
     def test_fig3_writes_both_panels(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"
         code, _, _ = run(capsys, "fig3", "--gamma", "2", "--b", "2.3",
@@ -113,6 +127,14 @@ class TestConfigFile:
         code, _, err = run(capsys, "params", "--config", str(cfg))
         assert code == 1
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize("key", ["handler", "command"])
+    def test_parser_internal_key_rejected(self, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = cmd_bbar\n")
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert f"unknown config key {key!r}" in json.loads(err)["message"]
 
     def test_bad_value_is_a_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -292,6 +314,21 @@ FUZZ = [
     ("tails", "--eta", "0"),
     ("classify", "--gamma", "2", "--b", "3", "--y-max", "inf"),
     ("bbar", "--gamma", "inf"),
+    ("params", "--b", "inf"),
+    ("classify", "--gamma", "2", "--b", "inf"),
+    ("winding", "--gamma", "2", "--b", "inf"),
+    ("simulate", "--tol", "0"),
+    ("simulate", "--tol", "nan"),
+    ("simulate", "--tol", "-1"),
+    ("simulate", "--tol", "inf"),
+    ("simulate", "--scan", "2", "--tol", "0"),
+    ("greens-verify", "--t-max", "0"),
+    ("greens-verify", "--t-max", "-5"),
+    ("greens-verify", "--t-max", "nan"),
+    ("greens-verify", "--tol", "inf"),
+    ("classify", "--gamma", "2", "--b", "3", "--tol", "inf"),
+    ("fixedpoint", "--tol", "inf"),
+    ("eps-of-eta", "--tol", "inf"),
 ]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gelshoot import delaycore as dc
+from gelshoot import shooting as sh
 from gelshoot.errors import (BlowUpError, DomainError, OutOfRangeError,
                              StepUnderflowError)
 from gelshoot.profiles import (local_series, make_params, pantograph_series,
@@ -380,15 +381,19 @@ class TestBitwiseAgainstReference:
             assert new.n_rejected > 0
 
 
-class TestCsvExport:
-    def test_header_and_precision(self, tmp_path):
+class TestSharedHermiteBasis:
+    def test_scalar_lookup_equals_vector_lookup_bitwise(self):
+        traj = sh.h_profile(make_params(2.0, 3.0), 200.0, tol=1e-9)
+        ts = np.asarray(traj.ts)
+        pts = np.random.default_rng(7).uniform(ts[0], ts[-1], 1000)
+        scalar = np.array([traj.eval(float(t)) for t in pts])
+        assert scalar.tobytes() == traj.eval_many(pts).tobytes()
+
+    def test_deriv_covers_only_the_integrated_range(self):
         hist, y0 = exp_history()
-        traj = dc.integrate(dc.limit_h_equation(0.0), hist, (y0, 2.0),
-                            tol=1e-8)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "y,value,derivative"
-        y, v, d = (float(s) for s in lines[1].split(","))
-        assert y == traj.ts[0]
-        assert v == traj.us[0]
+        traj = dc.integrate(dc.limit_h_equation(0.0), hist, (y0, 5.0),
+                            tol=1e-9)
+        assert traj.deriv(y0) == traj.dus[0]
+        for t in (0.5 * y0, 0.0, 5.5):
+            with pytest.raises(OutOfRangeError):
+                traj.deriv(t)

@@ -155,6 +155,15 @@ class TestQuadratureRoute:
         with pytest.raises(DomainError):
             gr.GreensEval(L_tilde=1.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"T_max": 0.0}, {"T_max": -5.0}, {"T_max": math.nan},
+        {"T_max": math.inf}, {"tail_target": 0.0},
+        {"tail_target": -1e-8}, {"tail_target": math.nan}],
+        ids=lambda kw: "=".join(map(str, *kw.items())))
+    def test_truncation_range_constrained(self, kw):
+        with pytest.raises(DomainError):
+            gr.GreensEval(**kw)
+
 
 class TestBoundsAudit:
     def test_fitted_constants(self):

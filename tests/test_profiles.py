@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelshoot.errors import DomainError, SeriesOverflowError
 from gelshoot.profiles import (GAMMA_MAX, LN2, ModelParams, PowerSeries,
@@ -9,6 +11,7 @@ from gelshoot.profiles import (GAMMA_MAX, LN2, ModelParams, PowerSeries,
                                local_series, make_params, pantograph_series,
                                series_error_estimate, series_eval,
                                series_eval_many, series_switchover)
+from gelshoot.profiles import _quadratic_delay_series, horner
 
 
 class TestMakeParams:
@@ -225,3 +228,38 @@ class TestVariableChanges:
     def test_unknown_variant_rejected(self):
         with pytest.raises(DomainError):
             ProfileGrid("G", np.array([1.0]), np.array([1.0]))
+
+
+# property tests: fixed example sequences, no per-example deadline
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(c0=st.floats(0.1, 3.0), c1=st.floats(0.1, 3.0),
+           r=st.floats(0.05, 0.95), N=st.integers(20, 60))
+    def test_series_solves_its_equation(self, c0, c1, r, N):
+        # |a_n| <= C^n with C = sup_n |c0 - c1 r^n| <= max(|c0 - c1|, c0)
+        a = _quadratic_delay_series(c0, c1, r, N, "property test")
+        radius = 1.0 / max(abs(c0 - c1), c0, 1.0)
+        y = np.linspace(0.0, series_switchover(
+            PowerSeries(a, validity_radius_estimate=radius)), 50)
+        u, u_r = horner(a, y), horner(a, r * y)
+        du = horner(np.arange(1, N + 1) * a[1:], y)
+        scale = np.abs(du) + c0 * u * u + c1 * u_r * u_r
+        assert np.all(np.abs(du - c0 * u * u + c1 * u_r * u_r)
+                      <= 1e-12 * scale)
+
+    @PROPERTY
+    @given(gamma=st.floats(1.1, 5.0), b=st.floats(0.5, 5.0),
+           x=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=16),
+           z=st.lists(st.floats(1e-2, 5.0), min_size=16, max_size=16),
+           v=st.lists(st.floats(1e-3, 1e3), min_size=16, max_size=16))
+    def test_convert_round_trips(self, gamma, b, x, z, v):
+        p = make_params(gamma, b)
+        for variant, t, back in (("F", x, "phi"), ("phi", z, "F")):
+            t = np.array(t)
+            pg = ProfileGrid(variant, t, np.array(v[:len(t)]))
+            out = convert(convert(pg, back, p), variant, p)
+            np.testing.assert_allclose(out.abscissa, pg.abscissa, rtol=1e-12)
+            np.testing.assert_allclose(out.values, pg.values, rtol=1e-12)

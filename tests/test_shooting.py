@@ -210,3 +210,30 @@ class TestRetiredKnobs:
         assert not hasattr(asymptotics.Gamma1Profile, "eval_deriv")
         fields = {f.name for f in dataclasses.fields(greens.GreensEval)}
         assert "N_terms" not in fields
+
+
+# second copies and unreachable paths, each deleted in favour of the one
+# copy that callers use
+DELETED = [
+    ("delaycore.DenseTrajectory", "to_csv"),
+    ("delaycore.DenseTrajectory", "t_start"),
+    ("delaycore.DenseTrajectory", "t_end"),
+    ("delaycore.History", "deriv"),
+    ("delaycore.SeriesHistory", "deriv"),
+    ("cli", "HANDLERS"),
+    ("profiles", "JSON_FIELDS"),
+    ("asymptotics", "B_CRITICAL"),
+    ("shooting.CriticalBracket", "__contains__"),
+    ("fixedpoint.FixedPointGrid", "interp"),
+]
+
+
+class TestSecondCopiesGone:
+    @pytest.mark.parametrize("path,name", DELETED,
+                             ids=[f"{p}.{n}" for p, n in DELETED])
+    def test_deleted_name_stays_gone(self, path, name):
+        module, *attrs = path.split(".")
+        obj = importlib.import_module(f"gelshoot.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert not hasattr(obj, name)
