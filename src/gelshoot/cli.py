@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -36,9 +37,22 @@ def _write(path, text: str):
     """Write text to the file at path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as err:
+        raise DomainError(f"cannot write output file {path!r}: {err}") \
+            from err
+
+
+def _tagged(out, tag: str, ext: str):
+    """out with _tag after its stem and its own extension, or ext when it
+    has none; no path (stdout) stays None."""
+    if not out:
+        return None
+    stem, own = os.path.splitext(out)
+    return f"{stem}_{tag}{own or ext}"
 
 
 def write_csv(path, header, rows, provenance):
@@ -109,8 +123,7 @@ def load_config(path: str) -> dict:
 
 
 def cmd_params(a):
-    p = make_params(a.gamma, a.b)
-    emit_json(a.out, json.loads(p.to_json()), a.echo)
+    emit_json(a.out, asdict(make_params(a.gamma, a.b)), a.echo)
 
 
 def cmd_b_star(a):
@@ -157,8 +170,7 @@ def cmd_bracket_bbar(a):
     from . import shooting
     br = shooting.bracket_bbar(a.gamma, tol_b=a.tol_b, y_max=a.y_max,
                                tol=a.tol)
-    emit_json(a.out, {"gamma": br.gamma, "b_lo": br.b_lo, "b_hi": br.b_hi,
-                      "width": br.width, "class_hi": br.class_hi}, a.echo)
+    emit_json(a.out, asdict(br), a.echo)
 
 
 def cmd_winding(a):
@@ -269,18 +281,13 @@ def cmd_psi_asym(a):
 def cmd_laplace(a):
     from . import asymptotics
     lq = asymptotics.laplace_quantities(a.eta)
-    write_csv(a.out, ["eta", "t_star", "W", "D", "U"],
-              [(lq.eta, lq.t_star, lq.W, lq.D, lq.U)], a.echo)
+    write_csv(a.out, ["eta", "t_star", "W", "D", "U"], [astuple(lq)], a.echo)
 
 
 def cmd_tails(a):
     from . import asymptotics
-    te = asymptotics.tail_exponents(a.eps, a.eta)
-    emit_json(a.out, {"eps": te.eps, "eta_bar": te.eta_bar,
-                      "beta": te.beta, "alpha": te.alpha,
-                      "K1_over_c1": te.K1_over_c1,
-                      "sigma_rate": te.sigma_rate,
-                      "K0_over_c0": te.K0_over_c0}, a.echo)
+    emit_json(a.out, asdict(asymptotics.tail_exponents(a.eps, a.eta)),
+              a.echo)
 
 
 def cmd_simulate(a):
@@ -301,10 +308,8 @@ def cmd_simulate(a):
         sol = gelsim.evolve_chain(chain, a.t_end, tol=a.tol)
     except BlowUpError as err:
         sol = err.solution
-    rows = []
-    for j, t in enumerate(sol.t):
-        for k, xi in enumerate(chain.sites):
-            rows.append((t, xi, sol.f[k, j]))
+    rows = [(t, xi, sol.f[k, j]) for j, t in enumerate(sol.t)
+            for k, xi in enumerate(chain.sites)]
     write_csv(a.out, ["t", "xi", "f"], rows, a.echo)
 
 
@@ -313,11 +318,7 @@ def cmd_fig2(a):
     for b in parse_floats(a.b_list):
         p = make_params(a.gamma, b)
         z = stability.curve_samples(p)
-        path = None
-        if a.out:
-            stem, dot, ext = a.out.rpartition(".")
-            path = f"{stem}_b{b:g}.{ext}" if dot else f"{a.out}_b{b:g}"
-        write_csv(path, ["t_real", "t_imag"],
+        write_csv(_tagged(a.out, f"b{b:g}", ""), ["t_real", "t_imag"],
                   zip(z.real, z.imag), a.echo)
 
 
@@ -328,26 +329,13 @@ def cmd_fig3(a):
     ts, us, dus = traj.nodes()
     keep = ts > 0.0
     ts, us = ts[keep], us[keep]
-    if a.out:
-        stem, dot, ext = a.out.rpartition(".")
-        base = stem if dot else a.out
-        ext = ext if dot else "csv"
-        write_csv(f"{base}_H.{ext}", ["y", "H"], zip(ts, us), a.echo)
-        write_csv(f"{base}_phi.{ext}", ["z", "phi"],
-                  zip(np.log(ts), ts * us), a.echo)
-    else:
-        write_csv(None, ["y", "H"], zip(ts, us), a.echo)
-        write_csv(None, ["z", "phi"], zip(np.log(ts), ts * us), a.echo)
+    write_csv(_tagged(a.out, "H", ".csv"), ["y", "H"], zip(ts, us), a.echo)
+    write_csv(_tagged(a.out, "phi", ".csv"), ["z", "phi"],
+              zip(np.log(ts), ts * us), a.echo)
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
-
-
-# flags shared by several subcommands; each subcommand takes only those
-# its handler reads, with the default it names in build_parser
-COMMON_FLAGS = {"gamma": float, "b": float, "tol": float, "y_max": float,
-                "grid": str}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -366,58 +354,42 @@ def build_parser() -> argparse.ArgumentParser:
                      version=f"gelshoot {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **common):
+    def add(name, handler, **flags):
+        """A subcommand and the flags its handler reads.  A flag's type is
+        that of its default; a flag given a type instead defaults to None."""
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("--config", default=None,
                        help="key=value file; flags override")
-        for dest, default in common.items():
+        for dest, v in flags.items():
+            kind, default = (v, None) if isinstance(v, type) else (type(v), v)
             p.add_argument("--" + dest.replace("_", "-"), dest=dest,
-                           type=COMMON_FLAGS[dest], default=default)
+                           type=kind, default=default)
         p.add_argument("--out", default=None)
-        return p
 
     add("params", cmd_params, gamma=2.0, b=2.0)
     add("profile", cmd_profile, gamma=2.0, b=3.0, tol=1e-9, y_max=200.0)
     add("classify", cmd_classify, gamma=2.0, b=3.0, tol=1e-9, y_max=500.0)
     add("scan-b", cmd_scan_b, gamma=2.0, tol=1e-9, y_max=500.0,
         grid="2.05:10:8")
-    p = add("bracket-bbar", cmd_bracket_bbar, gamma=2.0, tol=1e-9,
-            y_max=500.0)
-    p.add_argument("--tol-b", type=float, dest="tol_b", default=1e-3)
-    p = add("b-star", cmd_b_star, gamma=2.0)
-    p.add_argument("--digits", type=int, default=5)
+    add("bracket-bbar", cmd_bracket_bbar, gamma=2.0, tol=1e-9, y_max=500.0,
+        tol_b=1e-3)
+    add("b-star", cmd_b_star, gamma=2.0, digits=5)
     add("winding", cmd_winding, gamma=2.0, b=3.0)
     add("stability-scan", cmd_stability_scan, gamma=2.0, grid="1:6:11")
-    add("greens-q", cmd_greens_q, grid=None)
-    p = add("greens-verify", cmd_greens_verify, tol=1e-10)
-    p.add_argument("--t-max", type=float, dest="t_max", default=1e6)
-    p = add("fixedpoint", cmd_fixedpoint, tol=1e-12)
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--eta", type=float, default=0.01)
-    p = add("eps-of-eta", cmd_eps_of_eta, tol=1e-9)
-    p.add_argument("--eta", type=float, default=0.01)
+    add("greens-q", cmd_greens_q, grid=str)
+    add("greens-verify", cmd_greens_verify, tol=1e-10, t_max=1e6)
+    add("fixedpoint", cmd_fixedpoint, tol=1e-12, eps=0.01, eta=0.01)
+    add("eps-of-eta", cmd_eps_of_eta, tol=1e-9, eta=0.01)
     add("bbar", cmd_bbar, gamma=13.0)
-    p = add("gamma1", cmd_gamma1, b=None, tol=1e-10, y_max=1e5)
-    p.add_argument("--a1", type=float, default=-1.0)
-    p = add("psi-asym", cmd_psi_asym)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--eps-list", dest="eps_list", default="0.1,0.05,0.02")
-    p = add("laplace", cmd_laplace)
-    p.add_argument("--eta", type=float, default=1.0)
-    p = add("tails", cmd_tails)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=1.0)
-    p = add("simulate", cmd_simulate, gamma=2.0, tol=1e-10)
-    p.add_argument("--xi0", type=float, default=1.0)
-    p.add_argument("--sites", type=int, default=10)
-    p.add_argument("--init", default="exp")
-    p.add_argument("--t-end", type=float, dest="t_end", default=5.0)
-    p.add_argument("--scan", type=int, default=0,
-                   help="run a multi-chain gelation scan with this many "
-                        "seeds and emit diagnostics JSON")
-    p = add("fig2", cmd_fig2, gamma=2.0)
-    p.add_argument("--b-list", dest="b_list", default="3.0,2.3,0.25")
+    add("gamma1", cmd_gamma1, b=float, tol=1e-10, y_max=1e5, a1=-1.0)
+    add("psi-asym", cmd_psi_asym, eta=1.0, eps_list="0.1,0.05,0.02")
+    add("laplace", cmd_laplace, eta=1.0)
+    add("tails", cmd_tails, eps=0.1, eta=1.0)
+    # --scan n runs a gelation scan over n seeds and emits diagnostics JSON
+    add("simulate", cmd_simulate, gamma=2.0, tol=1e-10, xi0=1.0, sites=10,
+        init="exp", t_end=5.0, scan=0)
+    add("fig2", cmd_fig2, gamma=2.0, b_list="3.0,2.3,0.25")
     add("fig3", cmd_fig3, gamma=2.0, b=2.3, tol=1e-9, y_max=200.0)
     return top
 

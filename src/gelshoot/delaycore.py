@@ -55,31 +55,31 @@ class DelayRHS:
     step_cap: Callable[[float], float]
 
 
-def _proportional_cap(p: float) -> Callable[[float], float]:
+def _proportional(name: str, f, p: float) -> DelayRHS:
+    """Pantograph delay t -> p t, whose step cap is (1/p - 1) t."""
     r = 1.0 / p - 1.0
-    return lambda t: r * t
+    return DelayRHS(name=name, f=f, delay_arg=lambda t: p * t,
+                    step_cap=lambda t: r * t)
+
+
+def _shifted(name: str, f, d: float) -> DelayRHS:
+    """Constant shift t -> t - d, whose step cap is d."""
+    return DelayRHS(name=name, f=f, delay_arg=lambda t: t - d,
+                    step_cap=lambda t: d)
 
 
 def h_equation(params: ModelParams) -> DelayRHS:
     """H' = -sigma H(q y)^2 + H(y)^2."""
-    s, q = params.sigma, params.q
-    return DelayRHS(
-        name="H",
-        f=lambda y, u, ud: -s * ud * ud + u * u,
-        delay_arg=lambda y: q * y,
-        step_cap=_proportional_cap(q),
-    )
+    s = params.sigma
+    return _proportional("H", lambda y, u, ud: -s * ud * ud + u * u,
+                         params.q)
 
 
 def phi_equation(params: ModelParams) -> DelayRHS:
     """phi' = phi - theta phi(z-d)^2 + phi(z)^2, constant shift d."""
-    th, d = params.theta, params.d
-    return DelayRHS(
-        name="phi",
-        f=lambda z, u, ud: u - th * ud * ud + u * u,
-        delay_arg=lambda z: z - d,
-        step_cap=lambda z: d,
-    )
+    th = params.theta
+    return _shifted("phi", lambda z, u, ud: u - th * ud * ud + u * u,
+                    params.d)
 
 
 def limit_h_equation(eps: float) -> DelayRHS:
@@ -92,42 +92,25 @@ def rescaled_h_equation(eps: float, eta: float) -> DelayRHS:
     p = 0.5 * (1.0 + eps)
     if not 0.0 < p < 1.0:
         raise DomainError(f"delay ratio (1+eps)/2 = {p} outside (0,1)")
-    return DelayRHS(
-        name="rescaled-h" if eta else "limit-h",
-        f=lambda x, u, ud: -ud * ud + eta * u * u,
-        delay_arg=lambda x: p * x,
-        step_cap=_proportional_cap(p),
-    )
+    return _proportional("rescaled-h" if eta else "limit-h",
+                         lambda x, u, ud: -ud * ud + eta * u * u, p)
 
 
 def linear_g_equation() -> DelayRHS:
     """phi' = phi - 2 phi(x/2), the linear delay equation."""
-    return DelayRHS(
-        name="linear-G",
-        f=lambda x, u, ud: u - 2.0 * ud,
-        delay_arg=lambda x: 0.5 * x,
-        step_cap=_proportional_cap(0.5),
-    )
+    return _proportional("linear-G", lambda x, u, ud: u - 2.0 * ud, 0.5)
 
 
 def gamma1_phi_equation(b: float) -> DelayRHS:
     """b x Phi' = -Phi(x/2)^2 + Phi(x)^2; singular at x = 0."""
-    return DelayRHS(
-        name="Phi-gamma1",
-        f=lambda x, u, ud: (u * u - ud * ud) / (b * x),
-        delay_arg=lambda x: 0.5 * x,
-        step_cap=_proportional_cap(0.5),
-    )
+    return _proportional(
+        "Phi-gamma1", lambda x, u, ud: (u * u - ud * ud) / (b * x), 0.5)
 
 
 def gamma1_log_equation(b: float) -> DelayRHS:
     """The same profile equation in z = ln x: b psi' = psi^2 - psi(z-ln2)^2."""
-    return DelayRHS(
-        name="Phi-gamma1-log",
-        f=lambda z, u, ud: (u * u - ud * ud) / b,
-        delay_arg=lambda z: z - LN2,
-        step_cap=lambda z: LN2,
-    )
+    return _shifted("Phi-gamma1-log",
+                    lambda z, u, ud: (u * u - ud * ud) / b, LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +337,9 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError(f"span ({t0}, {t1}) must be finite")
-    if not t1 > t0:
-        raise DomainError("span must be increasing")
+    if not t0 < t1 - _EDGE_TOL * max(1.0, abs(t1)):
+        raise DomainError(f"span ({t0}, {t1}) must be increasing and "
+                          "longer than the end-point tolerance")
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
     if init.hi < t0 - _EDGE_TOL:

@@ -115,8 +115,8 @@ def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
     the dense interpolant; accepted-step states are kept alongside
     (nonnegativity holds at accepted steps).
     """
-    if not t_end > chain.t:
-        raise DomainError("t_end must exceed the chain time")
+    if not chain.t < t_end < math.inf:
+        raise DomainError("t_end must be finite and exceed the chain time")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if not np.all(np.isfinite(chain.f)):

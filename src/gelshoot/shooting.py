@@ -67,14 +67,12 @@ class Classification:
         return out
 
 
-def h_profile(params: ModelParams, y_max: float,
-              tol: float = 1e-9) -> dc.DenseTrajectory:
-    """Series-started trajectory of the H equation on [0, y_max], stopped
-    at the first node below -TOL_NEG."""
-    series = local_series(params, 40)
+def _series_run(series, rhs: dc.DelayRHS, y_max: float,
+                tol: float) -> dc.DenseTrajectory:
+    """Run rhs from its local series up to y_max, stopped at the first node
+    below -TOL_NEG; a blow-up past that level counts as the stop."""
     y0 = min(series_switchover(series), 0.25 * y_max)
     hist = dc.SeriesHistory(series, y0)
-    rhs = dc.h_equation(params)
     try:
         return dc.integrate(rhs, hist, (y0, y_max), tol=tol,
                             stop_condition=lambda y, u: u < -TOL_NEG)
@@ -83,6 +81,14 @@ def h_profile(params: ModelParams, y_max: float,
             err.trajectory.event_t = err.trajectory.ts[-1]
             return err.trajectory
         raise
+
+
+def h_profile(params: ModelParams, y_max: float,
+              tol: float = 1e-9) -> dc.DenseTrajectory:
+    """Series-started trajectory of the H equation on [0, y_max], stopped
+    at the first node below -TOL_NEG."""
+    return _series_run(local_series(params, 40), dc.h_equation(params),
+                       y_max, tol)
 
 
 def _refine_crossing(traj: dc.DenseTrajectory, level: float) -> float:
@@ -216,8 +222,8 @@ def bracket_bbar(gamma: float, tol_b: float = 1e-3, y_max: float = 500.0,
     proof; near the boundary the non-sign-changing side may legitimately
     classify as Undetermined.
     """
-    if not tol_b > 0.0:
-        raise DomainError("tol_b must be positive")
+    if not 0.0 < tol_b < math.inf:
+        raise DomainError("tol_b must be positive and finite")
     b0 = 2.0 / (gamma - 1.0)
     lo = b0 * (1.0 + 1e-4)
     hi = b_star(gamma)
@@ -256,12 +262,8 @@ class LimitRun:
 def limit_profile(eps: float, y_max: float = 2e5, tol: float = 1e-9,
                   eta: float = 0.0) -> LimitRun:
     """Series-started run of h' = -h(y(1+eps)/2)^2 + eta h(y)^2, h(0)=1."""
-    p = 0.5 * (1.0 + eps)
-    series = pantograph_series(p, eta, 40)
-    y0 = series_switchover(series)
-    rhs = dc.rescaled_h_equation(eps, eta)
-    traj = dc.integrate(rhs, dc.SeriesHistory(series, y0), (y0, y_max),
-                        tol=tol, stop_condition=lambda y, u: u < -TOL_NEG)
+    traj = _series_run(pantograph_series(0.5 * (1.0 + eps), eta, 40),
+                       dc.rescaled_h_equation(eps, eta), y_max, tol)
     crossed = None
     if traj.event_t is not None:
         crossed = _refine_crossing(traj, -TOL_NEG)

@@ -250,6 +250,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [("classify", "--gamma", "abc"),
                                       ("classify", "--nope", "1"),
                                       ("scan-b", "--jobs", "2"),
+                                      ("gamma1", "--b", "abc"),
+                                      ("simulate", "--sites", "2.5"),
+                                      ("b-star", "--digits", "x"),
                                       ()])
     def test_usage_error_is_a_domain_error(self, argv, capsys):
         code, out, err = run(capsys, *argv)
@@ -329,6 +332,12 @@ FUZZ = [
     ("classify", "--gamma", "2", "--b", "3", "--tol", "inf"),
     ("fixedpoint", "--tol", "inf"),
     ("eps-of-eta", "--tol", "inf"),
+    ("params", "--out", "/nonexistent-dir/x.json"),
+    ("profile", "--out", "/"),
+    ("simulate", "--t-end", "inf"),
+    ("bracket-bbar", "--tol-b", "inf"),
+    ("classify", "--y-max", "1e-13"),
+    ("profile", "--y-max", "1e-300"),
 ]
 
 
@@ -367,6 +376,19 @@ class TestRemainingSubcommands:
         assert code == 0
         assert (tmp_path / "curve_b3.csv").exists()
         assert (tmp_path / "curve_b2.3.csv").exists()
+
+    def test_fig_outputs_keep_a_dotted_directory(self, tmp_path, capsys):
+        # a tag goes after the file's stem, never into a directory name
+        d = tmp_path / "run.v2"
+        d.mkdir()
+        for argv in (("fig3", "--out", str(d / "fig")),
+                     ("fig2", "--b-list", "3", "--out", str(d / "curve")),
+                     ("fig2", "--b-list", "3", "--out", str(d / "curve.csv"))):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, f"{argv} failed: {err}"
+        assert sorted(p.name for p in d.iterdir()) == [
+            "curve_b3", "curve_b3.csv", "fig_H.csv", "fig_phi.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2"]
 
     def test_bbar_profile_csv(self, tmp_path, capsys):
         out = tmp_path / "crit.csv"

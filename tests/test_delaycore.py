@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelshoot import delaycore as dc
 from gelshoot import shooting as sh
@@ -202,6 +204,13 @@ class TestFailureModes:
         with pytest.raises(DomainError, match="finite"):
             dc.integrate(dc.limit_h_equation(0.0), hist, (y0, end))
 
+    def test_span_below_end_tolerance_rejected(self):
+        # a span within the end-point tolerance used to return its start
+        # node alone
+        hist = dc.ConstantHistory(1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="end-point tolerance"):
+            dc.integrate(dc.linear_g_equation(), hist, (1.0, 1.0 + 1e-13))
+
     def test_event_stops_the_run(self):
         hist, y0 = exp_history()
         traj = dc.integrate(dc.limit_h_equation(0.0), hist, (y0, 10.0),
@@ -397,3 +406,32 @@ class TestSharedHermiteBasis:
         for t in (0.5 * y0, 0.0, 5.5):
             with pytest.raises(OutOfRangeError):
                 traj.deriv(t)
+
+
+# every right-hand side builder; gamma in (1, GAMMA_MAX), b > 0, eps in (-1, 1)
+BUILDERS = {
+    "h": lambda g, b, e: dc.h_equation(make_params(g, b)),
+    "phi": lambda g, b, e: dc.phi_equation(make_params(g, b)),
+    "limit-h": lambda g, b, e: dc.limit_h_equation(e),
+    "rescaled-h": lambda g, b, e: dc.rescaled_h_equation(e, 0.5),
+    "linear-G": lambda g, b, e: dc.linear_g_equation(),
+    "Phi-gamma1": lambda g, b, e: dc.gamma1_phi_equation(b),
+    "Phi-gamma1-log": lambda g, b, e: dc.gamma1_log_equation(b),
+}
+
+
+class TestDelayLaws:
+    # each builder takes its step cap from its delay law, so a step of the
+    # integrator's capped length looks up no value beyond its own start.
+    # For a shift d the cap's 1e-12 margin is d * 1e-12, which the rounding
+    # of t + h exceeds just below a power of two from about t = 3e4 d on
+    # (there the lookup lands one ulp past the node, inside eval's edge
+    # tolerance); t stays below 3e3 d here.
+    @pytest.mark.parametrize("name", BUILDERS)
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(gamma=st.floats(1.1, 10.0), b=st.floats(0.1, 20.0),
+           eps=st.floats(-0.9, 0.9), t=st.floats(1e-3, 100.0))
+    def test_capped_step_looks_up_no_later_than_its_start(
+            self, name, gamma, b, eps, t):
+        rhs = BUILDERS[name](gamma, b, eps)
+        assert rhs.delay_arg(t + rhs.step_cap(t) * (1.0 - 1e-12)) <= t

@@ -83,6 +83,10 @@ class TestOdeRoute:
     def test_unit_jump_at_the_source(self):
         assert gr.g_by_ode(1.0, 1.0) == 1.0
 
+    def test_unit_jump_within_the_end_tolerance(self):
+        # a span the integrator cannot resolve keeps the jump value
+        assert gr.g_by_ode(1.0 + 1e-13, 1.0) == 1.0
+
     def test_zero_before_the_source(self):
         assert gr.g_by_ode(0.5, 1.0) == 0.0
 

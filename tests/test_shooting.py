@@ -137,6 +137,13 @@ class TestLimitProfile:
         ts, us, _ = run.trajectory.nodes()
         assert np.max(np.abs(us - np.exp(-ts))) < 1e-7
 
+    def test_short_run_starts_inside_its_span(self):
+        # the series switchover (0.95 here) lies beyond y_max, so the run
+        # starts at y_max / 4 as h_profile's does
+        run = sh.limit_profile(0.05, y_max=2.0)
+        ts, _, _ = run.trajectory.nodes()
+        assert (ts[0], ts[-1]) == (0.5, 2.0)
+
 
 class TestPlateaus:
     def test_ratios_near_c0_eps(self):
