@@ -49,7 +49,7 @@ def _write(path, text: str):
 def _tagged(out, tag: str, ext: str):
     """out with _tag after its stem and its own extension, or ext when it
     has none; no path (stdout) stays None."""
-    if not out:
+    if out is None:
         return None
     stem, own = os.path.splitext(out)
     return f"{stem}_{tag}{own or ext}"
@@ -78,13 +78,15 @@ def emit_json(path, payload, provenance):
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """lo:hi:n with linear spacing."""
+    """lo:hi:n with linear spacing and at least one point."""
     try:
         lo, hi, n = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        if int(n) >= 1:
+            return np.linspace(float(lo), float(hi), int(n))
     except ValueError as err:
         raise DomainError(f"bad grid spec {spec!r}; expected lo:hi:n") \
             from err
+    raise DomainError(f"grid {spec!r} has no points; n must be at least 1")
 
 
 def parse_floats(spec: str) -> list:
@@ -424,6 +426,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args.out == "":
+            raise DomainError("--out names no file; omit it for stdout")
         public = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("command", "echo", "handler") and v is not None}
         args.echo = " ".join(f"{k}={v}" for k, v in public.items())

@@ -28,7 +28,9 @@ costs a relative error of 6.5e-3 at x = 60 and the sign at x = 80.
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +43,8 @@ from .profiles import LN2, check_gamma
 
 X_MAX = 40.0
 N_NODES = 700
+
+log = logging.getLogger(__name__)
 
 
 class PositivityViolationError(GelshootError):
@@ -87,13 +91,21 @@ class FixedPointGrid:
         self.gw = (half[:, None] * _GL3_W[None, :]).ravel()
         # suffix kernel of the Q route: e^s Q(s) at the Gauss points
         self.exq_g = greens.exq_eval(self.g)
-        # volume kernel K[j, m] = e^(g_m - x_j) Gtilde(x_j, g_m) with only
-        # the panels fully below x_j contributing to row j
-        K = np.exp(np.minimum(self.g[None, :] - self.x[:, None], 0.0)) \
-            * greens.gtilde_exact(self.x[:, None], self.g[None, :])
-        m_panel = np.repeat(np.arange(len(self.x) - 1), 3)
-        mask = m_panel[None, :] < np.arange(len(self.x))[:, None]
-        self.K = np.where(mask, K, 0.0) * self.gw[None, :]
+        # volume kernel K[j, m] = e^(g_m - x_j) Gtilde(x_j, g_m) on the panels
+        # fully below x_j, by blocks of 100 rows up to their last row's panels
+        t0 = time.perf_counter()
+        self.K = np.zeros((len(self.x), len(self.g)))
+        self.blocks = []
+        for r0 in range(0, len(self.x), 100):
+            r1 = min(r0 + 100, len(self.x))
+            xb, gb = self.x[r0:r1, None], self.g[None, :3 * (r1 - 1)]
+            Kb = self.K[r0:r1, :gb.size]
+            Kb[...] = np.exp(np.minimum(gb - xb, 0.0)) \
+                * greens.gtilde_exact(xb, gb) * self.gw[:gb.size]
+            Kb[np.arange(gb.size) // 3 >= np.arange(r0, r1)[:, None]] = 0.0
+            self.blocks.append(Kb)
+        log.debug("kernel built in %.3f s from %d entries",
+                  time.perf_counter() - t0, sum(b.size for b in self.blocks))
         self.exq_w = self.exq_g * self.gw
         self.at_g = _PointPlan(self.x, self.g)
         self.at_x = _PointPlan(self.x, self.x)
@@ -113,12 +125,16 @@ class FixedPointGrid:
                 - w_half_eps ** 2
                 + eta * (at.e_here + w_here) ** 2)
 
+    def volume(self, Rg: np.ndarray) -> np.ndarray:
+        """K @ Rg by the kernel's nonzero row blocks."""
+        return np.concatenate([b @ Rg[:b.shape[1]] for b in self.blocks])
+
     def apply(self, W: np.ndarray, dW: np.ndarray, eps: float, eta: float):
         """One sweep of the integral operator: returns (T, dT, F)."""
         Rg = self.r_terms(W, dW, self.at_g, eps, eta)
         panel_q = (self.exq_w * Rg).reshape(-1, 3).sum(axis=1)
         suffix = np.concatenate([np.cumsum(panel_q[::-1])[::-1], [0.0]])
-        T = -suffix + self.K @ Rg
+        T = -suffix + self.volume(Rg)
         F = float(suffix[0])
         # derivative: dT(x) = R(x) - 2 e^(-x/2) (T(x/2) + F)
         Rx = self.r_terms(W, dW, self.at_x, eps, eta)

@@ -269,42 +269,47 @@ def _residue_weights(n: int):
     return c, w
 
 
-def contour_term_residues(n: int, a) -> np.ndarray:
-    """Exact value of the n-th contour integral at offset a = x - 2^n xi.
+def _residue_factors(x, xi):
+    """e^(x 2^-j) and e^(-2^k xi), j, k = 0..24, along a new last axis."""
+    p = 2.0 ** np.arange(25.0)
+    return (np.exp(np.multiply.outer(x, 1.0 / p)),
+            np.exp(np.multiply.outer(xi, -p)))
 
-    Closing the contour left (a > 0) collects the poles 2^-j, j >= 1, below
-    the line; closing right (a < 0) collects only the pole at 1.  Both
-    branches agree at a = 0 because the weights sum to zero.
-    """
-    c, w = _residue_weights(n)
-    a_arr = np.asarray(a, dtype=float)
-    out = np.empty(a_arr.shape)
-    neg = a_arr < 0.0
-    if neg.any():
-        out[neg] = -w[0] * np.exp(a_arr[neg])
-    if (~neg).any():
-        ap = a_arr[~neg]
-        acc = np.zeros_like(ap)
-        for j in range(1, n + 1):
-            acc += w[j] * np.exp(ap * c[j])
-        out[~neg] = acc
-    return float(out) if np.isscalar(a) or a_arr.ndim == 0 else out
+
+def _residue_term(n: int, a, ex, exi):
+    """The n-th contour integral at a = x - 2^n xi from the factors of
+    e^(a 2^-j) = e^(x 2^-j) e^(-2^(n-j) xi), a matrix product on a column of
+    x against a row of xi.  Closing the contour left (a > 0) collects the
+    poles 2^-j, j >= 1; closing right (a < 0) only the pole at 1.  Both
+    branches agree at a = 0 because the weights sum to zero."""
+    _, w = _residue_weights(n)
+    u, v = ex[..., 1:n + 1] * w[1:], exi[..., n - 1::-1]
+    outer = u.ndim == v.ndim == 3 and u.shape[1] == v.shape[0] == 1
+    left = u[:, 0] @ v[0].T if outer else np.einsum("...j,...j->...", u, v)
+    return np.where(a < 0.0, -w[0] * ex[..., 0] * exi[..., n], left)
+
+
+def contour_term_residues(n: int, a) -> np.ndarray:
+    """Exact value of the n-th contour integral at offset a = x - 2^n xi."""
+    a = np.asarray(a, dtype=float)
+    out = _residue_term(n, a, *_residue_factors(a, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def gtilde_exact(x, xi):
     """Gtilde by the residue closed form, at most 24 terms; vectorized over
-    x or xi."""
+    x and xi, and fastest on a column of x against a row of xi."""
     x_arr = np.asarray(x, dtype=float)
     xi_arr = np.asarray(xi, dtype=float)
-    shape = np.broadcast_shapes(x_arr.shape, xi_arr.shape)
-    total = np.zeros(shape)
+    ex, exi = _residue_factors(x_arr, xi_arr)
+    total = np.zeros(np.broadcast_shapes(x_arr.shape, xi_arr.shape))
     for n in range(1, 25):
         a = x_arr - 2.0 ** n * xi_arr
         coef = term_coefficient(n)
         if abs(coef) * math.exp(float(np.max(a, initial=-np.inf))) \
                 < 1e-18 * (1.0 + float(np.max(np.abs(total)))) and n > 2:
             break
-        total = total + coef * contour_term_residues(n, a)
+        total = total + coef * _residue_term(n, a, ex, exi)
     return float(total) if total.ndim == 0 else total
 
 

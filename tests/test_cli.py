@@ -338,6 +338,11 @@ FUZZ = [
     ("bracket-bbar", "--tol-b", "inf"),
     ("classify", "--y-max", "1e-13"),
     ("profile", "--y-max", "1e-300"),
+    ("scan-b", "--gamma", "2", "--grid", "2.1:3:0"),
+    ("stability-scan", "--gamma", "2", "--grid", "1:3:0"),
+    ("params", "--out", ""),
+    ("fig2", "--out", ""),
+    ("fig3", "--out", ""),
 ]
 
 
@@ -416,6 +421,19 @@ class TestGridParsing:
     def test_bad_spec(self):
         with pytest.raises(DomainError):
             parse_grid("1:3")
+
+    @pytest.mark.parametrize("spec", ["1:3:0", "1:3:-2"])
+    def test_no_points(self, spec):
+        with pytest.raises(DomainError, match="no points"):
+            parse_grid(spec)
+
+    def test_reversed_grid_scans_downward(self, capsys):
+        code, out, _ = run(capsys, "scan-b", "--gamma", "2",
+                           "--grid", "5:3:4", "--y-max", "200")
+        assert code == 0
+        rows = [r.split(",") for r in out.splitlines()[3:]]
+        assert [float(r[1]) for r in rows] == pytest.approx(
+            [5.0, 13.0 / 3.0, 11.0 / 3.0, 3.0])
 
 
 class TestReadme:

@@ -1,4 +1,5 @@
 import inspect
+import logging
 import math
 
 import numpy as np
@@ -60,7 +61,9 @@ class TestApplyT:
 
 # reference: the sweep as it was before the interpolation plan, with the
 # Hermite inline and every weight and exponential rebuilt on each call; the
-# plan only reorganises this arithmetic, so its results must match bytewise
+# plan only reorganises this arithmetic, so its results must match bytewise.
+# Both take the volume product from the grid's one blocked method, checked
+# against the dense K @ Rg in TestBlockedKernel
 
 
 def reference_hermite(ts, us, dus, t):
@@ -89,7 +92,7 @@ def reference_apply(grid, W, dW, eps, eta):
     Rg = reference_r_terms(grid.x, W, dW, grid.g, eps, eta)
     panel_q = (grid.exq_w * Rg).reshape(-1, 3).sum(axis=1)
     suffix = np.concatenate([np.cumsum(panel_q[::-1])[::-1], [0.0]])
-    T = -suffix + grid.K @ Rg
+    T = -suffix + grid.volume(Rg)
     F = float(suffix[0])
     Rx = reference_r_terms(grid.x, W, dW, grid.x, eps, eta)
     t_half = reference_hermite(grid.x, T, dW, 0.5 * grid.x)
@@ -154,6 +157,41 @@ class TestSweepPlanBitwise:
         assert (new.bbar, new.eps) == (ref.bbar, ref.eps)
         assert _bytes(new.state.W, new.state.dW, new.h) \
             == _bytes(ref.state.W, ref.state.dW, ref.h)
+
+
+class TestBlockedKernel:
+    def test_blocks_cover_the_nonzero_staircase(self):
+        grid = fp.default_grid()
+        rows = np.arange(len(grid.x))[:, None]
+        below = np.arange(len(grid.g))[None, :] // 3 < rows
+        assert np.all(grid.K[~below] == 0.0)
+        covered = np.zeros(grid.K.shape, dtype=bool)
+        r0 = 0
+        for b in grid.blocks:
+            assert np.shares_memory(b, grid.K)
+            covered[r0:r0 + b.shape[0], :b.shape[1]] = True
+            r0 += b.shape[0]
+        assert r0 == len(grid.x) and np.all(covered[below])
+        assert sum(b.size for b in grid.blocks) == 837900
+
+    @pytest.mark.parametrize("eps, eta", SWEEP_PARAMS)
+    def test_blocked_product_matches_dense(self, eps, eta):
+        # the blocked sum skips only exact zeros, so it differs from the
+        # dense product by summation order: a few ulps of |K| @ |Rg|
+        grid = fp.default_grid()
+        st = fp.picard_solve(eps, eta)
+        Rg = grid.r_terms(st.W, st.dW, grid.at_g, eps, eta)
+        scale = np.abs(grid.K) @ np.abs(Rg)
+        assert np.all(np.abs(grid.volume(Rg) - grid.K @ Rg)
+                      <= 1e-15 * scale)
+
+    def test_build_logs_time_and_entries(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
+        fp.FixedPointGrid()
+        [msg] = [r.getMessage() for r in caplog.records
+                 if r.name == "gelshoot.fixedpoint"]
+        assert msg.startswith("kernel built in ")
+        assert msg.endswith(" s from 837900 entries")
 
 
 class TestSweepPlanWork:

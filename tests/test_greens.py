@@ -129,6 +129,40 @@ class TestResidueRoute:
         assert val == pytest.approx(1.208766, abs=1e-5)
 
 
+def gtilde_mpmath(x, xi, dps=60, terms=40):
+    """The residue sum for Gtilde, term by term in mpmath: the n-th term is
+    (-1)^n 2^(2n) / 2^(n(n+1)/2) times the contour integral's residues."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        x, xi = mp.mpf(x), mp.mpf(xi)
+        total = mp.mpf(0)
+        for n in range(1, terms + 1):
+            c = [mp.mpf(2) ** -j for j in range(n + 1)]
+            w = [1 / mp.fprod(c[j] - c[k] for k in range(n + 1) if k != j)
+                 for j in range(n + 1)]
+            a = x - 2 ** n * xi
+            res = -w[0] * mp.exp(a) if a < 0 else \
+                mp.fsum(w[j] * mp.exp(a * c[j]) for j in range(1, n + 1))
+            total += (-1) ** n * mp.mpf(4) ** n \
+                / mp.mpf(2) ** (n * (n + 1) // 2) * res
+        return float(total)
+
+
+class TestResidueRouteAccuracy:
+    # on the fixed-point kernel's domain, xi < x <= 40; cancellation in the
+    # partial-fraction weights costs most at x = 40 and small xi (5.0e-8
+    # there; the unfactored exponentials gave 7.35e-7 at xi = 1e-3)
+    @pytest.mark.parametrize("x", [0.5, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0])
+    def test_against_mpmath(self, x):
+        xis = [1e-4, 1e-3, 1e-2, 0.1, 0.45 * x]
+        ref = np.array([gtilde_mpmath(x, xi) for xi in xis])
+        bound = 2e-7 * np.maximum(1.0, np.abs(ref))
+        scalar = np.array([gr.gtilde_exact(x, xi) for xi in xis])
+        block = gr.gtilde_exact(np.array([[x]]), np.array([xis]))[0]
+        assert np.all(np.abs(scalar - ref) <= bound)
+        assert np.all(np.abs(block - ref) <= bound)
+
+
 class TestQuadratureRoute:
     BIG = gr.GreensEval(T_max=1e6, tail_target=1e-9)
 
