@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import delaycore as dc
-from .errors import DomainError
-from .profiles import LN2, horner
+from .errors import DomainError, SeriesOverflowError
+from .profiles import LN2, bisect_root, horner
 
 GAMMA1_B1_LIMIT = (1.0 - LN2) / LN2
 
@@ -42,15 +42,15 @@ def alpha_root(b: float) -> float:
     if b >= 2.0 * LN2:
         raise DomainError(
             f"no positive root for b >= 2 ln 2 = {2.0 * LN2:.6f}")
-    from scipy.optimize import brentq
 
     def g(al: float) -> float:
-        return b * al / (2.0 * (1.0 - 2.0 ** (-al))) - 1.0
+        return b * al / (2.0 * -math.expm1(-al * LN2)) - 1.0
 
     hi = 1.0
     while g(hi) < 0.0:
         hi *= 2.0
-    return brentq(g, 1e-12, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    # g tends to b/(2 ln 2) - 1 < 0 as alpha -> 0
+    return bisect_root(g, 1e-300, hi)
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,15 @@ class Gamma1Profile:
         aN = abs(self.coefficients[-1])
         if aN == 0.0:
             return 1.0
-        return min((1e-14 / aN) ** (1.0 / (self.truncation * self.alpha)),
-                   2.0)
+        log_x = (math.log(1e-14) - math.log(aN)) \
+            / (self.truncation * self.alpha)
+        x = math.exp(min(log_x, LN2))
+        if not x > 0.0:
+            raise SeriesOverflowError(
+                f"gamma1 series at b={self.b!r}, alpha={self.alpha:.3g}, "
+                f"a_N={aN:.3g} (switchover x underflows)",
+                self.truncation)
+        return x
 
 
 def gamma1_series(b: float, a1: float, N: int) -> Gamma1Profile:
@@ -224,37 +231,54 @@ class LaplaceQuantities:
     U: float
 
 
+# B_2k/(2k)!, k = 1..10: t/(e^t - 1) = 1 - t/2 + sum_k B_2k t^2k/(2k)!
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600,
+              -3617 / 10670622842880000, 43867 / 5109094217170944000,
+              -174611 / 802857662698291200000)
+# (k-1)/k^2 for k >= 2 and 1/k^2 for k >= 1: the series of W and Li2
+_W_SERIES = tuple((k - 1) / k ** 2 for k in range(2, 62))
+_LI2_SERIES = tuple(1 / k ** 2 for k in range(1, 61))
+
+
+def _q(t: float) -> float:
+    """1 - t/(e^t - 1), summed from its series below t = 1, where the
+    direct form cancels."""
+    if t < 1.0:
+        return t * (0.5 - t * horner(_BERNOULLI, t * t))
+    return 1.0 - t * math.exp(-t) / -math.expm1(-t)
+
+
 def t_star(eta: float) -> float:
-    """Unique positive root of t / (1 - e^-t) = 2 eta, for eta > 1/2."""
-    lo, hi = 1e-12, 2.0 * eta
-    if not (eta > 0.5 and math.isfinite(hi)):
+    """Unique positive root of t / (1 - e^-t) = 2 eta, for eta > 1/2, as
+    the root of t - _q(t) = 2 eta - 1 (exact for eta <= 1), whose left side
+    increases from 0 at t = 0."""
+    if not (eta > 0.5 and math.isfinite(2.0 * eta)):
         raise DomainError("eta must exceed 1/2, with 2 eta finite")
-    from scipy.optimize import brentq
-    # t/(1-e^-t) increases from 1 at t=0+ to infinity
-    return brentq(lambda t: t / (-math.expm1(-t)) - 2.0 * eta, lo, hi,
-                  xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    c = 2.0 * eta - 1.0
+    return bisect_root(lambda t: t - _q(t) - c, 0.0, 2.0 * eta)
 
 
 def laplace_quantities(eta: float) -> LaplaceQuantities:
     """Saddle point t*, exponent integral W, curvature D, prefactor U.
 
-    W integrates ln(2 eta (1-e^-t)/t) from 0 to t*; the integrand starts at
-    ln(2 eta) and vanishes at t*.
+    W integrates ln(2 eta (1-e^-t)/t) from 0 to t*.  With
+    int_0^T ln(1-e^-t) dt = Li2(e^-T) - pi^2/6 it is
+    t*(1 + ln(2 eta/t*)) - pi^2/6 + Li2(e^-t*), and with u = 1 - e^-t* =
+    t*/(2 eta) also sum_{k>=2} (k-1)/k^2 u^k, summed for u <= 1/2, where
+    the closed form cancels.  D = (1 - t*/(e^t* - 1))/(2 t*).
     """
     ts = t_star(eta)
-    from scipy.integrate import quad
-
-    def integrand(t: float) -> float:
-        if t < 1e-12:
-            return math.log(2.0 * eta) - 0.5 * t
-        return math.log(2.0 * eta * (-math.expm1(-t)) / t)
-
-    W, _ = quad(integrand, 0.0, ts, epsabs=1e-12, epsrel=1e-12, limit=200)
-    emt = math.exp(-ts)
-    D = -(1.0 / (2.0 * ts)) * (ts * emt / (1.0 - emt) - 1.0)
-    U = eta * math.sqrt(math.pi) * math.sqrt(1.0 - emt) \
-        / (math.sqrt(D) * ts ** 1.5)
-    return LaplaceQuantities(eta=eta, t_star=ts, W=W, D=D, U=U)
+    u = -math.expm1(-ts)
+    if u <= 0.5:
+        W = u * u * horner(_W_SERIES, u)
+    else:  # 1 - u = e^-t*, subtracted exactly (Sterbenz)
+        W = ts * (1.0 + math.log(2.0 * eta / ts)) - math.pi ** 2 / 6.0 \
+            + (1.0 - u) * horner(_LI2_SERIES, 1.0 - u)
+    q = _q(ts)
+    # U = eta sqrt(pi u) / (sqrt(D) t*^1.5), with D t* = q/2
+    U = eta * math.sqrt(2.0 * math.pi * u / q) / ts
+    return LaplaceQuantities(eta=eta, t_star=ts, W=W, D=q / (2.0 * ts), U=U)
 
 
 def w_prime(eta: float) -> float:

@@ -38,11 +38,12 @@ class StepUnderflowError(GelshootError):
 
 
 class SeriesOverflowError(GelshootError):
-    """A local power-series coefficient left the floating-point range."""
+    """A power series left the floating-point range: a coefficient is not
+    finite, or the point where the series hands over underflows."""
 
     def __init__(self, where, order):
-        super().__init__(f"{where}: coefficient of order {order} is not "
-                         "finite")
+        super().__init__(f"{where}: the term of order {order} leaves the "
+                         "double range")
         self.where = where
         self.order = order
 

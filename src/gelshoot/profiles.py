@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DomainError, SeriesOverflowError
+from .errors import DomainError, NoSignChangeError, SeriesOverflowError
 
 LN2 = math.log(2.0)
 # largest gamma for which 2**gamma is a finite double, the one upper bound
@@ -187,6 +187,25 @@ def horner(coefficients, u):
     for c in coefficients[::-1]:
         acc = acc * u + c
     return acc
+
+
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi], where f(lo) < 0 <= f(hi): bisects until f(hi)
+    is 0 or lo and hi are adjacent doubles, so no tolerance is chosen, and
+    returns the end with the smaller |f|."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo < 0.0 <= f_hi:
+        raise NoSignChangeError(lo, f_lo, hi, f_hi)
+    while f_hi != 0.0:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            return lo if -f_lo < f_hi else hi
+        f_mid = f(mid)
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return hi
 
 
 def series_eval(series: PowerSeries, y: float) -> float:

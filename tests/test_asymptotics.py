@@ -1,12 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from gelshoot import asymptotics as asy
-from gelshoot.errors import DomainError
+from gelshoot.errors import DomainError, SeriesOverflowError
 
 LN2 = math.log(2.0)
 
@@ -29,6 +30,7 @@ class TestAlphaRoot:
     def test_unit_b_has_integer_root(self):
         al = asy.alpha_root(1.0)
         assert al == pytest.approx(1.0, abs=1e-12)
+        assert al == 1.0        # g(1) = 0 exactly, and the bisection keeps it
         assert abs(al / (2.0 * (1.0 - 2.0 ** -al)) - 1.0) < 1e-12
 
     def test_independent_bisection_oracle(self):
@@ -91,6 +93,16 @@ class TestGamma1Series:
     def test_positive_a1_rejected(self):
         with pytest.raises(DomainError):
             asy.gamma1_series(LN2, 0.5, 10)
+
+    def test_underflowing_switchover_is_typed(self):
+        # near b = 2 ln 2, alpha = 1.96e-4 and a_40 = 5.9e150: the x where
+        # the last term falls to 1e-14 is (1e-14/a_40)^(1/(40 alpha)) = 0
+        prof = asy.gamma1_series(1.3862, -1.0, 40)
+        with pytest.raises(SeriesOverflowError) as info:
+            prof.switchover()
+        msg = str(info.value)
+        assert "b=1.3862" in msg and "alpha=0.000196" in msg
+        assert "a_N=5.92e+150" in msg and info.value.order == 40
 
 
 class TestGamma1UnitB:
@@ -182,6 +194,36 @@ class TestLaplaceQuantities:
     def test_domain(self):
         with pytest.raises(DomainError):
             asy.laplace_quantities(0.5)
+
+
+def saddle_oracle(eta: float):
+    """t*, W, D and U at 50 digits.  W by its closed form
+    t*(1 + ln(2 eta/t*)) - pi^2/6 + Li2(e^-t*), since the integrand of
+    ln(2 eta (1-e^-t)/t) is 0/0 at t = 0."""
+    with mp.workdps(50):
+        e = mp.mpf(eta)
+        # the double t* only starts the secant iteration
+        t = mp.findroot(lambda t: t / (2 * e * -mp.expm1(-t)) - 1,
+                        mp.mpf(asy.t_star(eta)))
+        W = t * (1 + mp.log(2 * e / t)) - mp.pi ** 2 / 6 \
+            + mp.polylog(2, mp.exp(-t))
+        D = (1 - t / mp.expm1(t)) / (2 * t)
+        U = e * mp.sqrt(mp.pi * -mp.expm1(-t)) / (mp.sqrt(D) * t ** 1.5)
+        return t, W, D, U
+
+
+class TestSaddleOracle:
+    @pytest.mark.parametrize("eta", [
+        0.5 + 1e-13, 0.5 + 1e-8, 0.5 + 1e-6, 0.5 + 1e-4, 0.5 + 1e-2, 0.55,
+        0.6, LN2, 0.75, 1.0, 1.3, 2.0, 5.0, 20.0, 1e3, 1e6, 1e12, 1e100])
+    def test_against_mpmath(self, eta):
+        # t*(1/2 + 1e-13) = 4e-13 lies below 1e-12, where the bracket once
+        # began; eta = ln 2 puts u = 1 - e^-t* at 1/2, the last point W
+        # takes from its u series
+        lq = asy.laplace_quantities(eta)
+        got = (lq.t_star, lq.W, lq.D, lq.U)
+        for name, g, r in zip("tWDU", got, saddle_oracle(eta)):
+            assert abs(g / r - 1) <= 1e-13, name
 
 
 class TestPsiAsymptotics:

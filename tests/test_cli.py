@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -303,7 +304,8 @@ class TestExitCodes:
 
 
 # each of these once ended in a Python traceback, or for an infinite y_max
-# in a zero-step "Undetermined" with exit 0
+# in a zero-step "Undetermined" with exit 0.  Each must now end in the domain
+# JSON (exit 1) unless FUZZ_EXIT names another ending.
 FUZZ = [
     ("psi-asym", "--eps-list", ""),
     ("psi-asym", "--eps-list", "0"),
@@ -343,17 +345,38 @@ FUZZ = [
     ("params", "--out", ""),
     ("fig2", "--out", ""),
     ("fig3", "--out", ""),
+    ("laplace", "--eta", "0.5000000000001"),
+    ("psi-asym", "--eta", "0.5000000000001"),
+    ("gamma1", "--b", "1.3862"),
+    ("gamma1", "--b", "1.38629"),
 ]
+# a result (exit 0) or a typed numerical error (exit 2)
+FUZZ_EXIT = {
+    # t* = 4e-13 lies below the old bracket's start at 1e-12
+    ("laplace", "--eta", "0.5000000000001"): 0,
+    ("psi-asym", "--eta", "0.5000000000001"): 0,
+    # alpha = 1.96e-4 and a_40 = 5.9e150: the series hands over at an x
+    # that underflows
+    ("gamma1", "--b", "1.3862"): 2,
+    # 1 - 2^-alpha, rounded at the bracket's old start alpha = 1e-12,
+    # gave the root equation no sign change there
+    ("gamma1", "--b", "1.38629"): 2,
+}
 
 
 class TestFuzz:
     @pytest.mark.parametrize("argv", FUZZ, ids=" ".join)
     def test_bad_input_is_one_domain_line(self, argv, capsys):
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.count("\n") == 1
         assert "Traceback" not in err
-        assert json.loads(err)["error"] == "domain"
+        expected = FUZZ_EXIT.get(argv, 1)
+        assert code == expected
+        if code == 0:
+            assert out and err == ""
+            return
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == {1: "domain", 2: "numerical"}[code]
 
 
 class TestRemainingSubcommands:
@@ -473,8 +496,11 @@ class TestGammaBound:
 # loaded already, so the checks run in a fresh interpreter.
 
 SCIPY_FREE = ["params", "b-star", "classify", "winding", "tails", "greens-q",
-              "fixedpoint", "eps-of-eta", "bbar"]
-SCIPY_ROUTES = [["laplace", "--eta", "1"]]
+              "fixedpoint", "eps-of-eta", "bbar", "laplace", "psi-asym",
+              "gamma1"]
+# the independent quadrature route for c0 and the ODE solver
+SCIPY_ROUTES = [["greens-verify", "--t-max", "10"],
+                ["simulate", "--sites", "4", "--t-end", "1"]]
 
 _COLD_SCRIPT = """
 import contextlib, io, json, sys
@@ -498,7 +524,7 @@ print(json.dumps(report))
 @pytest.fixture(scope="module")
 def cold_report():
     """One fresh process: import the CLI, then run the scipy-free
-    subcommands followed by one that needs scipy, one after another."""
+    subcommands followed by those that need scipy, one after another."""
     argvs = [[name] for name in SCIPY_FREE] + SCIPY_ROUTES
     proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT,
                            json.dumps(argvs)], env=child_env(),
@@ -507,6 +533,30 @@ def cold_report():
     report = json.loads(proc.stdout.splitlines()[-1])
     return {"import": report[0]["scipy"],
             **{r["argv"][0]: r for r in report[1:]}}
+
+
+def scipy_importers() -> set:
+    """Qualified names of the scopes under src/gelshoot that import scipy."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n.split(".")[0] == "scipy" for n in names):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(gelshoot.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
 
 
 class TestImportBudget:
@@ -520,10 +570,23 @@ class TestImportBudget:
         assert entry["stdout"]
         assert entry["scipy"] == []
 
+    @pytest.mark.parametrize("argv", SCIPY_ROUTES, ids=" ".join)
+    def test_scipy_routes_load_scipy(self, argv, cold_report):
+        entry = cold_report[argv[0]]
+        assert entry["code"] == 0
+        assert "scipy.integrate" in entry["scipy"]
+
+    def test_scipy_imported_only_by_its_three_routes(self):
+        # solve_ivp and the residual's spline in gelsim, and the quad of
+        # greens-verify's independent c0 route
+        assert scipy_importers() == {"gelsim.evolve_chain",
+                                     "gelsim.selfsimilar_residual",
+                                     "greens.c0_moment_quad"}
+
     def test_laplace_output_unchanged(self, cold_report, capsys):
         entry = cold_report["laplace"]
         assert entry["code"] == 0
-        assert "scipy.integrate" in entry["scipy"]
+        assert entry["scipy"] == []
         _, out, _ = run(capsys, "laplace", "--eta", "1")
         assert entry["stdout"] == out
         vals = [float(v) for v in out.splitlines()[3].split(",")]

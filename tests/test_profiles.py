@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelshoot.errors import DomainError, SeriesOverflowError
+from gelshoot.errors import DomainError, NoSignChangeError, \
+    SeriesOverflowError
 from gelshoot.profiles import (GAMMA_MAX, LN2, ModelParams, PowerSeries,
                                ProfileGrid, convert, explicit_solution_residual,
                                local_series, make_params, pantograph_series,
                                series_error_estimate, series_eval,
                                series_eval_many, series_switchover)
-from gelshoot.profiles import _quadratic_delay_series, horner
+from gelshoot.profiles import _quadratic_delay_series, bisect_root, horner
 
 
 class TestMakeParams:
@@ -147,6 +149,53 @@ class TestSeriesEval:
         s = local_series(make_params(2.0, 4.0), 40)
         y0 = series_switchover(s)
         assert series_error_estimate(s, y0) < 1e-14
+
+
+class TestBisectRoot:
+    def test_ends_on_adjacent_doubles(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        root = bisect_root(f, 0.0, 2.0)
+        # root is the end with the smaller |f| of the two adjacent doubles
+        # between which f changes sign
+        lo = root if f(root) < 0.0 else math.nextafter(root, -math.inf)
+        hi = math.nextafter(lo, math.inf)
+        assert f(lo) < 0.0 <= f(hi)
+        assert abs(f(root)) == min(abs(f(lo)), abs(f(hi)))
+        assert len(calls) < 64
+
+    @pytest.mark.parametrize("offset, left", [(0.3e-16, False),
+                                              (0.8e-16, True)])
+    def test_returns_the_end_with_smaller_residual(self, offset, left):
+        # f changes sign between 1 - 2^-53 (f = offset - 2^-53) and 1
+        # (f = offset)
+        root = bisect_root(lambda x: (x - 1.0) + offset, 0.0, 2.0)
+        assert root == (math.nextafter(1.0, 0.0) if left else 1.0)
+
+    def test_exact_zero_stops_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.75
+
+        assert bisect_root(f, 0.0, 0.75) == 0.75
+        assert calls == [0.0, 0.75]
+        assert bisect_root(lambda x: x - 0.5, 0.0, 2.0) == 0.5
+
+    def test_takes_no_tolerance(self):
+        assert list(inspect.signature(bisect_root).parameters) == [
+            "f", "lo", "hi"]
+
+    def test_no_bracket_is_typed(self):
+        with pytest.raises(NoSignChangeError):
+            bisect_root(lambda x: x + 1.0, 0.0, 1.0)
+        with pytest.raises(NoSignChangeError):
+            bisect_root(lambda x: math.nan, 0.0, 1.0)
 
 
 class TestPantographSeries:
