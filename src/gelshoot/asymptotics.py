@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import delaycore as dc
-from .errors import DomainError, SeriesOverflowError
+from .errors import DomainError, SeriesOverflowError, TermCapError
 from .profiles import LN2, bisect_root, horner
 
 GAMMA1_B1_LIMIT = (1.0 - LN2) / LN2
@@ -153,9 +153,13 @@ def gamma1_b1_limit(a1: float, x_max: float = 1e5,
 # linearized growth function Psi and its saddle-point asymptotics
 
 
+PSI_TERM_CAP = 100000
+
+
 def _psi_log_terms(eps: float, y: float) -> np.ndarray:
     """Logs of the positive series terms of Psi(y), lowest order first,
-    until they fall 36 below the largest (at most 100000 terms)."""
+    until they fall 36 below the largest; TermCapError when PSI_TERM_CAP
+    terms do not get there (the terms peak near order 2y)."""
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0,1)")
     if y < 0.0:
@@ -166,15 +170,17 @@ def _psi_log_terms(eps: float, y: float) -> np.ndarray:
     log_prod = 0.0
     log_fact = 0.0
     ly = math.log(y)
-    for n in range(1, 100001):
+    m = logs[0]
+    for n in range(1, PSI_TERM_CAP + 1):
         log_prod += math.log1p(-(1.0 - eps) ** n)
         log_fact += math.log(n + 1.0)
-        logs.append(n * LN2 + log_prod - log_fact + (n + 1) * ly)
-        if n > 8:
-            m = max(logs)
-            if logs[-1] < m - 36.0 and logs[-1] < logs[-2]:
-                break
-    return np.asarray(logs)
+        term = n * LN2 + log_prod - log_fact + (n + 1) * ly
+        logs.append(term)
+        if term > m:
+            m = term
+        if n > 8 and term < m - 36.0 and term < logs[-2]:
+            return np.asarray(logs)
+    raise TermCapError(f"Psi series at eps={eps!r}, y={y!r}", PSI_TERM_CAP)
 
 
 def psi_log_eval(eps: float, y: float) -> float:

@@ -316,8 +316,13 @@ class DenseTrajectory:
 # the integrator
 
 
+def _order_cap(tol: float) -> Callable[[float], float]:
+    c = H_REF * (tol / TOL_REF) ** ORDER_EXP  # h_cap's factor, once per tol
+    return lambda t: c * max(1.0, abs(t) / T_SCALE)
+
+
 def order_step_cap(tol: float, t: float) -> float:
-    return H_REF * (tol / TOL_REF) ** ORDER_EXP * max(1.0, abs(t) / T_SCALE)
+    return _order_cap(tol)(t)
 
 
 def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
@@ -356,14 +361,18 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             return init_eval(ta)
         return traj_eval(ta)
 
+    # histories return Python floats and the loop keeps to them: on numpy
+    # scalars it runs about half again as long
+    ts_append, us_append = traj.ts.append, traj.us.append
+    dus_append = traj.dus.append
     traj._append(t, u, 0.0)
     du = f(t, u, delayed(t))
     traj.dus[0] = du
     span_len = t1 - t0
+    order_cap, delay_cap = _order_cap(tol), rhs.step_cap
 
     def caps(tt: float) -> float:
-        return min(order_step_cap(tol, tt), t1 - tt,
-                   rhs.step_cap(tt) * (1.0 - 1e-12))
+        return min(order_cap(tt), t1 - tt, delay_cap(tt) * (1.0 - 1e-12))
 
     h = min(caps(t), 0.05 / (1.0 + abs(du)))
     if h <= 0.0:
@@ -408,7 +417,9 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             t = t_new
             u = u2
             du = f(t, u, delayed(t))
-            traj._append(t, u, du)
+            ts_append(t)
+            us_append(u)
+            dus_append(du)
             if stop_condition is not None and stop_condition(t, u):
                 traj.event_t = t
                 return traj

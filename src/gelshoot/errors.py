@@ -48,6 +48,16 @@ class SeriesOverflowError(GelshootError):
         self.order = order
 
 
+class TermCapError(GelshootError):
+    """A series reached its term cap before its stop test passed, so its
+    truncated sum would be wrong."""
+
+    def __init__(self, where, cap):
+        super().__init__(f"{where}: no stop within {cap} terms")
+        self.where = where
+        self.cap = cap
+
+
 class SolverFailureError(GelshootError):
     """An external ODE solver stopped before the end of its span.
 

@@ -209,8 +209,8 @@ def bisect_root(f, lo: float, hi: float) -> float:
 
 
 def series_eval(series: PowerSeries, y: float) -> float:
-    """Horner evaluation of the truncated series at y."""
-    return horner(series.coefficients, y - series.expansion_point)
+    """Horner evaluation of the truncated series at y, as a Python float."""
+    return float(horner(series.coefficients, y - series.expansion_point))
 
 
 def series_eval_many(series: PowerSeries, y: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from gelshoot import asymptotics as asy
-from gelshoot.errors import DomainError, SeriesOverflowError
+from gelshoot.errors import DomainError, SeriesOverflowError, TermCapError
 
 LN2 = math.log(2.0)
 
@@ -142,6 +142,15 @@ class TestPsiSeries:
         assert lv > 700.0           # beyond the double range
         with pytest.raises(OverflowError):
             asy.psi_series_eval(eps, 1.0 / eps)
+
+    @pytest.mark.parametrize("eps,y", [(0.02, 5e4), (0.1, 1e251)])
+    def test_term_cap_is_typed(self, eps, y):
+        # the terms peak near order 2y, beyond the cap; the truncated sum
+        # gave log Psi = 5.7e7 at y = 1e251, where 1e252 is predicted
+        with pytest.raises(TermCapError) as info:
+            asy.psi_log_eval(eps, y)
+        for part in (f"eps={eps!r}", f"y={y!r}", str(asy.PSI_TERM_CAP)):
+            assert part in str(info.value)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -349,6 +349,8 @@ FUZZ = [
     ("psi-asym", "--eta", "0.5000000000001"),
     ("gamma1", "--b", "1.3862"),
     ("gamma1", "--b", "1.38629"),
+    ("psi-asym", "--eta", "1000"),
+    ("psi-asym", "--eta", "1e250"),
 ]
 # a result (exit 0) or a typed numerical error (exit 2)
 FUZZ_EXIT = {
@@ -361,6 +363,11 @@ FUZZ_EXIT = {
     # 1 - 2^-alpha, rounded at the bracket's old start alpha = 1e-12,
     # gave the root equation no sign change there
     ("gamma1", "--b", "1.38629"): 2,
+    # the Psi series peaks near order 2y = 1e5 (eps 0.02) and 2e251: it
+    # once looped quadratically to its term cap and returned the truncated
+    # sum without a word
+    ("psi-asym", "--eta", "1000"): 2,
+    ("psi-asym", "--eta", "1e250"): 2,
 }
 
 

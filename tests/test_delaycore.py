@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gelshoot import asymptotics, greens, stability
 from gelshoot import delaycore as dc
 from gelshoot import shooting as sh
 from gelshoot.errors import (BlowUpError, DomainError, OutOfRangeError,
                              StepUnderflowError)
 from gelshoot.profiles import (local_series, make_params, pantograph_series,
-                               series_switchover)
+                               series_eval, series_switchover)
 
 
 def exp_history():
@@ -388,6 +389,42 @@ class TestBitwiseAgainstReference:
         assert new.n_rejected == ref.n_rejected
         if make_run is _h_run:
             assert new.n_rejected > 0
+
+
+# the integrator's arithmetic stays on Python floats: one numpy scalar
+# entering through a lookup would make every later node a numpy scalar
+FLOAT_RUNS = {
+    "h_profile(2, 10)": lambda: sh.h_profile(make_params(2.0, 10.0), 50.0),
+    "h_profile(3, 200)": lambda: sh.h_profile(make_params(3.0, 200.0), 50.0),
+    "limit_profile": lambda: sh.limit_profile(0.1, y_max=50.0),
+    "gamma1_trajectory": lambda: asymptotics.gamma1_trajectory(
+        asymptotics.gamma1_series(1.0, -1.0, 40), 1e3),
+    "stability_empirical": lambda: stability.stability_empirical(
+        make_params(2.0, 3.0), lambda z: 1e-3 * math.cos(z)),
+    "g_by_ode": lambda: greens.g_by_ode(8.0, 1.0),
+}
+
+
+class TestFloatOnlyLoop:
+    def test_series_eval_returns_float(self):
+        assert type(series_eval(local_series(make_params(2.0, 10.0), 40),
+                                1e-3)) is float
+
+    @pytest.mark.parametrize("name", FLOAT_RUNS)
+    def test_every_node_is_a_float(self, name, monkeypatch):
+        trajs = []
+        integrate = dc.integrate
+
+        def recording(*args, **kwargs):
+            trajs.append(integrate(*args, **kwargs))
+            return trajs[-1]
+        monkeypatch.setattr(dc, "integrate", recording)
+        FLOAT_RUNS[name]()
+        assert trajs
+        for traj in trajs:
+            assert len(traj.ts) > 2
+            for values in (traj.ts, traj.us, traj.dus):
+                assert all(type(x) is float for x in values)
 
 
 class TestSharedHermiteBasis:
