@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import (BlowUpError, DomainError, OutOfRangeError,
                      StepUnderflowError)
-from .profiles import (LN2, ModelParams, PowerSeries, series_eval,
-                       series_eval_many)
+from .profiles import LN2, ModelParams, PowerSeries, series_eval
 
 TOL_REF = 1e-10
 H_REF = 0.02
@@ -127,6 +126,7 @@ class History:
         raise NotImplementedError
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
+        """eval at every entry of t, in t's shape: the one vector lookup."""
         t = np.asarray(t, dtype=float)
         return np.array([self.eval(float(s)) for s in t.ravel()]) \
             .reshape(t.shape)
@@ -142,9 +142,6 @@ class SeriesHistory(History):
 
     def eval(self, t: float) -> float:
         return series_eval(self.series, t)
-
-    def eval_many(self, t):
-        return series_eval_many(self.series, np.asarray(t, dtype=float))
 
 
 class FunctionHistory(History):
@@ -165,28 +162,6 @@ class ConstantHistory(History):
 
     def eval(self, t: float) -> float:
         return self.value
-
-    def eval_many(self, t):
-        return np.full(np.asarray(t, dtype=float).shape, self.value)
-
-
-class PointSourceHistory(History):
-    """Identically-zero history below a jump abscissa.
-
-    Models a unit point source released at xi: the trajectory starts at
-    value 1 at t = xi while every delayed lookup below xi sees 0.
-    """
-
-    def __init__(self, xi: float):
-        self.xi = xi
-        self.lo = -math.inf
-        self.hi = xi
-
-    def eval(self, t: float) -> float:
-        return 0.0
-
-    def eval_many(self, t):
-        return np.zeros(np.asarray(t, dtype=float).shape)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +271,7 @@ class DenseTrajectory:
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         out = np.empty(flat.shape)
-        ts = np.asarray(self.ts)
-        us = np.asarray(self.us)
-        dus = np.asarray(self.dus)
+        ts, us, dus = self.nodes()
         below = flat < ts[0]
         if below.any():
             out[below] = self.history.eval_many(flat[below])
@@ -325,6 +298,21 @@ def order_step_cap(tol: float, t: float) -> float:
     return _order_cap(tol)(t)
 
 
+def check_run(span, tol: float) -> tuple:
+    """integrate's argument checks: the span (t0, t1) as floats, or
+    DomainError unless it is finite and longer than the end-point
+    tolerance and tol is positive and finite."""
+    t0, t1 = float(span[0]), float(span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError(f"span ({t0}, {t1}) must be finite")
+    if not t0 < t1 - _EDGE_TOL * max(1.0, abs(t1)):
+        raise DomainError(f"span ({t0}, {t1}) must be increasing and "
+                          "longer than the end-point tolerance")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
+    return t0, t1
+
+
 def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
               u0: Optional[float] = None,
               stop_condition: Optional[Callable[[float, float], bool]] = None,
@@ -339,14 +327,7 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     Raises BlowUpError when |u| exceeds value_cap and StepUnderflowError
     when the step control collapses.
     """
-    t0, t1 = float(span[0]), float(span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise DomainError(f"span ({t0}, {t1}) must be finite")
-    if not t0 < t1 - _EDGE_TOL * max(1.0, abs(t1)):
-        raise DomainError(f"span ({t0}, {t1}) must be increasing and "
-                          "longer than the end-point tolerance")
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite")
+    t0, t1 = check_run(span, tol)
     if init.hi < t0 - _EDGE_TOL:
         raise DomainError("initial segment does not reach the start point")
 

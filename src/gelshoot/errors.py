@@ -37,6 +37,10 @@ class StepUnderflowError(GelshootError):
         self.step = step
 
 
+class StepBudgetError(GelshootError):
+    """A run's lower bound on its step count exceeds the step budget."""
+
+
 class SeriesOverflowError(GelshootError):
     """A power series left the floating-point range: a coefficient is not
     finite, or the point where the series hands over underflows."""

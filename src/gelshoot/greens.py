@@ -135,7 +135,10 @@ def g_by_ode(x: float, xi: float, tol: float = 1e-10) -> float:
         return 0.0
     if xi >= x - 1e-12 * max(1.0, abs(x)):
         return 1.0  # phi(xi) = 1 on a span too short for integrate
-    traj = dc.integrate(dc.linear_g_equation(), dc.PointSourceHistory(xi),
+    # a unit point source released at xi: the run starts at value 1 while
+    # every delayed lookup below xi sees the zero history
+    traj = dc.integrate(dc.linear_g_equation(),
+                        dc.ConstantHistory(0.0, -math.inf, xi),
                         (xi, x), tol=tol, u0=1.0)
     return traj.eval(x)
 

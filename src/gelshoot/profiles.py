@@ -189,33 +189,36 @@ def horner(coefficients, u):
     return acc
 
 
-def bisect_root(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi], where f(lo) < 0 <= f(hi): bisects until f(hi)
-    is 0 or lo and hi are adjacent doubles, so no tolerance is chosen, and
-    returns the end with the smaller |f|."""
+def bisect(f, lo: float, hi: float, width: float):
+    """The package's one halving loop: halves [lo, hi], where f(lo) < 0 <=
+    f(hi), until f(hi) is 0, hi - lo <= width, or lo and hi are adjacent
+    doubles, and returns the bracket (lo, f_lo, hi, f_hi)."""
     f_lo, f_hi = f(lo), f(hi)
     if not f_lo < 0.0 <= f_hi:
         raise NoSignChangeError(lo, f_lo, hi, f_hi)
-    while f_hi != 0.0:
+    while f_hi != 0.0 and hi - lo > width:
         mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
-            return lo if -f_lo < f_hi else hi
+            break
         f_mid = f(mid)
         if f_mid < 0.0:
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    return hi
+    return lo, f_lo, hi, f_hi
+
+
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi], where f(lo) < 0 <= f(hi): bisects until f(hi)
+    is 0 or lo and hi are adjacent doubles, so no tolerance is chosen, and
+    returns the end with the smaller |f|."""
+    lo, f_lo, hi, f_hi = bisect(f, lo, hi, 0.0)
+    return lo if -f_lo < f_hi else hi
 
 
 def series_eval(series: PowerSeries, y: float) -> float:
     """Horner evaluation of the truncated series at y, as a Python float."""
     return float(horner(series.coefficients, y - series.expansion_point))
-
-
-def series_eval_many(series: PowerSeries, y: np.ndarray) -> np.ndarray:
-    return horner(series.coefficients,
-                  np.asarray(y, dtype=float) - series.expansion_point)
 
 
 def series_error_estimate(series: PowerSeries, y: float) -> float:

@@ -24,8 +24,9 @@ import numpy as np
 
 from . import delaycore as dc
 from .errors import (BlowUpError, BracketFailureError, DomainError,
-                     GelshootError, NoPlateausError)
-from .profiles import (ModelParams, make_params, local_series,
+                     GelshootError, NoPlateausError, NoSignChangeError,
+                     StepBudgetError)
+from .profiles import (ModelParams, bisect, make_params, local_series,
                        pantograph_series, series_switchover)
 from .stability import b_star
 
@@ -39,6 +40,8 @@ TOL_CONV = 1e-3
 CONV_WINDOW = 0.25
 MIN_EXTREMA = 3
 EXTREMA_AMP = 1e-4
+# step budget of a series-started run, checked before the run starts
+MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,18 @@ class Classification:
 def _series_run(series, rhs: dc.DelayRHS, y_max: float,
                 tol: float) -> dc.DenseTrajectory:
     """Run rhs from its local series up to y_max, stopped at the first node
-    below -TOL_NEG; a blow-up past that level counts as the stop."""
+    below -TOL_NEG; a blow-up past that level counts as the stop.  The delay
+    cap h <= r y grows y by a factor of at most 1 + r per step, so a run
+    whose ln(y_max/y0) / ln(1 + r) exceeds MAX_STEPS raises StepBudgetError.
+    """
     y0 = min(series_switchover(series), 0.25 * y_max)
+    dc.check_run((y0, y_max), tol)
+    growth = math.log1p(rhs.step_cap(y0) / y0)
+    steps = math.log(y_max / y0) / growth if growth > 0.0 else math.inf
+    if steps > MAX_STEPS:
+        raise StepBudgetError(
+            f"{rhs.name} run from y0 = {y0:.6g} to y_max = {y_max:.6g}: at "
+            f"least {steps:.4g} steps, above the budget of {MAX_STEPS}")
     hist = dc.SeriesHistory(series, y0)
     try:
         return dc.integrate(rhs, hist, (y0, y_max), tol=tol,
@@ -100,14 +113,9 @@ def _refine_crossing(traj: dc.DenseTrajectory, level: float) -> float:
     i = int(idx[0])
     if i == 0:
         return float(ts[0])
-    lo, hi = float(ts[i - 1]), float(ts[i])
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if traj.eval(mid) < level:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo, _, hi, _ = bisect(lambda y: 1.0 if traj.eval(y) < level else -1.0,
+                          float(ts[i - 1]), float(ts[i]), 0.0)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _phi_extrema(ts, us, dus, amp_tol: float):
@@ -228,24 +236,18 @@ def bracket_bbar(gamma: float, tol_b: float = 1e-3, y_max: float = 500.0,
     lo = b0 * (1.0 + 1e-4)
     hi = b_star(gamma)
 
-    def kind(b: float) -> str:
-        return classify(make_params(gamma, b), y_max=y_max, tol=tol).kind
+    kinds = {}
 
-    k_lo, k_hi = kind(lo), kind(hi)
-    if (k_lo == "SignChange") == (k_hi == "SignChange"):
-        raise BracketFailureError(lo, hi, k_lo, k_hi)
-    while hi - lo > tol_b:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent doubles
-        k_mid = kind(mid)
-        if k_mid == "SignChange":
-            lo = mid
-        else:
-            hi = mid
-            k_hi = k_mid
+    def side(b: float) -> float:
+        kinds[b] = classify(make_params(gamma, b), y_max=y_max, tol=tol).kind
+        return -1.0 if kinds[b] == "SignChange" else 1.0
+
+    try:
+        lo, _, hi, _ = bisect(side, lo, hi, tol_b)
+    except NoSignChangeError:
+        raise BracketFailureError(lo, hi, kinds[lo], kinds[hi]) from None
     return CriticalBracket(b_lo=lo, b_hi=hi, width=hi - lo, gamma=gamma,
-                           class_hi=k_hi)
+                           class_hi=kinds[hi])
 
 
 # ---------------------------------------------------------------------------

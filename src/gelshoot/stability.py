@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import delaycore as dc
-from .errors import DomainError, OriginOnCurveError, WindingCountError
-from .profiles import LN2, ModelParams, check_gamma, make_params
+from .errors import (DomainError, NoSignChangeError, OriginOnCurveError,
+                     WindingCountError)
+from .profiles import LN2, ModelParams, bisect, check_gamma, make_params
 
 
 def b_star(gamma: float) -> float:
@@ -168,24 +169,20 @@ def b_star_by_winding(gamma: float, tol_b: float = 1e-4) -> float:
 
     Independent numerical route to the closed-form boundary.
     """
-    ref = b_star(gamma)
-    lo, hi = 0.6 * ref, 1.6 * ref
-    if winding_number(make_params(gamma, lo)).winding == 0 or \
-            winding_number(make_params(gamma, hi)).winding != 0:
-        raise DomainError("bisection endpoints do not straddle the boundary")
-    while hi - lo > tol_b:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent doubles
+    def side(b: float) -> float:
         try:
-            w = winding_number(make_params(gamma, mid)).winding
+            w = winding_number(make_params(gamma, b)).winding
         except OriginOnCurveError:
-            return mid
-        if w == 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            return 0.0  # the curve passes through the origin at b
+        return 1.0 if w == 0 else -1.0
+
+    ref = b_star(gamma)
+    try:
+        lo, _, hi, f_hi = bisect(side, 0.6 * ref, 1.6 * ref, tol_b)
+    except NoSignChangeError:
+        raise DomainError("bisection endpoints do not straddle the "
+                          "boundary") from None
+    return hi if f_hi == 0.0 else 0.5 * lo + 0.5 * hi
 
 
 # ---------------------------------------------------------------------------

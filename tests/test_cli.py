@@ -351,6 +351,8 @@ FUZZ = [
     ("gamma1", "--b", "1.38629"),
     ("psi-asym", "--eta", "1000"),
     ("psi-asym", "--eta", "1e250"),
+    ("classify", "--gamma", "2", "--b", "1e6"),
+    ("bracket-bbar", "--gamma", "1.00001"),
 ]
 # a result (exit 0) or a typed numerical error (exit 2)
 FUZZ_EXIT = {
@@ -368,6 +370,11 @@ FUZZ_EXIT = {
     # sum without a word
     ("psi-asym", "--eta", "1000"): 2,
     ("psi-asym", "--eta", "1e250"): 2,
+    # the delay cap lets a step grow y by a factor of at most 2^(1/b), so
+    # these runs need 1.0e7 and 1.8e6 steps: they once ran for minutes and
+    # now stop on the step budget before they start
+    ("classify", "--gamma", "2", "--b", "1e6"): 2,
+    ("bracket-bbar", "--gamma", "1.00001"): 2,
 }
 
 

@@ -41,8 +41,8 @@ class TestClosedFormCases:
     def test_point_source_grows_exponentially_before_the_fold(self):
         xi = 1.0
         traj = dc.integrate(dc.linear_g_equation(),
-                            dc.PointSourceHistory(xi), (xi, 2.0 * xi),
-                            tol=1e-10, u0=1.0)
+                            dc.ConstantHistory(0.0, -math.inf, xi),
+                            (xi, 2.0 * xi), tol=1e-10, u0=1.0)
         xs = np.linspace(xi, 2.0 * xi, 300)
         err = np.max(np.abs(traj.eval_many(xs) - np.exp(xs - xi)))
         assert err < 1e-8
@@ -68,8 +68,8 @@ class TestOrder:
         errs = []
         for tol in (1e-10, 5e-11):
             traj = dc.integrate(dc.linear_g_equation(),
-                                dc.PointSourceHistory(xi), (xi, 2.0 * xi),
-                                tol=tol, u0=1.0)
+                                dc.ConstantHistory(0.0, -math.inf, xi),
+                                (xi, 2.0 * xi), tol=tol, u0=1.0)
             errs.append(np.max(np.abs(traj.eval_many(xs) - np.exp(xs - xi))))
         assert errs[0] / errs[1] >= 8.0
 
@@ -366,8 +366,8 @@ def _phi_run():
 
 
 def _linear_g_run():
-    return (dc.linear_g_equation(), dc.PointSourceHistory(1.0), (1.0, 12.0),
-            {"u0": 1.0})
+    return (dc.linear_g_equation(), dc.ConstantHistory(0.0, -math.inf, 1.0),
+            (1.0, 12.0), {"u0": 1.0})
 
 
 def _gamma1_log_run():
@@ -434,6 +434,30 @@ class TestSharedHermiteBasis:
         pts = np.random.default_rng(7).uniform(ts[0], ts[-1], 1000)
         scalar = np.array([traj.eval(float(t)) for t in pts])
         assert scalar.tobytes() == traj.eval_many(pts).tobytes()
+
+    @pytest.mark.parametrize("make_run", [
+        _h_run, _phi_run, _linear_g_run,
+        lambda: (dc.phi_equation(make_params(2.0, 3.0)),
+                 dc.ConstantHistory(0.25, -1.0, 0.0), (0.0, 6.0), {})],
+        ids=["series", "function", "zero-constant", "constant"])
+    def test_vector_lookup_equals_scalar_lookup_on_every_history(
+            self, make_run):
+        # History.eval_many is the one vector lookup of every history: it
+        # applies eval entry by entry below the first node
+        rhs, init, span, kw = make_run()
+        traj = dc.integrate(rhs, init, span, tol=1e-9, **kw)
+        ts = np.asarray(traj.ts)
+        start = max(init.lo, ts[0] - 10.0)
+        rng = np.random.default_rng(11)
+        pts = np.concatenate([[start, ts[0], ts[-1]],
+                              rng.uniform(start, ts[0], 200),
+                              rng.uniform(ts[0], ts[-1], 200)])
+        scalar = np.array([traj.eval(float(t)) for t in pts])
+        assert scalar.tobytes() == traj.eval_many(pts).tobytes()
+        below = pts[pts < ts[0]]
+        assert np.array([init.eval(float(t)) for t in below]).tobytes() == \
+            init.eval_many(below).tobytes()
+        assert init.eval_many(below[:200].reshape(4, 50)).shape == (4, 50)
 
     def test_deriv_covers_only_the_integrated_range(self):
         hist, y0 = exp_history()

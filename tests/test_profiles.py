@@ -1,19 +1,24 @@
+import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gelshoot
+from gelshoot.delaycore import SeriesHistory
 from gelshoot.errors import DomainError, NoSignChangeError, \
     SeriesOverflowError
 from gelshoot.profiles import (GAMMA_MAX, LN2, ModelParams, PowerSeries,
                                ProfileGrid, convert, explicit_solution_residual,
                                local_series, make_params, pantograph_series,
                                series_error_estimate, series_eval,
-                               series_eval_many, series_switchover)
-from gelshoot.profiles import _quadratic_delay_series, bisect_root, horner
+                               series_switchover)
+from gelshoot.profiles import (_quadratic_delay_series, bisect, bisect_root,
+                               horner)
 
 
 class TestMakeParams:
@@ -138,7 +143,7 @@ class TestSeriesEval:
     def test_vector_eval_matches_scalar(self):
         s = local_series(make_params(2.0, 4.0), 20)
         ys = np.linspace(0.0, 0.4, 7)
-        assert series_eval_many(s, ys) == pytest.approx(
+        assert SeriesHistory(s, 0.4).eval_many(ys) == pytest.approx(
             [series_eval(s, y) for y in ys], rel=1e-15)
 
     def test_error_estimate_is_last_term(self):
@@ -196,6 +201,87 @@ class TestBisectRoot:
             bisect_root(lambda x: x + 1.0, 0.0, 1.0)
         with pytest.raises(NoSignChangeError):
             bisect_root(lambda x: math.nan, 0.0, 1.0)
+
+
+class TestBisect:
+    def test_stops_at_width(self):
+        lo, f_lo, hi, f_hi = bisect(lambda x: x - 1.0 / 3.0, 0.0, 1.0, 1e-3)
+        assert hi - lo <= 1e-3 < 2.0 * (hi - lo)
+        assert f_lo == lo - 1.0 / 3.0 < 0.0 <= f_hi == hi - 1.0 / 3.0
+
+    def test_exact_zero_stops_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+
+        assert bisect(f, 0.0, 2.0, 1e-9) == (0.0, -0.5, 0.5, 0.0)
+        assert calls == [0.0, 2.0, 1.0, 0.5]
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, 1e-300])
+    def test_ends_on_adjacent_doubles(self, width):
+        lo, f_lo, hi, f_hi = bisect(lambda x: x * x - 2.0, 0.0, 2.0, width)
+        assert hi == math.nextafter(lo, math.inf)
+        assert f_lo < 0.0 < f_hi
+
+    def test_signs_not_values_drive_it(self):
+        step = bisect(lambda x: -1.0 if x * x < 2.0 else 1.0, 1.0, 2.0, 0.0)
+        root = bisect(lambda x: x * x - 2.0, 1.0, 2.0, 0.0)
+        assert (step[0], step[2]) == (root[0], root[2])
+
+    @pytest.mark.parametrize("f", [lambda x: x + 1.0, lambda x: x - 2.0,
+                                   lambda x: 1.0 - x, lambda x: math.nan])
+    def test_bad_ends_are_typed(self, f):
+        with pytest.raises(NoSignChangeError):
+            bisect(f, 0.0, 1.0, 0.0)
+
+
+# the spellings of a bracket's midpoint, as ast.unparse writes them
+MIDPOINTS = {"0.5 * (lo + hi)", "0.5 * (hi + lo)", "(lo + hi) * 0.5",
+             "(lo + hi) / 2", "(lo + hi) / 2.0", "0.5 * lo + 0.5 * hi",
+             "0.5 * hi + 0.5 * lo"}
+
+
+def _is_midpoint(node) -> bool:
+    return isinstance(node, ast.BinOp) and ast.unparse(node) in MIDPOINTS
+
+
+def _halving_loops() -> set:
+    """Qualified names of the scopes under src/gelshoot that take the
+    midpoint of a lo/hi pair inside a for or while loop.  A midpoint outside
+    a loop (the value returned from a finished bracket) halves nothing."""
+    found = set()
+
+    def visit(node, scope, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}", False)
+                continue
+            if in_loop and _is_midpoint(child):
+                found.add(scope)
+            visit(child, scope,
+                  in_loop or isinstance(child, (ast.For, ast.While)))
+
+    for path in sorted(Path(gelshoot.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, False)
+    return found
+
+
+class TestOneHalvingLoop:
+    def test_only_bisect_and_the_secant_fallback_halve_a_bracket(self):
+        # eps_of_eta's safeguarded secant keeps its own bisection fallback
+        # until the shared root finder takes secant steps
+        assert _halving_loops() == {"profiles.bisect",
+                                    "fixedpoint.eps_of_eta"}
+
+    @pytest.mark.parametrize("text, found", [
+        ("0.5*(lo+hi)", True), ("0.5 * lo + 0.5 * hi", True),
+        ("(lo + hi) / 2", True), ("0.5 * (x + y)", False),
+        ("0.5 * (self.x[1:] + self.x[:-1])", False)])
+    def test_the_scan_sees_the_midpoint(self, text, found):
+        node = ast.parse(text, mode="eval").body
+        assert _is_midpoint(node) == found
 
 
 class TestPantographSeries:

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import inspect
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from gelshoot import asymptotics, gelsim, greens
 from gelshoot import shooting as sh
 from gelshoot.errors import (BracketFailureError, DomainError,
-                             NoPlateausError)
+                             NoPlateausError, StepBudgetError)
 from gelshoot.profiles import make_params
 from gelshoot.stability import b_star
 
@@ -117,6 +119,141 @@ class TestBracket:
         br = sh.bracket_bbar(2.0, tol_b=1e-300, y_max=50.0)
         assert br.b_hi == np.nextafter(br.b_lo, np.inf)
         assert len(calls) < 60
+
+
+    def test_reversed_ends_are_no_bracket(self, monkeypatch):
+        # SignChange only above the middle of (b0, b_star): the ends differ,
+        # but the lower one is not the sign-changing one
+        b0, bs = 2.0, b_star(2.0)
+
+        def stub(params, y_max, tol):
+            b = params.b
+            return SimpleNamespace(
+                kind="SignChange" if b > 0.5 * (b0 + bs) else "Oscillating")
+
+        monkeypatch.setattr(sh, "classify", stub)
+        with pytest.raises(BracketFailureError) as info:
+            sh.bracket_bbar(2.0, tol_b=1e-3)
+        assert (info.value.class_lo, info.value.class_hi) == (
+            "Oscillating", "SignChange")
+        assert info.value.hi == bs
+
+
+# the halving loops each search had before they shared profiles.bisect,
+# kept as references that the shared loop must reproduce bit for bit
+
+def reference_bracket(gamma, tol_b, kind):
+    lo = 2.0 / (gamma - 1.0) * (1.0 + 1e-4)
+    hi = b_star(gamma)
+    k_lo, k_hi = kind(lo), kind(hi)
+    if (k_lo == "SignChange") == (k_hi == "SignChange"):
+        raise BracketFailureError(lo, hi, k_lo, k_hi)
+    while hi - lo > tol_b:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        k_mid = kind(mid)
+        if k_mid == "SignChange":
+            lo = mid
+        else:
+            hi = mid
+            k_hi = k_mid
+    return lo, hi, hi - lo, k_hi
+
+
+def reference_crossing(traj, level):
+    ts, us, _ = traj.nodes()
+    i = int(np.nonzero(us < level)[0][0])
+    lo, hi = float(ts[i - 1]), float(ts[i])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if traj.eval(mid) < level:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _stub_classify(threshold, calls):
+    # SignChange below the threshold; above it the verdict alternates with
+    # the last bit of b, so class_hi must follow the final upper end
+    def stub(params, y_max, tol):
+        calls.append((params.gamma, params.b, y_max, tol))
+        if params.b < threshold:
+            return SimpleNamespace(kind="SignChange")
+        odd = int.from_bytes(np.float64(params.b).tobytes(), "little") & 1
+        return SimpleNamespace(kind="Undetermined" if odd else "Oscillating")
+    return stub
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 5.0, 13.0])
+    @pytest.mark.parametrize("tol_b", [1e-3, 1e-9, 1e-300])
+    @pytest.mark.parametrize("where", [0.1, 0.5, 0.999])
+    def test_bracket(self, gamma, tol_b, where, monkeypatch):
+        lo, hi = 2.0 / (gamma - 1.0) * (1.0 + 1e-4), b_star(gamma)
+        threshold = lo + where * (hi - lo)
+        new_calls, ref_calls = [], []
+        monkeypatch.setattr(sh, "classify",
+                            _stub_classify(threshold, new_calls))
+        br = sh.bracket_bbar(gamma, tol_b=tol_b, y_max=50.0, tol=1e-8)
+        ref_stub = _stub_classify(threshold, ref_calls)
+        ref = reference_bracket(
+            gamma, tol_b, lambda b: ref_stub(make_params(gamma, b), 50.0,
+                                             1e-8).kind)
+        assert (br.b_lo, br.b_hi, br.width, br.class_hi) == ref
+        assert br.gamma == gamma
+        assert new_calls == ref_calls
+
+    def test_bracket_with_the_classifier(self):
+        br = sh.bracket_bbar(2.0, tol_b=1e-4, y_max=50.0)
+        ref = reference_bracket(2.0, 1e-4, lambda b: sh.classify(
+            make_params(2.0, b), y_max=50.0).kind)
+        assert (br.b_lo, br.b_hi, br.width, br.class_hi) == ref
+
+    @pytest.mark.parametrize("gamma, b", [(1.5, 4.01), (2.0, 2.05),
+                                          (2.0, 2.2), (3.0, 1.02),
+                                          (5.0, 0.51)])
+    def test_crossing(self, gamma, b):
+        traj = sh.classify(make_params(gamma, b), y_max=200.0).trajectory
+        assert traj.event_t is not None
+        for level in (-sh.TOL_NEG, 0.5, 0.1, 1e-3):
+            assert sh._refine_crossing(traj, level).hex() == \
+                reference_crossing(traj, level).hex()
+
+
+class TestStepBudget:
+    def test_large_b_fails_fast_and_typed(self):
+        with pytest.raises(StepBudgetError) as info:
+            sh.classify(make_params(2.0, 1e6))
+        msg = str(info.value)
+        for part in ("H run", "y0 = 0.414788", "y_max = 500",
+                     "1.024e+07 steps", f"budget of {sh.MAX_STEPS}"):
+            assert part in msg
+
+    def test_limit_profile_has_the_same_budget(self):
+        with pytest.raises(StepBudgetError, match="limit-h run"):
+            sh.limit_profile(1.0 - 1e-7)
+
+    def test_prediction_is_a_tight_lower_bound(self, monkeypatch):
+        p = make_params(2.0, 100.0)
+        steps = len(sh.h_profile(p, 500.0).ts) - 1
+        monkeypatch.setattr(sh, "MAX_STEPS", steps)
+        assert len(sh.h_profile(p, 500.0).ts) - 1 == steps
+        monkeypatch.setattr(sh, "MAX_STEPS", steps - 2)
+        with pytest.raises(StepBudgetError):
+            sh.h_profile(p, 500.0)
+
+    @pytest.mark.parametrize("kw", [{"y_max": math.inf}, {"y_max": math.nan},
+                                    {"y_max": 1e-13}, {"tol": math.inf}])
+    def test_bad_span_or_tol_is_checked_first(self, kw):
+        with pytest.raises(DomainError):
+            sh.classify(make_params(2.0, 1e6), **kw)
+
+    def test_vanishing_lag_is_over_budget(self):
+        # q rounds to 1 above b ~ 1e16, so no step can grow y
+        with pytest.raises(StepBudgetError, match="at least inf steps"):
+            sh.classify(make_params(2.0, 1e300))
 
 
 class TestLimitProfile:

@@ -147,6 +147,66 @@ class TestWinding:
         assert len(calls) < 60
 
 
+def reference_b_star_by_winding(gamma, tol_b):
+    # the halving loop b_star_by_winding had before it shared
+    # profiles.bisect
+    ref = st.b_star(gamma)
+    lo, hi = 0.6 * ref, 1.6 * ref
+    if st.winding_number(make_params(gamma, lo)).winding == 0 or \
+            st.winding_number(make_params(gamma, hi)).winding != 0:
+        raise DomainError("bisection endpoints do not straddle the boundary")
+    while hi - lo > tol_b:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        try:
+            w = st.winding_number(make_params(gamma, mid)).winding
+        except OriginOnCurveError:
+            return mid
+        if w == 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBisectionBitwiseAgainstReference:
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    @pytest.mark.parametrize("tol_b", [1e-2, 1e-4, 1e-6])
+    def test_winding_counts(self, gamma, tol_b):
+        assert st.b_star_by_winding(gamma, tol_b).hex() == \
+            reference_b_star_by_winding(gamma, tol_b).hex()
+
+    @pytest.mark.parametrize("band", [0.0, 1e-9, 1e-3])
+    def test_origin_on_curve_ends_the_search(self, band, monkeypatch):
+        # a stub count: winding 1 below b_star, 0 above, and the curve
+        # through the origin within band of b_star
+        ref, calls = st.b_star(2.0), []
+
+        def stub(params):
+            calls.append(params.b)
+            if abs(params.b - ref) <= band * ref:
+                raise OriginOnCurveError("on the curve")
+            w = int(params.b < ref)
+            return st.WindingResult(winding=w, root_count=2 * w,
+                                    curve=np.empty(0), R=50.0,
+                                    min_distance=1.0)
+
+        monkeypatch.setattr(st, "winding_number", stub)
+        new = st.b_star_by_winding(2.0, 1e-12)
+        new_calls, calls[:] = list(calls), []
+        assert new.hex() == reference_b_star_by_winding(2.0, 1e-12).hex()
+        assert new_calls == calls
+
+    def test_ends_that_do_not_straddle_are_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(st, "winding_number", lambda params:
+                            st.WindingResult(winding=0, root_count=0,
+                                             curve=np.empty(0), R=50.0,
+                                             min_distance=1.0))
+        with pytest.raises(DomainError, match="do not straddle"):
+            st.b_star_by_winding(2.0)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0, 5.0])
     def test_winding_iff_below_b_star(self, gamma):
