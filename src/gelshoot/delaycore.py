@@ -117,7 +117,8 @@ def gamma1_log_equation(b: float) -> DelayRHS:
 
 
 class History:
-    """Evaluable initial data on [lo, hi]; hi is the integration start."""
+    """Evaluable data: an initial segment on [lo, hi], hi being the
+    integration start, or a DenseTrajectory."""
 
     lo: float
     hi: float
@@ -133,11 +134,11 @@ class History:
 
 
 class SeriesHistory(History):
-    """Power-series initial segment, covering [expansion point, hi]."""
+    """Power-series initial segment at the origin, covering [0, hi]."""
 
     def __init__(self, series: PowerSeries, hi: float):
         self.series = series
-        self.lo = series.expansion_point
+        self.lo = 0.0
         self.hi = hi
 
     def eval(self, t: float) -> float:
@@ -192,21 +193,17 @@ def hermite_apply(w: tuple, us: np.ndarray, dus: np.ndarray) -> np.ndarray:
     return a0 * us[i] + b0 * dus[i] + a1 * us[i + 1] + b1 * dus[i + 1]
 
 
-def hermite(ts: np.ndarray, us: np.ndarray, dus: np.ndarray,
-            t: np.ndarray) -> np.ndarray:
-    """Cubic Hermite values at t of nodes ts, values us and slopes dus."""
-    return hermite_apply(hermite_weights(ts, t), us, dus)
-
-
 _EDGE_TOL = 1e-12
 
 
-class DenseTrajectory:
+class DenseTrajectory(History):
     """Piecewise cubic Hermite record of an accepted integration.
 
-    Evaluation below the first node routes to the initial segment; above the
-    last node it raises OutOfRangeError.  The derivative covers only the
-    integrated range [ts[0], ts[-1]].
+    eval, the one lookup into the trajectory and its initial segment, routes
+    below the first node to the initial segment and raises OutOfRangeError
+    below the segment's start, beyond the last node and at NaN; eval_many
+    applies it entry by entry.  The derivative covers only the integrated
+    range [ts[0], ts[-1]].
     """
 
     def __init__(self, history: History):
@@ -229,14 +226,6 @@ class DenseTrajectory:
     def nodes(self):
         return (np.asarray(self.ts), np.asarray(self.us),
                 np.asarray(self.dus))
-
-    def _hermite_deriv(self, i: int, t: float) -> float:
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        return ((6.0 * s * s - 6.0 * s) * (self.us[i] - self.us[i + 1]) / h
-                + (3.0 * s * s - 4.0 * s + 1.0) * self.dus[i]
-                + (3.0 * s * s - 2.0 * s) * self.dus[i + 1])
 
     def eval(self, t: float) -> float:
         ts = self.ts
@@ -261,28 +250,17 @@ class DenseTrajectory:
         return a0 * us[i] + b0 * dus[i] + a1 * us[i + 1] + b1 * dus[i + 1]
 
     def deriv(self, t: float) -> float:
+        ts, us, dus = self.ts, self.us, self.dus
         # written so that NaN raises
-        if not self.ts[0] <= t <= self.ts[-1]:
-            raise OutOfRangeError(f"{t} outside [{self.ts[0]}, {self.ts[-1]}]")
-        i = min(bisect.bisect_right(self.ts, t) - 1, len(self.ts) - 2)
-        return self._hermite_deriv(i, t)
-
-    def eval_many(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        out = np.empty(flat.shape)
-        ts, us, dus = self.nodes()
-        below = flat < ts[0]
-        if below.any():
-            out[below] = self.history.eval_many(flat[below])
-        inside = ~below
-        if inside.any():
-            x = flat[inside]
-            span = max(abs(float(ts[-1])), 1.0)
-            if np.any(x > ts[-1] + _EDGE_TOL * span):
-                raise OutOfRangeError("evaluation beyond last node")
-            out[inside] = hermite(ts, us, dus, np.minimum(x, ts[-1]))
-        return out.reshape(t.shape)
+        if not ts[0] <= t <= ts[-1]:
+            raise OutOfRangeError(f"{t} outside [{ts[0]}, {ts[-1]}]")
+        i = min(bisect.bisect_right(ts, t) - 1, len(ts) - 2)
+        t0 = ts[i]
+        h = ts[i + 1] - t0
+        s = (t - t0) / h
+        return ((6.0 * s * s - 6.0 * s) * (us[i] - us[i + 1]) / h
+                + (3.0 * s * s - 4.0 * s + 1.0) * dus[i]
+                + (3.0 * s * s - 2.0 * s) * dus[i + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +312,14 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     traj = DenseTrajectory(init)
     t = t0
     u = float(init.eval(t0)) if u0 is None else float(u0)
-    f, tau, init_eval, traj_eval = rhs.f, rhs.delay_arg, init.eval, traj.eval
-
-    def delayed(tt: float) -> float:
-        ta = tau(tt)
-        if ta < t0:
-            return init_eval(ta)
-        return traj_eval(ta)
-
-    # histories return Python floats and the loop keeps to them: on numpy
-    # scalars it runs about half again as long
+    # every delayed value is traj_eval(tau(x)), which reads the initial
+    # segment below t0; histories return Python floats and the loop keeps
+    # to them: on numpy scalars it runs about half again as long
+    f, tau, traj_eval = rhs.f, rhs.delay_arg, traj.eval
     ts_append, us_append = traj.ts.append, traj.us.append
     dus_append = traj.dus.append
     traj._append(t, u, 0.0)
-    du = f(t, u, delayed(t))
+    du = f(t, u, traj_eval(tau(t)))
     traj.dus[0] = du
     span_len = t1 - t0
     order_cap, delay_cap = _order_cap(tol), rhs.step_cap
@@ -373,8 +345,9 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         qh = 0.5 * hh
         tm, te = t + hh, t + h
         tq, t3, te2 = t + qh, tm + qh, tm + hh
-        dm, de, dq, d3 = delayed(tm), delayed(te), delayed(tq), delayed(t3)
-        de2 = de if te2 == te else delayed(te2)
+        dm, de = traj_eval(tau(tm)), traj_eval(tau(te))
+        dq, d3 = traj_eval(tau(tq)), traj_eval(tau(t3))
+        de2 = de if te2 == te else traj_eval(tau(te2))
         k2 = f(tm, u + hh * du, dm)
         k3 = f(tm, u + hh * k2, dm)
         k4 = f(te, u + h * k3, de)
@@ -393,11 +366,11 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         if est <= scale or h <= 1e-13 * max(1.0, abs(t)):
             t_new = t + h
             if abs(u2) > value_cap:
-                traj._append(t_new, u2, f(t_new, u2, delayed(t_new)))
+                traj._append(t_new, u2, f(t_new, u2, traj_eval(tau(t_new))))
                 raise BlowUpError(t_new, traj)
             t = t_new
             u = u2
-            du = f(t, u, delayed(t))
+            du = f(t, u, traj_eval(tau(t)))
             ts_append(t)
             us_append(u)
             dus_append(du)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import greens
-from .delaycore import hermite, hermite_apply, hermite_weights
+from .delaycore import hermite_apply, hermite_weights
 from .errors import DomainError, GelshootError, NoSignChangeError, \
     NonContractionError, RoundoffFloorError
 from .profiles import LN2, check_gamma
@@ -171,7 +171,8 @@ class FixedPointState:
 
     def interp(self, pts):
         """Cubic Hermite values of the grid function at pts in [0, X_MAX]."""
-        return hermite(self.x, self.W, self.dW, np.asarray(pts, dtype=float))
+        w = hermite_weights(self.x, np.asarray(pts, dtype=float))
+        return hermite_apply(w, self.W, self.dW)
 
     def to_dict(self) -> dict:
         return {

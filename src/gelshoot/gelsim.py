@@ -80,9 +80,15 @@ def make_chain(xi0: float, gamma: float, K: int, init,
 
 
 def chain_rhs(chain: DyadicChain) -> Callable:
+    """The chain's rate equation; DomainError unless every gain and loss
+    rate is finite (no solver finishes on a non-finite rate)."""
     sites = chain.sites
-    gain = 0.25 * (sites / 2.0) ** (chain.gamma + 1.0)
-    loss = sites ** (chain.gamma + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = 0.25 * (sites / 2.0) ** (chain.gamma + 1.0)
+        loss = sites ** (chain.gamma + 1.0)
+    if not (np.all(np.isfinite(gain)) and np.all(np.isfinite(loss))):
+        raise DomainError(f"chain rates (xi0*2^k)^(gamma+1) are not finite "
+                          f"at gamma={chain.gamma!r} with {len(sites)} sites")
     feeder = chain.feeder
 
     def rhs(t, f):

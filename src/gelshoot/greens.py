@@ -28,8 +28,6 @@ import numpy as np
 from . import delaycore as dc
 from .errors import DomainError, TruncationWarning
 
-LN2 = math.log(2.0)
-
 #: coefficients a_n = 2^(2n) / prod_{j=1..n} (2^j - 1); Q = sum (-1)^n a_n e^(-2^n xi)
 _NQ = 20
 

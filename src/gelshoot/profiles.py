@@ -110,10 +110,9 @@ def make_params(gamma: float, b: float) -> ModelParams:
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated power series around a point, lowest order first."""
+    """Truncated power series at the origin, lowest order first."""
 
-    coefficients: np.ndarray
-    expansion_point: float = 0.0
+    coefficients: tuple
     validity_radius_estimate: float = math.inf
 
     @property
@@ -122,11 +121,12 @@ class PowerSeries:
 
 
 def _quadratic_delay_series(c0: float, c1: float, r: float, N: int,
-                            where: str) -> np.ndarray:
+                            where: str) -> tuple:
     """Coefficients of u' = c0 u(y)^2 - c1 u(r y)^2, u(0) = 1:
 
-        a_{n+1} = (c0 - c1 r^n) / (n+1) * sum_{k<=n} a_k a_{n-k}.
+        a_{n+1} = (c0 - c1 r^n) / (n+1) * sum_{k<=n} a_k a_{n-k},
 
+    as Python floats, so that Horner sums on a float stay on floats.
     Raises SeriesOverflowError at the first coefficient that is not finite.
     """
     a = np.zeros(N + 1)
@@ -139,7 +139,7 @@ def _quadratic_delay_series(c0: float, c1: float, r: float, N: int,
             if not math.isfinite(a[n + 1]):
                 raise SeriesOverflowError(where, n + 1)
             rn *= r
-    return a
+    return tuple(a.tolist())
 
 
 def local_series(params: ModelParams, N: int) -> PowerSeries:
@@ -158,8 +158,7 @@ def local_series(params: ModelParams, N: int) -> PowerSeries:
         1.0, params.sigma, params.q, N,
         f"local series at gamma={params.gamma:g}, b={params.b:g}")
     c = max(abs(params.sigma - 1.0), 1.0)
-    return PowerSeries(coefficients=a, expansion_point=0.0,
-                       validity_radius_estimate=1.0 / c)
+    return PowerSeries(coefficients=a, validity_radius_estimate=1.0 / c)
 
 
 def pantograph_series(p: float, eta: float, N: int) -> PowerSeries:
@@ -218,14 +217,13 @@ def bisect_root(f, lo: float, hi: float) -> float:
 
 def series_eval(series: PowerSeries, y: float) -> float:
     """Horner evaluation of the truncated series at y, as a Python float."""
-    return float(horner(series.coefficients, y - series.expansion_point))
+    return float(horner(series.coefficients, y))
 
 
 def series_error_estimate(series: PowerSeries, y: float) -> float:
     """Last-term magnitude, the usual truncation error proxy."""
-    u = abs(y - series.expansion_point)
     n = series.order
-    return abs(series.coefficients[n]) * u ** n
+    return abs(series.coefficients[n]) * abs(y) ** n
 
 
 def series_switchover(series: PowerSeries) -> float:

@@ -26,8 +26,8 @@ from . import delaycore as dc
 from .errors import (BlowUpError, BracketFailureError, DomainError,
                      GelshootError, NoPlateausError, NoSignChangeError,
                      StepBudgetError)
-from .profiles import (ModelParams, bisect, make_params, local_series,
-                       pantograph_series, series_switchover)
+from .profiles import (ModelParams, bisect, check_gamma, make_params,
+                       local_series, pantograph_series, series_switchover)
 from .stability import b_star
 
 
@@ -232,9 +232,12 @@ def bracket_bbar(gamma: float, tol_b: float = 1e-3, y_max: float = 500.0,
     """
     if not 0.0 < tol_b < math.inf:
         raise DomainError("tol_b must be positive and finite")
-    b0 = 2.0 / (gamma - 1.0)
-    lo = b0 * (1.0 + 1e-4)
+    check_gamma(gamma)
+    lo = 2.0 / (gamma - 1.0) * (1.0 + 1e-4)
     hi = b_star(gamma)
+    if not lo < hi:
+        raise DomainError(f"no bracket start below b* at gamma={gamma!r}: "
+                          f"b0*(1+1e-4) = {lo!r} >= b* = {hi!r}")
 
     kinds = {}
 

@@ -353,6 +353,13 @@ FUZZ = [
     ("psi-asym", "--eta", "1e250"),
     ("classify", "--gamma", "2", "--b", "1e6"),
     ("bracket-bbar", "--gamma", "1.00001"),
+    ("bracket-bbar", "--gamma", "1"),
+    ("bracket-bbar", "--gamma", "1.0001"),
+    ("simulate", "--gamma", "nan", "--sites", "10", "--t-end", "1"),
+    ("simulate", "--gamma", "inf", "--sites", "10", "--t-end", "1"),
+    ("simulate", "--gamma", "1e308", "--sites", "10", "--t-end", "1"),
+    ("simulate", "--gamma", "200", "--sites", "10", "--t-end", "1"),
+    ("simulate", "--scan", "2", "--gamma", "nan"),
 ]
 # a result (exit 0) or a typed numerical error (exit 2)
 FUZZ_EXIT = {
@@ -371,10 +378,9 @@ FUZZ_EXIT = {
     ("psi-asym", "--eta", "1000"): 2,
     ("psi-asym", "--eta", "1e250"): 2,
     # the delay cap lets a step grow y by a factor of at most 2^(1/b), so
-    # these runs need 1.0e7 and 1.8e6 steps: they once ran for minutes and
-    # now stop on the step budget before they start
+    # this run needs 1.0e7 steps: it once ran for minutes and now stops on
+    # the step budget before it starts
     ("classify", "--gamma", "2", "--b", "1e6"): 2,
-    ("bracket-bbar", "--gamma", "1.00001"): 2,
 }
 
 

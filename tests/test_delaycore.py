@@ -1,6 +1,9 @@
+import ast
 import bisect
 import dataclasses
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +470,60 @@ class TestSharedHermiteBasis:
         for t in (0.5 * y0, 0.0, 5.5):
             with pytest.raises(OutOfRangeError):
                 traj.deriv(t)
+
+
+class TestOneTrajectoryLookup:
+    # DenseTrajectory.eval is the one lookup into a trajectory and its
+    # initial segment, and eval_many applies it entry by entry: a vector
+    # lookup once extrapolated the series below its start and passed NaN
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return sh.h_profile(make_params(2.0, 10.0), 50.0)
+
+    @pytest.mark.parametrize("pts", [[-1.0, -5.0], [-1e-9], [math.nan],
+                                     [1.0, math.nan]])
+    def test_eval_many_raises_where_eval_raises(self, traj, pts):
+        assert traj.history.lo == 0.0
+        with pytest.raises(OutOfRangeError):
+            traj.eval(pts[-1])
+        with pytest.raises(OutOfRangeError):
+            traj.eval_many(np.array(pts))
+
+
+def _defined(name: str) -> set:
+    """Qualified names of the definitions of name under src/gelshoot."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if child.name == name:
+                    found.add(scope)
+                visit(child, f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    for path in sorted(Path(dc.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+class TestOneLookupDefinition:
+    def test_eval_many_is_defined_on_history_only(self):
+        assert _defined("eval_many") == {"delaycore.History"}
+
+    def test_no_hermite_wrappers(self):
+        # hermite_weights and hermite_apply serve the vector lookups;
+        # DenseTrajectory.deriv holds the one derivative formula
+        assert _defined("hermite") == set()
+        assert _defined("_hermite_deriv") == set()
+
+    def test_integrate_has_no_private_router(self):
+        # every delayed value goes through the trajectory's eval; the one
+        # function integrate defines is its step cap
+        tree = ast.parse(inspect.getsource(dc.integrate))
+        assert [n.name for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef)] == ["integrate", "caps"]
 
 
 # every right-hand side builder; gamma in (1, GAMMA_MAX), b > 0, eps in (-1, 1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,3 +156,15 @@ class TestGelationScan:
             gs.make_chain(2.5, 2.0, 4, "exp")
         with pytest.raises(DomainError):
             gs.make_chain(1.0, 2.0, 4, "unknown-init")
+
+
+class TestChainRates:
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 1e308, 200.0])
+    def test_non_finite_rate_is_a_domain_error(self, gamma):
+        # (xi0 2^k)^(gamma+1) leaves the double range: the solver once ran
+        # on such rates until it was killed
+        chain = gs.make_chain(1.0, gamma, 10, "exp")
+        with pytest.raises(DomainError, match=re.escape(f"gamma={gamma!r}")):
+            gs.chain_rhs(chain)
+        with pytest.raises(DomainError):
+            gs.evolve_chain(chain, 1.0)

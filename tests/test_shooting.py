@@ -106,6 +106,26 @@ class TestBracket:
         with pytest.raises(DomainError):
             sh.bracket_bbar(2.0, tol_b=0.0)
 
+    def test_gamma_checked_before_b0(self):
+        # b0 = 2/(gamma - 1) once divided by zero at gamma = 1
+        with pytest.raises(DomainError, match="gamma must exceed 1"):
+            sh.bracket_bbar(1.0)
+
+    @pytest.mark.parametrize("gamma", [1.0001, 1.0004, 1.00001])
+    def test_start_above_b_star_runs_no_classify(self, gamma, monkeypatch):
+        # b*/b0 - 1 falls below the start's 1e-4 for gamma below about
+        # 1.00044: the bracket would be reversed before it starts
+        def never(*args, **kwargs):
+            raise AssertionError("classify ran")
+
+        monkeypatch.setattr(sh, "classify", never)
+        with pytest.raises(DomainError) as info:
+            sh.bracket_bbar(gamma)
+        msg = str(info.value)
+        assert f"gamma={gamma!r}" in msg
+        assert repr(2.0 / (gamma - 1.0) * (1.0 + 1e-4)) in msg
+        assert repr(b_star(gamma)) in msg
+
     def test_stops_at_adjacent_doubles(self, monkeypatch):
         # a tol_b below the spacing of doubles used to bisect forever
         calls = []
