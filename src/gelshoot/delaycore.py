@@ -272,10 +272,6 @@ def _order_cap(tol: float) -> Callable[[float], float]:
     return lambda t: c * max(1.0, abs(t) / T_SCALE)
 
 
-def order_step_cap(tol: float, t: float) -> float:
-    return _order_cap(tol)(t)
-
-
 def check_run(span, tol: float) -> tuple:
     """integrate's argument checks: the span (t0, t1) as floats, or
     DomainError unless it is finite and longer than the end-point
@@ -321,7 +317,6 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     traj._append(t, u, 0.0)
     du = f(t, u, traj_eval(tau(t)))
     traj.dus[0] = du
-    span_len = t1 - t0
     order_cap, delay_cap = _order_cap(tol), rhs.step_cap
 
     def caps(tt: float) -> float:
@@ -335,7 +330,10 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
 
     while t < t1 - _EDGE_TOL * max(1.0, abs(t1)):
         h = min(h, caps(t))
-        if h < 1e-14 * span_len:
+        # h < 1e-14 max(1, |t|), relative to t like the force-accept test
+        # below (a bound on the whole span rejects the ordinary first steps
+        # of a long run), spelled without a max() call on every step
+        if h < 1e-14 or h < 1e-14 * abs(t):
             raise StepUnderflowError(t, h)
         # step doubling: one RK4 step of h against two of h/2, all three
         # starting with the node derivative du; the delayed value depends

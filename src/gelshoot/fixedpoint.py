@@ -164,10 +164,12 @@ class FixedPointState:
     eps: float
     eta: float
     F_value: float
-    iterations: int
     sup_diff_history: tuple
-    decay_rate_fit: float | None = None
-    amplitude_fit: float | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Sweeps applied since the zero state, one history entry each."""
+        return len(self.sup_diff_history)
 
     def interp(self, pts):
         """Cubic Hermite values of the grid function at pts in [0, X_MAX]."""
@@ -187,16 +189,7 @@ def zero_state(eps: float, eta: float) -> FixedPointState:
     grid = default_grid()
     z = np.zeros_like(grid.x)
     return FixedPointState(x=grid.x, W=z, dW=z.copy(), eps=eps, eta=eta,
-                           F_value=0.0, iterations=0, sup_diff_history=())
-
-
-def r_eval(state: FixedPointState, x):
-    """Pointwise R[W] using the state's interpolant."""
-    x_arr = np.asarray(x, dtype=float)
-    grid = default_grid()
-    at = _PointPlan(grid.x, np.atleast_1d(x_arr))
-    out = grid.r_terms(state.W, state.dW, at, state.eps, state.eta)
-    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+                           F_value=0.0, sup_diff_history=())
 
 
 def apply_T(state: FixedPointState) -> FixedPointState:
@@ -204,7 +197,6 @@ def apply_T(state: FixedPointState) -> FixedPointState:
     T, dT, F = default_grid().apply(state.W, state.dW, state.eps, state.eta)
     sup = float(np.max(np.abs(T - state.W)))
     return replace(state, W=T, dW=dT, F_value=F,
-                   iterations=state.iterations + 1,
                    sup_diff_history=state.sup_diff_history + (sup,))
 
 
@@ -229,15 +221,6 @@ def certify_decay(x: np.ndarray, values: np.ndarray, x_lo: float,
             M = float(np.max(np.abs(values) * np.exp(d * np.minimum(x, x_hi))))
             return M, d
     return None, None
-
-
-def _decay_fit(state: FixedPointState):
-    """Certified (amplitude, rate) of |W| <= (eps+eta) M e^(-rate x)."""
-    M, rate = certify_decay(state.x, state.W, 0.2 * X_MAX, 0.9 * X_MAX)
-    if M is None:
-        return None, None
-    scale = state.eps + state.eta
-    return (M / scale if scale > 0.0 else M), rate
 
 
 def picard_solve(eps: float, eta: float,
@@ -267,7 +250,7 @@ def picard_solve(eps: float, eta: float,
         history = state.sup_diff_history
         sup = history[-1]
         if sup < tol:
-            break
+            return state
         floor = 16.0 * np.finfo(float).eps * float(np.max(np.abs(state.W)))
         if len(history) >= 2 and history[-2] <= sup <= floor:
             raise RoundoffFloorError(tol, floor, history)
@@ -277,10 +260,7 @@ def picard_solve(eps: float, eta: float,
                 raise NonContractionError(history)
         else:
             grew = 0
-    else:
-        raise NonContractionError(state.sup_diff_history)
-    M, rate = _decay_fit(state)
-    return replace(state, amplitude_fit=M, decay_rate_fit=rate)
+    raise NonContractionError(state.sup_diff_history)
 
 
 def f_eval(state: FixedPointState) -> float:
@@ -371,9 +351,6 @@ class CriticalProfile:
     h: np.ndarray
     tail_rate_fit: float
 
-    def h_interp(self, pts):
-        return np.exp(-np.asarray(pts, dtype=float)) + self.state.interp(pts)
-
 
 def bbar_of_gamma(gamma: float) -> CriticalProfile:
     """Critical shooting parameter at large homogeneity.
@@ -411,17 +388,3 @@ def bbar_of_gamma(gamma: float) -> CriticalProfile:
     return CriticalProfile(gamma=gamma, bbar=b, eps=eps, eta=eta,
                            state=state, h=h, tail_rate_fit=rate)
 
-
-def profile_in_h_variables(crit: CriticalProfile):
-    """Map the critical h back through the rescalings to (y, H) and (x, Phi).
-
-    h(x) = H(x / sigma) with sigma = 1/eta, and Phi(x) = y H(y) at
-    y = x^(1/b).
-    """
-    sigma = 1.0 / crit.eta
-    xs = crit.state.x[1:]
-    y = xs / sigma
-    H = crit.h[1:]
-    x_phi = y ** crit.bbar
-    phi = y * H
-    return {"y": y, "H": H, "x": x_phi, "Phi": phi, "sigma": sigma}

@@ -1,4 +1,4 @@
-"""Model parameters, profile variable changes, and local series data.
+"""Model parameters, local series data, and closed-form residuals.
 
 The self-similar profile of the diagonal-kernel coagulation equation can be
 written in four equivalent sets of variables:
@@ -14,10 +14,9 @@ computed once at construction.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +54,6 @@ class ModelParams:
     b0: float
     eps_delay: float
     phi_inf: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @staticmethod
-    def from_json(text: str) -> "ModelParams":
-        data = json.loads(text)
-        return make_params(data["gamma"], data["b"])
 
 
 def check_gamma(gamma: float) -> float:
@@ -220,12 +211,6 @@ def series_eval(series: PowerSeries, y: float) -> float:
     return float(horner(series.coefficients, y))
 
 
-def series_error_estimate(series: PowerSeries, y: float) -> float:
-    """Last-term magnitude, the usual truncation error proxy."""
-    n = series.order
-    return abs(series.coefficients[n]) * abs(y) ** n
-
-
 def series_switchover(series: PowerSeries) -> float:
     """Largest y at which the last few series terms stay below 1e-14.
 
@@ -294,63 +279,3 @@ def explicit_solution_residual(params: ModelParams, which: str,
         return h_equation_residual(
             params, grid, lambda y: c / y, lambda y: -c / y ** 2)
     raise DomainError(f"unknown closed form {which!r}")
-
-
-# ---------------------------------------------------------------------------
-# profile variable changes
-
-VARIANTS = ("F", "Phi", "H", "phi")
-
-
-@dataclass(frozen=True)
-class ProfileGrid:
-    """A profile sampled on a grid, tagged with its variable convention.
-
-    For variants F and Phi the abscissa is x, for H it is y = x^(1/b), and
-    for phi it is z = ln y.
-    """
-
-    variant: str
-    abscissa: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DomainError(f"unknown variant {self.variant!r}")
-
-
-def convert(pg: ProfileGrid, target: str, params: ModelParams) -> ProfileGrid:
-    """Change a sampled profile from one variable convention to another."""
-    if target not in VARIANTS:
-        raise DomainError(f"unknown variant {target!r}")
-    if target == pg.variant:
-        return pg
-    order = {v: i for i, v in enumerate(VARIANTS)}
-    cur = pg
-    step = 1 if order[target] > order[pg.variant] else -1
-    while cur.variant != target:
-        nxt = VARIANTS[order[cur.variant] + step]
-        cur = _convert_adjacent(cur, nxt, params)
-    return cur
-
-
-def _convert_adjacent(pg: ProfileGrid, target: str,
-                      params: ModelParams) -> ProfileGrid:
-    t, v = pg.abscissa, pg.values
-    pair = (pg.variant, target)
-    if pair == ("F", "Phi"):
-        return ProfileGrid("Phi", t, t ** (params.gamma + 1.0) * v)
-    if pair == ("Phi", "F"):
-        return ProfileGrid("F", t, v / t ** (params.gamma + 1.0))
-    if pair == ("Phi", "H"):
-        y = t ** (1.0 / params.b)
-        return ProfileGrid("H", y, v / y)
-    if pair == ("H", "Phi"):
-        x = t ** params.b
-        return ProfileGrid("Phi", x, t * v)
-    if pair == ("H", "phi"):
-        return ProfileGrid("phi", np.log(t), t * v)
-    if pair == ("phi", "H"):
-        y = np.exp(t)
-        return ProfileGrid("H", y, v / y)
-    raise DomainError(f"no conversion {pair}")

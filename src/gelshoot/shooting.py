@@ -104,17 +104,18 @@ def h_profile(params: ModelParams, y_max: float,
                        y_max, tol)
 
 
-def _refine_crossing(traj: dc.DenseTrajectory, level: float) -> float:
-    """Abscissa where the trajectory first reaches the given level."""
-    ts, us, _ = traj.nodes()
-    idx = np.nonzero(us < level)[0]
-    if len(idx) == 0:
-        return float(ts[-1])
-    i = int(idx[0])
-    if i == 0:
-        return float(ts[0])
-    lo, _, hi, _ = bisect(lambda y: 1.0 if traj.eval(y) < level else -1.0,
-                          float(ts[i - 1]), float(ts[i]), 0.0)
+def _refine_crossing(traj: dc.DenseTrajectory) -> float:
+    """Abscissa where a run of _series_run first falls below -TOL_NEG.
+
+    The run stops at the first node after its start that lies below the
+    level, so the crossing lies on its last panel, or inside the series
+    segment when the start node is already below the level.
+    """
+    ts = traj.ts
+    lo, hi = (traj.history.lo, ts[0]) if traj.us[0] < -TOL_NEG \
+        else (ts[-2], ts[-1])
+    lo, _, hi, _ = bisect(
+        lambda y: 1.0 if traj.eval(y) < -TOL_NEG else -1.0, lo, hi, 0.0)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -151,13 +152,11 @@ def classify(params: ModelParams, y_max: float = 500.0,
         raise DomainError(
             f"classification needs b > b0 = {params.b0:.6g}, got {params.b}")
     traj = h_profile(params, y_max, tol=tol)
-    ts, us, dus = traj.nodes()
-
     if traj.event_t is not None:
-        y_cross = _refine_crossing(traj, -TOL_NEG)
         return Classification(kind="SignChange", trajectory=traj,
-                              y_cross=y_cross)
+                              y_cross=_refine_crossing(traj))
 
+    ts, us, dus = traj.nodes()
     n_ext, phi = _phi_extrema(ts, us, dus, EXTREMA_AMP)
     min_level = float(np.min(phi))
     dev = np.abs(phi - params.phi_inf)
@@ -271,7 +270,7 @@ def limit_profile(eps: float, y_max: float = 2e5, tol: float = 1e-9,
                        dc.rescaled_h_equation(eps, eta), y_max, tol)
     crossed = None
     if traj.event_t is not None:
-        crossed = _refine_crossing(traj, -TOL_NEG)
+        crossed = _refine_crossing(traj)
     return LimitRun(trajectory=traj, eps=eps, crossed_zero_at=crossed)
 
 

@@ -352,6 +352,8 @@ FUZZ = [
     ("psi-asym", "--eta", "1000"),
     ("psi-asym", "--eta", "1e250"),
     ("classify", "--gamma", "2", "--b", "1e6"),
+    ("classify", "--gamma", "2", "--b", "10", "--y-max", "4e12"),
+    ("classify", "--gamma", "2", "--b", "10", "--y-max", "1e13"),
     ("bracket-bbar", "--gamma", "1.00001"),
     ("bracket-bbar", "--gamma", "1"),
     ("bracket-bbar", "--gamma", "1.0001"),
@@ -381,6 +383,10 @@ FUZZ_EXIT = {
     # this run needs 1.0e7 steps: it once ran for minutes and now stops on
     # the step budget before it starts
     ("classify", "--gamma", "2", "--b", "1e6"): 2,
+    # the first step, h = 0.039 at y = 0.907, once fell below an underflow
+    # bound of 1e-14 times the whole span and ended in StepUnderflowError
+    ("classify", "--gamma", "2", "--b", "10", "--y-max", "4e12"): 0,
+    ("classify", "--gamma", "2", "--b", "10", "--y-max", "1e13"): 0,
 }
 
 

@@ -323,7 +323,8 @@ def reference_integrate(rhs, init, span, tol, u0=None):
         return ua + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
     def caps(tt):
-        c = min(dc.order_step_cap(tol, tt), t1 - tt)
+        c = min(dc.H_REF * (tol / dc.TOL_REF) ** dc.ORDER_EXP
+                * max(1.0, abs(tt) / dc.T_SCALE), t1 - tt)
         return min(c, rhs.step_cap(tt) * (1.0 - 1e-12))
 
     du = f(t, u)

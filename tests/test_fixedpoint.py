@@ -18,25 +18,34 @@ DF_DETA = -0.0605621040012903
 SLOPE = -DF_DETA / DF_DEPS      # 0.2097112...
 
 
+def r_eval(state, x):
+    """Pointwise R[W] of the state at x, through the grid's own R route."""
+    x_arr = np.asarray(x, dtype=float)
+    grid = fp.default_grid()
+    at = fp._PointPlan(grid.x, np.atleast_1d(x_arr))
+    out = grid.r_terms(state.W, state.dW, at, state.eps, state.eta)
+    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+
+
 class TestREval:
     def test_vanishes_identically_at_zero_parameters(self):
         st = fp.zero_state(0.0, 0.0)
         xs = np.linspace(0.0, 30.0, 50)
-        assert np.max(np.abs(fp.r_eval(st, xs))) == 0.0
+        assert np.max(np.abs(r_eval(st, xs))) == 0.0
 
     def test_zero_profile_reduces_to_the_source(self):
         st = fp.zero_state(0.05, 0.0)
         xs = np.linspace(0.1, 10.0, 30)
         oracle = np.exp(-xs) - np.exp(-1.05 * xs)
-        assert fp.r_eval(st, xs) == pytest.approx(oracle, abs=1e-14)
+        assert r_eval(st, xs) == pytest.approx(oracle, abs=1e-14)
         # and that source behaves like eps*x*e^(-x) for small eps
         small = fp.zero_state(1e-5, 0.0)
-        assert fp.r_eval(small, 2.0) == pytest.approx(
+        assert r_eval(small, 2.0) == pytest.approx(
             1e-5 * 2.0 * math.exp(-2.0), rel=1e-4)
 
     def test_origin_value_is_eta(self):
         st = fp.zero_state(0.02, 0.03)
-        assert fp.r_eval(st, 0.0) == pytest.approx(0.03, abs=1e-15)
+        assert r_eval(st, 0.0) == pytest.approx(0.03, abs=1e-15)
 
 
 class TestApplyT:
@@ -134,7 +143,7 @@ class TestSweepPlanBitwise:
         for eps, eta in SWEEP_PARAMS:
             st = fp.picard_solve(eps, eta)
             assert fp.f_eval(st) == reference_f_eval(st)
-            assert _bytes(fp.r_eval(st, xs)) == _bytes(reference_r_terms(
+            assert _bytes(r_eval(st, xs)) == _bytes(reference_r_terms(
                 grid.x, st.W, st.dW, xs, eps, eta))
 
     def test_contraction_factor_identical(self):
@@ -239,10 +248,10 @@ class TestPicard:
 
     def test_decay_envelope_certified(self):
         st = fp.picard_solve(0.01, 0.01)
-        assert st.decay_rate_fit is not None
-        assert 0.0 < st.decay_rate_fit < 0.5
-        bound = (st.eps + st.eta) * st.amplitude_fit \
-            * np.exp(-st.decay_rate_fit * st.x)
+        M, rate = fp.certify_decay(st.x, st.W, 0.2 * fp.X_MAX, 0.9 * fp.X_MAX)
+        assert rate is not None
+        assert 0.0 < rate < 0.5
+        bound = M * np.exp(-rate * st.x)
         assert np.all(np.abs(st.W) <= bound * (1.0 + 1e-9))
 
     def test_outside_regime_reported_honestly(self):
@@ -377,19 +386,12 @@ class TestBbar:
                                tol=1e-10)
         xs = np.linspace(0.5, 10.0, 40)
         direct = run.trajectory.eval_many(xs)
-        recon = crit.h_interp(xs)
+        recon = np.exp(-xs) + crit.state.interp(xs)
         assert np.max(np.abs(direct - recon)) < 1e-5
 
     def test_small_gamma_rejected(self):
         with pytest.raises(DomainError):
             fp.bbar_of_gamma(4.0)
-
-    def test_h_variable_map(self):
-        crit = fp.bbar_of_gamma(13.0)
-        prof = fp.profile_in_h_variables(crit)
-        assert prof["sigma"] == pytest.approx(1.0 / crit.eta)
-        assert np.all(prof["H"] > 0.0)
-        assert prof["Phi"] == pytest.approx(prof["y"] * prof["H"])
 
 
 class TestStateDump:
@@ -414,7 +416,7 @@ class TestOneGrid:
         fp.default_grid.cache_clear()
         st = fp.picard_solve(0.01, 0.01)
         fp.f_eval(st)
-        fp.r_eval(st, [0.5, 2.0])
+        r_eval(st, [0.5, 2.0])
         fp.apply_T(st)
         st.interp([0.5, 2.0])
         fp.eps_of_eta(0.005)
