@@ -18,9 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import delaycore as dc
 from .errors import DomainError, SeriesOverflowError, TermCapError
 from .profiles import LN2, bisect_root, horner
 
@@ -69,6 +66,7 @@ class Gamma1Profile:
     truncation: int
 
     def eval(self, x):
+        import numpy as np
         u = np.power(np.asarray(x, dtype=float), self.alpha)
         acc = horner(self.coefficients, u)
         return float(acc) if np.isscalar(x) else acc
@@ -100,6 +98,7 @@ def gamma1_series(b: float, a1: float, N: int) -> Gamma1Profile:
         raise DomainError("a1 must be nonpositive; the profile decreases")
     if N < 2:
         raise DomainError("need N >= 2")
+    import numpy as np
     al = alpha_root(b)
     a = np.zeros(N + 1)
     a[0] = 1.0
@@ -117,6 +116,7 @@ def gamma1_trajectory(profile: Gamma1Profile, x_max: float,
     The log variable turns the halved argument into a constant shift, so
     steps grow with x and large spans stay cheap.
     """
+    from . import delaycore as dc
     x0 = profile.switchover()
     z0 = math.log(x0)
     hist = dc.FunctionHistory(lambda z: profile.eval(math.exp(z)),
@@ -133,6 +133,7 @@ def gamma1_b1_limit(a1: float, x_max: float = 1e5,
     The limit is (1 - ln2)/ln2 independently of a1 < 0; the approach is a
     power law x^(-p) with p ~ 1.31, reported from a tail fit.
     """
+    import numpy as np
     prof = gamma1_series(1.0, a1, 40)
     if abs(prof.alpha - 1.0) > 1e-12:
         raise DomainError("expected integer-exponent branch at b = 1")
@@ -160,6 +161,7 @@ def _psi_log_terms(eps: float, y: float) -> np.ndarray:
     """Logs of the positive series terms of Psi(y), lowest order first,
     until they fall 36 below the largest; TermCapError when PSI_TERM_CAP
     terms do not get there (the terms peak near order 2y)."""
+    import numpy as np
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0,1)")
     if y < 0.0:
@@ -185,6 +187,7 @@ def _psi_log_terms(eps: float, y: float) -> np.ndarray:
 
 def psi_log_eval(eps: float, y: float) -> float:
     """log Psi(y), summed stably in log space (Psi's terms are positive)."""
+    import numpy as np
     logs = _psi_log_terms(eps, y)
     m = float(np.max(logs))
     if m == -math.inf:
@@ -207,6 +210,7 @@ def psi_series_eval(eps: float, y: float) -> float:
 
 def psi_derivative(eps: float, y: float) -> float:
     """Term-wise derivative of the Psi series."""
+    import numpy as np
     if y == 0.0:
         return 1.0
     logs = _psi_log_terms(eps, y)

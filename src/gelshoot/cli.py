@@ -18,8 +18,6 @@ import os
 import sys
 from dataclasses import asdict, astuple
 
-import numpy as np
-
 from . import __version__, profiles
 from .errors import BlowUpError, DomainError, GelshootError
 from .profiles import make_params
@@ -79,6 +77,7 @@ def emit_json(path, payload, provenance):
 
 def parse_grid(spec: str) -> np.ndarray:
     """lo:hi:n with linear spacing and at least one point."""
+    import numpy as np
     try:
         lo, hi, n = spec.split(":")
         if int(n) >= 1:
@@ -119,9 +118,11 @@ def load_config(path: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (payload kind, data) and may write files.
-# A handler imports the library modules it calls, so a process loads only
-# what its subcommand needs: importing scipy takes far longer than the work
-# of the cheap subcommands.
+# A handler imports the library modules it calls, and outside the array
+# modules each function imports numpy itself, so a process loads only what
+# its subcommand needs: importing scipy takes far longer than the work of
+# the cheap subcommands, and numpy would double the cold time of --version,
+# params, b-star, tails and laplace, which load none.
 
 
 def cmd_params(a):
@@ -195,6 +196,8 @@ def cmd_stability_scan(a):
 
 
 def cmd_greens_q(a):
+    import numpy as np
+
     from . import greens
     grid = parse_grid(a.grid) if a.grid else np.linspace(0.0, 20.0, 201)
     rows = [(x, greens.q_eval(float(x)), greens.q_tail_bound(float(x)))
@@ -243,6 +246,8 @@ def cmd_eps_of_eta(a):
 
 
 def cmd_bbar(a):
+    import numpy as np
+
     from . import fixedpoint
     crit = fixedpoint.bbar_of_gamma(a.gamma)
     payload = {"gamma": a.gamma, "bbar": crit.bbar, "eps": crit.eps,
@@ -257,6 +262,8 @@ def cmd_bbar(a):
 
 
 def cmd_gamma1(a):
+    import numpy as np
+
     from . import asymptotics
     b = profiles.LN2 if a.b is None else a.b
     if abs(b - 1.0) < 1e-12:
@@ -325,6 +332,8 @@ def cmd_fig2(a):
 
 
 def cmd_fig3(a):
+    import numpy as np
+
     from . import shooting
     p = make_params(a.gamma, a.b)
     traj = shooting.h_profile(p, a.y_max, tol=a.tol)

@@ -328,7 +328,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         # origin; those runs must start from a local series at t > 0
         raise StepUnderflowError(t, h)
 
-    while t < t1 - _EDGE_TOL * max(1.0, abs(t1)):
+    t_stop = t1 - _EDGE_TOL * max(1.0, abs(t1))  # once per run, not per step
+    while t < t_stop:
         h = min(h, caps(t))
         # h < 1e-14 max(1, |t|), relative to t like the force-accept test
         # below (a bound on the whole span rejects the ordinary first steps

@@ -43,6 +43,7 @@ from .profiles import LN2, check_gamma
 
 X_MAX = 40.0
 N_NODES = 700
+MAX_SWEEPS = 80  # picard_solve's sweep budget
 
 log = logging.getLogger(__name__)
 
@@ -225,7 +226,6 @@ def certify_decay(x: np.ndarray, values: np.ndarray, x_lo: float,
 
 def picard_solve(eps: float, eta: float,
                  tol: float = 1e-12,
-                 max_iter: int = 80,
                  warm_start: FixedPointState | None = None) -> FixedPointState:
     """Iterate W <- T[W] from zero (or a warm start) to the fixed point.
 
@@ -245,7 +245,7 @@ def picard_solve(eps: float, eta: float,
         state = replace(state, W=warm_start.W.copy(),
                         dW=warm_start.dW.copy())
     grew = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         state = apply_T(state)
         history = state.sup_diff_history
         sup = history[-1]

@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NoSignChangeError, SeriesOverflowError
 
 LN2 = math.log(2.0)
@@ -120,6 +118,7 @@ def _quadratic_delay_series(c0: float, c1: float, r: float, N: int,
     as Python floats, so that Horner sums on a float stay on floats.
     Raises SeriesOverflowError at the first coefficient that is not finite.
     """
+    import numpy as np
     a = np.zeros(N + 1)
     a[0] = 1.0
     rn = 1.0  # r^n
@@ -217,6 +216,7 @@ def series_switchover(series: PowerSeries) -> float:
     Scans a log grid inside the radius estimate; the returned point is where
     stepping should take over from the series.
     """
+    import numpy as np
     a = np.abs(series.coefficients)
     n = series.order
     hi = series.validity_radius_estimate
@@ -239,6 +239,7 @@ def series_switchover(series: PowerSeries) -> float:
 def phi_equation_residual(params: ModelParams, x: np.ndarray,
                           phi, dphi) -> float:
     """Max residual of b x Phi' = Phi - theta Phi(x/2)^2 + Phi(x)^2."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     lhs = params.b * x * dphi(x)
     rhs = phi(x) - params.theta * phi(x / 2.0) ** 2 + phi(x) ** 2
@@ -247,6 +248,7 @@ def phi_equation_residual(params: ModelParams, x: np.ndarray,
 
 def h_equation_residual(params: ModelParams, y: np.ndarray, h, dh) -> float:
     """Max residual of H' = -sigma H(q y)^2 + H(y)^2."""
+    import numpy as np
     y = np.asarray(y, dtype=float)
     lhs = dh(y)
     rhs = -params.sigma * h(params.q * y) ** 2 + h(y) ** 2
@@ -261,6 +263,7 @@ def explicit_solution_residual(params: ModelParams, which: str,
            'PhiInf' the constant 1/(2^(gamma-1)-1) in the Phi equation,
            'HInf'   PhiInf/y in the H equation.
     """
+    import numpy as np
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or grid[0] <= 0.0 or \
             np.any(np.diff(grid) <= 0.0):

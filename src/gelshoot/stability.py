@@ -18,9 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import delaycore as dc
 from .errors import (DomainError, NoSignChangeError, OriginOnCurveError,
                      WindingCountError)
 from .profiles import LN2, ModelParams, bisect, check_gamma, make_params
@@ -77,6 +74,7 @@ class WindingResult:
 
 def _unwrapped_angle_sum(z: np.ndarray) -> float:
     """Total continuous argument increment along a sampled curve."""
+    import numpy as np
     ang = np.angle(z)
     d = np.diff(ang)
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
@@ -85,6 +83,7 @@ def _unwrapped_angle_sum(z: np.ndarray) -> float:
 
 def _axis_image(st: float, dt: float, t: np.ndarray) -> np.ndarray:
     """F(it) = e^(-i dt t) + it - st, the image of the imaginary axis."""
+    import numpy as np
     return (-st + np.cos(dt * t)) + 1j * (t - np.sin(dt * t))
 
 
@@ -110,6 +109,7 @@ def winding_number(params: ModelParams, R: float | None = None,
     raises OriginOnCurveError; a count that is not an even integer raises
     WindingCountError.
     """
+    import numpy as np
     cp = CharProblem.from_params(params)
     st, dt = cp.sigma_tilde, cp.d_tilde
     if R is None:
@@ -212,6 +212,9 @@ def stability_empirical(params: ModelParams, perturbation) -> DecayReport:
     past the constant (deep instability dives to a blow-up).  The
     perturbation must stay below 0.1 * phi_inf in magnitude.
     """
+    import numpy as np
+
+    from . import delaycore as dc
     pinf = params.phi_inf
     d = params.d
     zs = np.linspace(-d, 0.0, 64)
@@ -261,6 +264,7 @@ def stability_scan(gamma: float, b_values) -> list[dict]:
 
 def curve_samples(params: ModelParams, n_samples: int = 4000) -> np.ndarray:
     """Imaginary-axis image of the characteristic function, for plotting."""
+    import numpy as np
     cp = CharProblem.from_params(params)
     R = max(12.0, 6.0 / cp.d_tilde)
     return _axis_image(cp.sigma_tilde, cp.d_tilde,

@@ -518,12 +518,14 @@ class TestGammaBound:
 
 
 # ---------------------------------------------------------------------------
-# import budget: which subcommands load scipy.  The pytest process has scipy
-# loaded already, so the checks run in a fresh interpreter.
+# import budget: which subcommands load scipy or numpy.  The pytest process
+# has both loaded already, so the checks run in a fresh interpreter.
 
 SCIPY_FREE = ["params", "b-star", "classify", "winding", "tails", "greens-q",
               "fixedpoint", "eps-of-eta", "bbar", "laplace", "psi-asym",
               "gamma1"]
+# the scalar subcommands, run first so that no earlier one has loaded numpy
+NUMPY_FREE = ["--version", "params", "b-star", "tails", "laplace"]
 # the independent quadrature route for c0 and the ODE solver
 SCIPY_ROUTES = [["greens-verify", "--t-max", "10"],
                 ["simulate", "--sites", "4", "--t-end", "1"]]
@@ -531,38 +533,46 @@ SCIPY_ROUTES = [["greens-verify", "--t-max", "10"],
 _COLD_SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return {"scipy": sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy"),
+            "numpy": "numpy" in sys.modules}
 
 from gelshoot import cli
 
-report = [{"argv": None, "scipy": scipy_modules()}]
+report = [{"argv": None, **loaded()}]
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:  # --version
+            code = stop.code
     report.append({"argv": argv, "code": code, "stdout": buf.getvalue(),
-                   "scipy": scipy_modules()})
+                   **loaded()})
 print(json.dumps(report))
 """
 
 
 @pytest.fixture(scope="module")
 def cold_report():
-    """One fresh process: import the CLI, then run the scipy-free
-    subcommands followed by those that need scipy, one after another."""
-    argvs = [[name] for name in SCIPY_FREE] + SCIPY_ROUTES
+    """One fresh process: import the CLI, then run the numpy-free
+    subcommands, the other scipy-free ones and those that need scipy, one
+    after another."""
+    argvs = [[name] for name in NUMPY_FREE] + [
+        [name] for name in SCIPY_FREE if name not in NUMPY_FREE] + SCIPY_ROUTES
     proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT,
                            json.dumps(argvs)], env=child_env(),
                           capture_output=True, text=True, timeout=300,
                           check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    return {"import": report[0]["scipy"],
+    return {"import": report[0],
             **{r["argv"][0]: r for r in report[1:]}}
 
 
-def scipy_importers() -> set:
-    """Qualified names of the scopes under src/gelshoot that import scipy."""
+def importers(top: str) -> set:
+    """Qualified names of the scopes under src/gelshoot that import the
+    package top; a bare module name is a module-level import."""
     found = set()
 
     def visit(node, scope):
@@ -576,7 +586,7 @@ def scipy_importers() -> set:
                 names = [child.module or ""]
             else:
                 names = []
-            if any(n.split(".")[0] == "scipy" for n in names):
+            if any(n.split(".")[0] == top for n in names):
                 found.add(scope)
             visit(child, scope)
 
@@ -587,7 +597,23 @@ def scipy_importers() -> set:
 
 class TestImportBudget:
     def test_cli_import_loads_no_scipy(self, cold_report):
-        assert cold_report["import"] == []
+        assert cold_report["import"]["scipy"] == []
+
+    def test_cli_import_loads_no_numpy(self, cold_report):
+        assert cold_report["import"]["numpy"] is False
+
+    @pytest.mark.parametrize("name", NUMPY_FREE)
+    def test_scalar_subcommand_loads_no_numpy(self, name, cold_report,
+                                              capsys):
+        # and prints what it prints with numpy loaded, in this process
+        entry = cold_report[name]
+        assert entry["numpy"] is False
+        try:
+            code = main([name])
+        except SystemExit as stop:
+            code = stop.code
+        assert code == entry["code"] == 0
+        assert capsys.readouterr().out == entry["stdout"] != ""
 
     @pytest.mark.parametrize("name", SCIPY_FREE)
     def test_subcommand_loads_no_scipy(self, name, cold_report):
@@ -605,9 +631,14 @@ class TestImportBudget:
     def test_scipy_imported_only_by_its_three_routes(self):
         # solve_ivp and the residual's spline in gelsim, and the quad of
         # greens-verify's independent c0 route
-        assert scipy_importers() == {"gelsim.evolve_chain",
-                                     "gelsim.selfsimilar_residual",
-                                     "greens.c0_moment_quad"}
+        assert importers("scipy") == {"gelsim.evolve_chain",
+                                      "gelsim.selfsimilar_residual",
+                                      "greens.c0_moment_quad"}
+
+    def test_numpy_imported_at_module_level_only_by_array_modules(self):
+        # every other module imports numpy inside the functions that use it
+        assert {s for s in importers("numpy") if "." not in s} == {
+            "delaycore", "fixedpoint", "gelsim", "greens", "shooting"}
 
     def test_laplace_output_unchanged(self, cold_report, capsys):
         entry = cold_report["laplace"]

@@ -256,7 +256,7 @@ class TestPicard:
 
     def test_outside_regime_reported_honestly(self):
         try:
-            st = fp.picard_solve(0.3, 0.3, max_iter=40)
+            st = fp.picard_solve(0.3, 0.3)
             assert st.sup_diff_history[-1] < 1e-12
         except NonContractionError as err:
             assert len(err.history) >= 3

@@ -373,6 +373,7 @@ RETIRED = [
     ("asymptotics.Gamma1Profile.switchover", {"tol"}),
     ("asymptotics.matching_closure", {"c0_amp"}),
     ("profiles.series_switchover", {"tol"}),
+    ("fixedpoint.picard_solve", {"max_iter"}),
 ]
 
 
@@ -407,7 +408,7 @@ class TestRetiredKnobs:
                         for d in node.decorator_list):
                     count += sum(isinstance(s, ast.AnnAssign)
                                  and s.value is not None for s in node.body)
-        assert count <= 59
+        assert count <= 58
 
 
 # second copies and unreachable paths, each deleted in favour of the one
