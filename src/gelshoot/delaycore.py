@@ -295,8 +295,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
 
     The initial value defaults to the history evaluated at t_start (pass u0
     explicitly for jump data).  stop_condition(t, u), when given, ends the
-    run at the first accepted node where it holds; the node is recorded in
-    the trajectory's event_t.
+    run at the first node where it holds, the start node included; the node
+    is recorded in the trajectory's event_t.
 
     Raises BlowUpError when |u| exceeds value_cap and StepUnderflowError
     when the step control collapses.
@@ -317,6 +317,9 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     traj._append(t, u, 0.0)
     du = f(t, u, traj_eval(tau(t)))
     traj.dus[0] = du
+    if stop_condition is not None and stop_condition(t, u):
+        traj.event_t = t
+        return traj
     order_cap, delay_cap = _order_cap(tol), rhs.step_cap
 
     def caps(tt: float) -> float:

@@ -44,6 +44,10 @@ from .profiles import LN2, check_gamma
 X_MAX = 40.0
 N_NODES = 700
 MAX_SWEEPS = 80  # picard_solve's sweep budget
+F_TOL = 1e-9  # |F| stop of the eps root, for eps(eta) and bbar(gamma)
+# smallest eta at eps = 0 for the eps root: F sees eps only through 1 + eps,
+# and eps/eta strays from 0.2097 by 0.45% above it, 0.91% in [2^-50, 2^-49)
+ETA_MIN = 2.0 ** -49
 
 log = logging.getLogger(__name__)
 
@@ -295,32 +299,32 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
 # the critical curve eps(eta) and the critical shooting parameter
 
 
-def eps_of_eta(eta: float, tol: float = 1e-9):
-    """Root of eps -> F at fixed eta, by bracketed secant iteration.
+def _root_in_eps(eta_of, tol: float):
+    """Root in eps of F(W*(eps, eta_of(eps)), eps, eta_of(eps)) by a secant
+    over warm-started Picard solves, safeguarded in the bracket [0, 10 eta]:
+    F grows in eps and falls in eta, and eta_of must not grow with eps.
+    Stops at |F| < tol or a bracket under 1e-16; returns (eps, state)."""
+    eta0 = eta_of(0.0)
+    if not ETA_MIN <= eta0 <= 0.05:
+        raise DomainError(
+            f"eta = {eta0:.3g} at eps = 0 lies outside [{ETA_MIN:.3g}, 0.05]: "
+            "below, 1 + eps cannot hold eps; above, T need not contract")
+    lo, hi = 0.0, 10.0 * eta0
 
-    F(0, eta) < 0 < F(10 eta, eta) because F grows in eps (slope near the
-    first Q moment) and starts negative (slope in eta is negative).  Stops
-    at |F| < tol; returns (eps, converged state).
-    """
-    if not 0.0 <= eta <= 0.05:
-        raise DomainError("eta must lie in [0, 0.05] for the contraction")
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite")
-    if eta == 0.0:
-        return 0.0, picard_solve(0.0, 0.0)
-    lo = 0.0
-    hi = 10.0 * eta
-    state = picard_solve(lo, eta)
-    f_lo = f_eval(state)
-    st_hi = picard_solve(hi, eta, warm_start=state)
-    f_hi = f_eval(st_hi)
+    def solve(eps, warm_start):
+        state = picard_solve(eps, eta_of(eps), warm_start=warm_start)
+        f = f_eval(state)
+        log.debug("root iterate eps = %.17g, eta = %.17g, F = %.3e "
+                  "in %d sweeps", eps, state.eta, f, state.iterations)
+        return state, f
+
+    best, f_lo = solve(lo, None)
+    best, f_hi = solve(hi, best)
     if f_lo * f_hi > 0.0:
         hi *= 2.0
-        st_hi = picard_solve(hi, eta, warm_start=st_hi)
-        f_hi = f_eval(st_hi)
+        best, f_hi = solve(hi, best)
         if f_lo * f_hi > 0.0:
             raise NoSignChangeError(lo, f_lo, hi, f_hi)
-    best = st_hi
     for _ in range(80):
         # secant step, safeguarded into the bracket
         denom = f_hi - f_lo
@@ -328,8 +332,7 @@ def eps_of_eta(eta: float, tol: float = 1e-9):
             else 0.5 * (lo + hi)
         if not lo < eps_new < hi:
             eps_new = 0.5 * (lo + hi)
-        best = picard_solve(eps_new, eta, warm_start=best)
-        f_new = f_eval(best)
+        best, f_new = solve(eps_new, best)
         if abs(f_new) < tol:
             return eps_new, best
         if f_new * f_lo < 0.0:
@@ -338,7 +341,16 @@ def eps_of_eta(eta: float, tol: float = 1e-9):
             lo, f_lo = eps_new, f_new
         if hi - lo < 1e-16:
             return eps_new, best
-    raise GelshootError("eps(eta) iteration did not reach the F tolerance")
+    raise GelshootError("eps root iteration did not reach the F tolerance")
+
+
+def eps_of_eta(eta: float, tol: float = F_TOL):
+    """Root of eps -> F at fixed eta; returns (eps, converged state)."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
+    if eta == 0.0:
+        return 0.0, picard_solve(0.0, 0.0)
+    return _root_in_eps(lambda eps: eta, tol)
 
 
 @dataclass(frozen=True)
@@ -355,29 +367,21 @@ class CriticalProfile:
 def bbar_of_gamma(gamma: float) -> CriticalProfile:
     """Critical shooting parameter at large homogeneity.
 
-    Solves the coupled relations eta = 2^(2/b + 1 - gamma),
-    2^(1/b) = 2/(1 + eps), eps = eps(eta) by direct iteration from b = 1
-    until b moves by less than 1e-10; eta shrinks like 2^(2-gamma), so the
-    loop contracts strongly.  The reconstructed h = e^(-x) + W must stay
-    positive and decay; violations raise PositivityViolationError.
+    The relations 2^(1/b) = 2/(1 + eps) and eta = 2^(2/b + 1 - gamma) make
+    b and eta closed-form functions of eps, so bbar is the one root in eps
+    of F(W*(eps, eta(eps)), eps, eta(eps)); eta shrinks as eps grows.  The
+    reconstructed h = e^(-x) + W must stay positive and decay; violations
+    raise PositivityViolationError.
     """
     gamma = check_gamma(gamma)
-    b = 1.0
-    eta = 2.0 ** (2.0 / b + 1.0 - gamma)
-    if eta > 0.05:
-        raise DomainError(
-            f"eta = {eta:.3g} at b = 1 exceeds the contraction regime; "
-            "gamma is too small for the fixed-point route")
-    eps = 0.0
-    state = None
-    for _ in range(40):
-        eta = 2.0 ** (2.0 / b + 1.0 - gamma)
-        eps, state = eps_of_eta(eta)
-        b_new = LN2 / (LN2 - math.log1p(eps))
-        if abs(b_new - b) < 1e-10:
-            b = b_new
-            break
-        b = b_new
+
+    def b_of(eps):
+        return LN2 / (LN2 - math.log1p(eps))
+
+    def eta_of(eps):
+        return 2.0 ** (2.0 / b_of(eps) + 1.0 - gamma)
+
+    eps, state = _root_in_eps(eta_of, F_TOL)
     h = np.exp(-state.x) + state.W
     if float(np.min(h)) < -1e-9:
         raise PositivityViolationError(
@@ -385,6 +389,5 @@ def bbar_of_gamma(gamma: float) -> CriticalProfile:
     _, rate = certify_decay(state.x, h, 4.0, 0.9 * X_MAX)
     if rate is None:
         raise PositivityViolationError("no exponential envelope certified")
-    return CriticalProfile(gamma=gamma, bbar=b, eps=eps, eta=eta,
+    return CriticalProfile(gamma=gamma, bbar=b_of(eps), eps=eps, eta=state.eta,
                            state=state, h=h, tail_rate_fit=rate)
-

@@ -73,7 +73,7 @@ class Classification:
 def _series_run(series, rhs: dc.DelayRHS, y_max: float,
                 tol: float) -> dc.DenseTrajectory:
     """Run rhs from its local series up to y_max, stopped at the first node
-    below -TOL_NEG; a blow-up past that level counts as the stop.  The delay
+    (y0 included) below -TOL_NEG, or at a blow-up past that level.  The delay
     cap h <= r y grows y by a factor of at most 1 + r per step, so a run
     whose ln(y_max/y0) / ln(1 + r) exceeds MAX_STEPS raises StepBudgetError.
     """
@@ -107,9 +107,9 @@ def h_profile(params: ModelParams, y_max: float,
 def _refine_crossing(traj: dc.DenseTrajectory) -> float:
     """Abscissa where a run of _series_run first falls below -TOL_NEG.
 
-    The run stops at the first node after its start that lies below the
-    level, so the crossing lies on its last panel, or inside the series
-    segment when the start node is already below the level.
+    The run stops at the first node that lies below the level, so the
+    crossing lies on its last panel, or inside the series segment when the
+    start node, then the only node, is already below the level.
     """
     ts = traj.ts
     lo, hi = (traj.history.lo, ts[0]) if traj.us[0] < -TOL_NEG \

@@ -362,6 +362,18 @@ FUZZ = [
     ("simulate", "--gamma", "1e308", "--sites", "10", "--t-end", "1"),
     ("simulate", "--gamma", "200", "--sites", "10", "--t-end", "1"),
     ("simulate", "--scan", "2", "--gamma", "nan"),
+    # eta (at eps = 0) below 2^-49, where 1 + eps cannot hold eps: these
+    # once returned eps/eta far from 0.2097, the midpoint of a flat F, or a
+    # NoSignChangeError
+    ("eps-of-eta", "--eta", "1e-16"),
+    ("eps-of-eta", "--eta", "1e-18"),
+    ("eps-of-eta", "--eta", "1e-200"),
+    ("bbar", "--gamma", "58"),
+    ("bbar", "--gamma", "60"),
+    ("bbar", "--gamma", "61"),
+    ("bbar", "--gamma", "300"),
+    ("bbar", "--gamma", "900"),
+    ("bbar", "--gamma", "1000"),
 ]
 # a result (exit 0) or a typed numerical error (exit 2)
 FUZZ_EXIT = {

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +340,137 @@ class TestEpsOfEta:
     def test_eta_outside_regime_rejected(self):
         with pytest.raises(DomainError):
             fp.eps_of_eta(0.2)
+
+
+def reference_eps_of_eta(eta, tol):
+    """eps_of_eta's bracketed secant as it was before the shared eps root."""
+    lo, hi = 0.0, 10.0 * eta
+    state = fp.picard_solve(lo, eta)
+    f_lo = fp.f_eval(state)
+    st_hi = fp.picard_solve(hi, eta, warm_start=state)
+    f_hi = fp.f_eval(st_hi)
+    if f_lo * f_hi > 0.0:
+        hi *= 2.0
+        st_hi = fp.picard_solve(hi, eta, warm_start=st_hi)
+        f_hi = fp.f_eval(st_hi)
+    best = st_hi
+    for _ in range(80):
+        denom = f_hi - f_lo
+        eps_new = hi - f_hi * (hi - lo) / denom if denom != 0.0 \
+            else 0.5 * (lo + hi)
+        if not lo < eps_new < hi:
+            eps_new = 0.5 * (lo + hi)
+        best = fp.picard_solve(eps_new, eta, warm_start=best)
+        f_new = fp.f_eval(best)
+        if abs(f_new) < tol:
+            return eps_new, best
+        if f_new * f_lo < 0.0:
+            hi, f_hi = eps_new, f_new
+        else:
+            lo, f_lo = eps_new, f_new
+        if hi - lo < 1e-16:
+            return eps_new, best
+    raise AssertionError("reference loop did not converge")
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    apply = fp.FixedPointGrid.apply
+
+    def counting(self, *args):
+        calls.append(args[2:])
+        return apply(self, *args)
+
+    monkeypatch.setattr(fp.FixedPointGrid, "apply", counting)
+    return calls
+
+
+OUTSIDE = r"lies outside \[1.78e-15, 0.05\]"
+
+
+class TestOneEpsRoot:
+    @pytest.mark.parametrize("eta", [1e-3, 0.01, 0.048])
+    def test_eps_of_eta_bytes_identical(self, eta):
+        eps, st = fp.eps_of_eta(eta)
+        ref_eps, ref = reference_eps_of_eta(eta, 1e-9)
+        assert eps == ref_eps
+        assert _bytes(st.W, st.dW) == _bytes(ref.W, ref.dW)
+        assert st.sup_diff_history == ref.sup_diff_history
+
+    @pytest.mark.parametrize("gamma, budget", [(8.0, 70), (13.0, 25)])
+    def test_sweeps_per_bbar(self, gamma, budget, monkeypatch):
+        # one root in eps: 55 and 18 sweeps, where re-solving eps(eta) per
+        # b iterate took 330 and 54
+        calls = count_sweeps(monkeypatch)
+        fp.bbar_of_gamma(gamma)
+        assert len(calls) <= budget
+
+    @pytest.mark.parametrize("gamma", [8.0, 13.0, 20.0])
+    def test_eta_is_the_closed_form_at_bbar(self, gamma):
+        crit = fp.bbar_of_gamma(gamma)
+        assert crit.eta == 2.0 ** (2.0 / crit.bbar + 1.0 - gamma)
+        assert crit.state.eta == crit.eta and crit.state.eps == crit.eps
+        assert crit.bbar == fp.LN2 / (fp.LN2 - math.log1p(crit.eps))
+
+    @pytest.mark.parametrize("gamma, before", [
+        (8.0, 1.0095311984502684), (10.0, 1.0023684209868216),
+        (13.0, 1.0002955354279535), (20.0, 1.0000023086623657)])
+    def test_bbar_moves_only_inside_the_f_tolerance(self, gamma, before):
+        # the nested b-iteration's values; the F stop leaves up to 3.5e-9
+        # of error in eps, so the two routes may differ by a few 1e-9
+        assert abs(fp.bbar_of_gamma(gamma).bbar - before) <= 5e-9
+
+    def test_one_log_line_per_root_iterate(self, caplog, monkeypatch):
+        solves = []
+        solve = fp.picard_solve
+
+        def counting(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(fp, "picard_solve", counting)
+        caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
+        crit = fp.bbar_of_gamma(13.0)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("root iterate ")]
+        assert len(lines) == len(solves) >= 3
+        for line, st in zip(lines, solves):
+            assert line == (f"root iterate eps = {st.eps:.17g}, "
+                            f"eta = {st.eta:.17g}, F = {fp.f_eval(st):.3e} "
+                            f"in {st.iterations} sweeps")
+        assert solves[-1].eps == crit.eps
+
+    @pytest.mark.parametrize("eta", [1e-16, 1e-18, 1e-200,
+                                     0.99 * 2.0 ** -49])
+    def test_eta_below_the_resolved_range_rejected(self, eta, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        with pytest.raises(DomainError, match=OUTSIDE):
+            fp.eps_of_eta(eta)
+        assert calls == []
+
+    @pytest.mark.parametrize("gamma", [52.01, 58.0, 61.0, 300.0, 1000.0])
+    def test_gamma_past_the_resolved_range_rejected(self, gamma):
+        with pytest.raises(DomainError, match=OUTSIDE):
+            fp.bbar_of_gamma(gamma)
+
+    def test_slope_holds_at_the_limit(self):
+        # F sees eps only through 1 + eps: eps/eta keeps to within 1% of
+        # the gradient ratio from the limit up
+        for eta in np.geomspace(fp.ETA_MIN, 2.0 * fp.ETA_MIN, 7):
+            eps, _ = fp.eps_of_eta(float(eta))
+            assert abs(eps / eta / SLOPE - 1.0) < 0.01, eta
+        crit = fp.bbar_of_gamma(52.0)
+        assert abs(crit.eps / crit.eta / SLOPE - 1.0) < 0.01
+
+    def test_bench_mirrors_the_f_tolerance(self):
+        # bench/ops.py copies the F stop into its oracles; read, not import
+        path = Path(__file__).resolve().parents[1] / "bench" / "ops.py"
+        consts = {t.id: node.value.value
+                  for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Constant)
+                  for t in node.targets if isinstance(t, ast.Name)}
+        assert consts["EPS_F_TOL"] == consts["BBAR_F_TOL"] == fp.F_TOL
 
 
 class TestBbar:

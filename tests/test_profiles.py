@@ -260,10 +260,11 @@ def _halving_loops() -> set:
 
 class TestOneHalvingLoop:
     def test_only_bisect_and_the_secant_fallback_halve_a_bracket(self):
-        # eps_of_eta's safeguarded secant keeps its own bisection fallback
-        # until the shared root finder takes secant steps
+        # the eps root's safeguarded secant (eps_of_eta and bbar_of_gamma)
+        # keeps its own bisection fallback until the shared root finder
+        # takes secant steps
         assert _halving_loops() == {"profiles.bisect",
-                                    "fixedpoint.eps_of_eta"}
+                                    "fixedpoint._root_in_eps"}
 
     @pytest.mark.parametrize("text, found", [
         ("0.5*(lo+hi)", True), ("0.5 * lo + 0.5 * hi", True),

@@ -61,6 +61,16 @@ class TestClassify:
         assert traj.eval(c.y_cross * (1.0 - 1e-12)) >= -sh.TOL_NEG
         assert traj.eval(c.y_cross * (1.0 + 1e-12)) < -sh.TOL_NEG
 
+    @pytest.mark.parametrize("gamma, b, y_cross", [
+        (13.0, 0.2, 0.2824884580182496), (8.0, 0.37, 0.43976346120119736)])
+    def test_no_steps_past_a_known_crossing(self, gamma, b, y_cross):
+        # the series is below the level at its hand-over node y0, so the
+        # run ends there: one node, no integrator step
+        c = sh.classify(make_params(gamma, b))
+        traj = c.trajectory
+        assert traj.ts == [traj.event_t] and traj.us[0] < -sh.TOL_NEG
+        assert (c.kind, c.y_cross) == ("SignChange", y_cross)
+
     @pytest.mark.parametrize("y_max", [4e12, 1e13])
     def test_long_horizon_is_no_step_underflow(self, y_max):
         # the first step, h = 0.039 at y = 0.907, lies below 1e-14 of the
