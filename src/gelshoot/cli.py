@@ -178,21 +178,15 @@ def cmd_bracket_bbar(a):
 
 def cmd_winding(a):
     from . import stability
-    p = make_params(a.gamma, a.b)
-    w = stability.winding_number(p)
-    cp = stability.CharProblem.from_params(p)
-    emit_json(a.out, {"gamma": a.gamma, "b": a.b, "winding": w.winding,
-                      "root_count": w.root_count, "d_tilde": cp.d_tilde,
-                      "d_star": cp.d_star}, a.echo)
+    [row] = stability.stability_scan(a.gamma, [a.b])
+    emit_json(a.out, row, a.echo)
 
 
 def cmd_stability_scan(a):
     from . import stability
-    grid = parse_grid(a.grid)
-    rows = stability.stability_scan(a.gamma, grid)
-    write_csv(a.out, ["gamma", "b", "winding", "d_tilde", "d_star"],
-              ((r["gamma"], r["b"], r["winding"], r["d_tilde"],
-                r["d_star"]) for r in rows), a.echo)
+    cols = ["gamma", "b", "winding", "d_tilde", "d_star"]
+    rows = stability.stability_scan(a.gamma, parse_grid(a.grid))
+    write_csv(a.out, cols, ([r[c] for c in cols] for r in rows), a.echo)
 
 
 def cmd_greens_q(a):
@@ -240,7 +234,7 @@ def cmd_fixedpoint(a):
 def cmd_eps_of_eta(a):
     from . import fixedpoint
     eps, st = fixedpoint.eps_of_eta(a.eta, tol=a.tol)
-    emit_json(a.out, {"eta": a.eta, "eps": eps, "F": st.F_value,
+    emit_json(a.out, {"eta": a.eta, "eps": eps, "F": fixedpoint.f_eval(st),
                       "iterations": st.iterations,
                       "slope": eps / a.eta if a.eta else 0.0}, a.echo)
 

@@ -41,6 +41,10 @@ class StepBudgetError(GelshootError):
     """A run's lower bound on its step count exceeds the step budget."""
 
 
+class SampleBudgetError(GelshootError):
+    """A curve's predicted sample count exceeds the sample budget."""
+
+
 class SeriesOverflowError(GelshootError):
     """A power series left the floating-point range: a coefficient is not
     finite, or the point where the series hands over underflows."""

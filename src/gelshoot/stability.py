@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DomainError, NoSignChangeError, OriginOnCurveError,
-                     WindingCountError)
+                     SampleBudgetError, WindingCountError)
 from .profiles import LN2, ModelParams, bisect, check_gamma, make_params
 
 
@@ -44,7 +44,6 @@ def p_ratio(rho: float) -> float:
 class CharProblem:
     """Normalized characteristic-equation data for given (gamma, b)."""
 
-    theta: float
     sigma_tilde: float
     d_tilde: float
     d_star: float
@@ -54,7 +53,6 @@ class CharProblem:
         th = params.theta
         st = (th + 1.0) / (2.0 * th)
         return CharProblem(
-            theta=th,
             sigma_tilde=st,
             d_tilde=2.0 * th / (th - 1.0) * params.d,
             d_star=math.acos(st) / math.sqrt(1.0 - st * st),
@@ -67,7 +65,7 @@ class WindingResult:
 
     winding: int
     root_count: int
-    curve: np.ndarray           # complex samples of the imaginary-axis image
+    curve: np.ndarray           # certified samples of F(it), t from -R to R
     R: float
     min_distance: float
 
@@ -87,79 +85,85 @@ def _axis_image(st: float, dt: float, t: np.ndarray) -> np.ndarray:
     return (-st + np.cos(dt * t)) + 1j * (t - np.sin(dt * t))
 
 
-def _closest_approach(st: float, dt: float, t: float) -> float:
-    """min |F(it)| near t, by Newton steps on the slope of |F(it)|^2."""
-    for _ in range(6):
-        c, s = math.cos(dt * t), math.sin(dt * t)
-        u, v, du, dv = c - st, t - s, -dt * s, 1.0 - dt * c
-        t -= (u * du + v * dv) / (du * du + dv * dv
-                                  + dt * dt * (v * s - u * c))
-    return abs(complex(math.cos(dt * t) - st, t - math.sin(dt * t)))
+ORIGIN_FLOOR = 1e-8          # a failing piece's end this near 0 declines
+SAMPLE_BUDGET = 250_000      # about 0.6 us a sample: well inside 1 s
 
 
-def winding_number(params: ModelParams, R: float | None = None,
-                   n_samples: int = 20000) -> WindingResult:
+def _certified(f, n: int, lo: float, hi: float, speed: float):
+    """Samples z = f(s) on [lo, hi], |f'| <= speed, and the rounds that
+    halved every failing piece of n uniform ones.  A piece of length h
+    passes if speed*h < max(|z_k|, |z_k+1|): it lies in a disk about an end
+    that excludes 0, so its argument increment is the principal angle.  A
+    failing piece with an end within ORIGIN_FLOOR of 0 raises, which bounds
+    the rounds by log2(speed*h0/ORIGIN_FLOOR) for the first spacing h0."""
+    import numpy as np
+    s = np.linspace(lo, hi, n)
+    z = f(s)
+    rounds = 0
+    while True:
+        a = np.abs(z)
+        k = np.flatnonzero(speed * np.diff(s) >= np.maximum(a[:-1], a[1:]))
+        if k.size == 0:
+            return z, rounds
+        near = min(a[k].min(), a[k + 1].min())
+        if near < ORIGIN_FLOOR:
+            raise OriginOnCurveError(
+                f"curve passes within {near:.2e} of the origin, below the "
+                f"floor {ORIGIN_FLOOR:.0e}")
+        mid = 0.5 * (s[k] + s[k + 1])
+        s, z = np.insert(s, k + 1, mid), np.insert(z, k + 1, f(mid))
+        rounds += 1
+
+
+def winding_number(params: ModelParams,
+                   R: float | None = None) -> WindingResult:
     """Count unstable characteristic roots by the argument principle.
 
     The boundary of the right half-disk of radius R maps to the closed
-    curve {F(it)} + {F(R e^(i theta))}; its total winding around the origin
+    curve {F(it)} + {F(R e^(i phi))}; its total winding around the origin
     equals the number of roots with positive real part, which is even by
     conjugate symmetry.  The reported winding is the pair count: 0 exactly
-    when b > b_star.  A pass nearer the origin than the sampling resolves
-    raises OriginOnCurveError; a count that is not an even integer raises
-    WindingCountError.
+    when b > b_star.  _certified samples both parts, as |dF(it)/dt| <=
+    1 + dt and |dF/dphi| <= R (1 + dt) on the arc: the count is exact, or
+    OriginOnCurveError, or SampleBudgetError before any sampling, or
+    WindingCountError for a count that is not an even integer.
     """
+    import logging
+
     import numpy as np
     cp = CharProblem.from_params(params)
     st, dt = cp.sigma_tilde, cp.d_tilde
     if R is None:
         R = max(50.0, 20.0 / dt)
-    # loops happen at bounded |t|: the imaginary part t - sin(dt t) is
-    # monotone-in-t beyond |t| > 1 + 1/dt-ish; verify the curve stays far
-    # from the origin for |t| > R/2
-    if R / 2.0 - 1.0 - 1.0 / max(dt, 1e-12) < 2.0 * (1.0 + st):
-        raise DomainError("R too small for the turn-counting region")
+    # a root with Re lam >= 0 has |lam| = |st - e^(-dt lam)| <= 1 + st
+    if not R > 1.0 + st:
+        raise DomainError(f"R = {R:.6g} does not exceed 1 + st = {1 + st:.6g}")
+    # |F| >= R - 1 - st on the arc, so arc pieces this short pass at once;
+    # the axis takes about 4 (1 + dt) ln(1 + R/2) samples (dt up to 1e5)
+    n_arc = math.pi * R * (1.0 + dt) / (R - 1.0 - st) + 2.0
+    predicted = 4.0 * (1.0 + dt) * math.log1p(R / 2.0) + n_arc
+    if not predicted <= SAMPLE_BUDGET:
+        raise SampleBudgetError(
+            f"about {predicted:.3g} curve samples at d_tilde = {dt:.3g}, "
+            f"over the sample budget {SAMPLE_BUDGET}")
 
-    t = np.linspace(-R, R, n_samples)
-    z1 = _axis_image(st, dt, t)
+    def arc(phi):
+        lam = R * np.exp(1j * phi)
+        return np.exp(-dt * lam) + lam - st
 
-    # refine where the curve comes near the origin
-    dist = np.abs(z1)
-    near = dist < 1.0
-    if near.any():
-        idx = np.nonzero(near)[0]
-        lo = t[max(idx[0] - 1, 0)]
-        hi = t[min(idx[-1] + 1, len(t) - 1)]
-        tref = np.linspace(lo, hi, 8 * n_samples // 10)
-        t = np.concatenate([t[t < lo], tref, t[t > hi]])
-        z1 = _axis_image(st, dt, t)
-
-    theta_arc = np.linspace(-math.pi / 2.0, math.pi / 2.0, 4000)
-    zarc = R * np.exp(1j * theta_arc)
-    z2 = np.exp(-dt * zarc) + zarc - st
-
+    z1, r1 = _certified(lambda t: _axis_image(st, dt, t), 65, -R, R, 1.0 + dt)
+    z2, r2 = _certified(arc, int(n_arc), -math.pi / 2.0, math.pi / 2.0,
+                        R * (1.0 + dt))
     closed = np.concatenate([z1[::-1], z2])   # down the axis, then the arc
-    closed = np.append(closed, closed[0])
-    # the samples can step over a pass closer to the origin than the chords'
-    # sag dt^2 h^2 / 8 (|F''| = dt^2, spacing h) and count it on the wrong
-    # side: refine the closest sampled approach and require a margin of 8
     min_distance = float(np.min(np.abs(closed)))
-    k = int(np.argmin(np.abs(z1)))
-    h = float(np.max(np.diff(t[max(k - 1, 0):k + 2])))
-    closest = min(min_distance, _closest_approach(st, dt, float(t[k])))
-    resolution = max(1e-8, dt * dt * h * h)
-    if closest < resolution:
-        raise OriginOnCurveError(
-            f"curve passes within {closest:.2e} of the origin, below the "
-            f"sampling's resolution {resolution:.2e}")
+    logging.getLogger(__name__).debug(
+        "winding: %d axis and %d arc samples in %d and %d rounds, closest "
+        "sampled |F| = %.3e", z1.size, z2.size, r1, r2, min_distance)
 
     total = _unwrapped_angle_sum(closed) / (2.0 * math.pi)
     count = int(round(total))
-    if abs(total - count) > 0.05:
-        raise WindingCountError(
-            f"non-integer winding {total:.4f}; raise n_samples")
-    if count < 0 or count % 2 != 0:
-        raise WindingCountError(f"unexpected root count {count}")
+    if abs(total - count) > 0.05 or count < 0 or count % 2 != 0:
+        raise WindingCountError(f"{total:.4f} turns: no even root count")
     return WindingResult(winding=count // 2, root_count=count,
                          curve=z1, R=R, min_distance=min_distance)
 
@@ -245,19 +249,15 @@ def stability_empirical(params: ModelParams, perturbation) -> DecayReport:
 
 
 def stability_scan(gamma: float, b_values) -> list[dict]:
-    """Winding and threshold data for a list of b values at fixed gamma."""
+    """Winding, root count and thresholds for b values at fixed gamma."""
 
     def one(b: float) -> dict:
         p = make_params(gamma, float(b))
         cp = CharProblem.from_params(p)
         w = winding_number(p)
-        return {
-            "gamma": gamma,
-            "b": float(b),
-            "winding": w.winding,
-            "d_tilde": cp.d_tilde,
-            "d_star": cp.d_star,
-        }
+        return {"gamma": gamma, "b": float(b), "winding": w.winding,
+                "root_count": w.root_count, "d_tilde": cp.d_tilde,
+                "d_star": cp.d_star}
 
     return [one(b) for b in b_values]
 

@@ -5,12 +5,14 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gelshoot
+from gelshoot import fixedpoint
 from gelshoot.cli import build_parser, main, parse_grid
 from gelshoot.errors import DomainError
 from gelshoot.profiles import GAMMA_MAX, make_params
@@ -197,6 +199,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert json.loads(err)["type"] == "OriginOnCurveError"
 
+    @pytest.mark.parametrize("b", ["1e-300", "1e-12"])
+    def test_winding_over_the_sample_budget_is_numerical(self, b, capsys):
+        # d_tilde = 2.8e300 and 2.8e12: refused before any sampling
+        start = time.perf_counter()
+        code, out, err = run(capsys, "winding", "--gamma", "2", "--b", b)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["type"] == "SampleBudgetError"
+        assert "sample budget 250000" in doc["message"]
+
     @pytest.mark.parametrize("out", [None, "tails.json"])
     def test_non_finite_result_is_numerical(self, out, tmp_path, capsys):
         # eta = 1e-310 makes ln2/eta overflow: strict JSON refuses Infinity
@@ -374,6 +387,10 @@ FUZZ = [
     ("bbar", "--gamma", "300"),
     ("bbar", "--gamma", "900"),
     ("bbar", "--gamma", "1000"),
+    ("winding", "--gamma", "2", "--b", "1e-300"),
+    ("winding", "--gamma", "2", "--b", "1e-12"),
+    ("winding", "--gamma", "1.2", "--b", "0.02"),
+    ("winding", "--gamma", "2", "--b", "1e12"),
 ]
 # a result (exit 0) or a typed numerical error (exit 2)
 FUZZ_EXIT = {
@@ -399,6 +416,14 @@ FUZZ_EXIT = {
     # bound of 1e-14 times the whole span and ended in StepUnderflowError
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "4e12"): 0,
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "1e13"): 0,
+    # the winding count needs about 16 d_tilde curve samples: these are
+    # refused on that prediction, where sampling would not finish
+    ("winding", "--gamma", "2", "--b", "1e-300"): 2,
+    ("winding", "--gamma", "2", "--b", "1e-12"): 2,
+    # 31 pairs: a fixed sampling once declined it, with a chord-sag
+    # resolution of 1.2e-2 against a closest pass under 4.6e-4
+    ("winding", "--gamma", "1.2", "--b", "0.02"): 0,
+    ("winding", "--gamma", "2", "--b", "1e12"): 0,
 }
 
 
@@ -434,6 +459,17 @@ class TestRemainingSubcommands:
             code, out, err = run(capsys, *argv)
             assert code == 0, f"{argv} failed: {err}"
             assert out
+
+    def test_eps_of_eta_reports_the_tested_f(self, capsys):
+        # the F that the stop tested, recomputed from the returned W; the
+        # state's F_value is that of the last sweep's input (at eta = 0.01
+        # 1.4034215e-11 against 1.4034293e-11)
+        code, out, _ = run(capsys, "eps-of-eta", "--eta", "0.01")
+        eps, state = fixedpoint.eps_of_eta(0.01)
+        doc = json.loads(out)["result"]
+        assert code == 0 and doc["eps"] == eps
+        assert doc["F"] == fixedpoint.f_eval(state) != state.F_value
+        assert doc["iterations"] == state.iterations
 
     def test_fig2_per_b_files(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"

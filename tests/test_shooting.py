@@ -384,6 +384,7 @@ RETIRED = [
     ("asymptotics.matching_closure", {"c0_amp"}),
     ("profiles.series_switchover", {"tol"}),
     ("fixedpoint.picard_solve", {"max_iter"}),
+    ("stability.winding_number", {"n_samples"}),
 ]
 
 
@@ -418,7 +419,7 @@ class TestRetiredKnobs:
                         for d in node.decorator_list):
                     count += sum(isinstance(s, ast.AnnAssign)
                                  and s.value is not None for s in node.body)
-        assert count <= 58
+        assert count <= 57
 
 
 # second copies and unreachable paths, each deleted in favour of the one

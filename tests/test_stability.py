@@ -1,11 +1,14 @@
+import logging
 import math
+import random
+import time
 
 import numpy as np
 import pytest
 
 from gelshoot import stability as st
 from gelshoot.errors import DomainError, OriginOnCurveError, \
-    WindingCountError
+    SampleBudgetError, WindingCountError
 from gelshoot.profiles import GAMMA_MAX, make_params
 
 B_STAR_2 = 2.5374403762870340        # frozen high-precision evaluation
@@ -53,6 +56,18 @@ class TestPRatio:
                 st.p_ratio(rho)
 
 
+def crossing_count(gamma, b):
+    # closed form: the pairs of roots that crossed the imaginary axis as dt
+    # grew, #{k >= 0 : dt > (arccos st + 2 pi k) / sqrt(1 - st^2)}; the
+    # package itself counts by the argument principle only
+    cp = st.CharProblem.from_params(make_params(gamma, b))
+    s, q = cp.sigma_tilde, math.sqrt(1.0 - cp.sigma_tilde ** 2)
+    k = 0
+    while cp.d_tilde > (math.acos(s) + 2.0 * math.pi * k) / q:
+        k += 1
+    return k
+
+
 class TestWinding:
     def test_stable_side_no_turns(self):
         p = make_params(2.0, 3.0)
@@ -78,10 +93,12 @@ class TestWinding:
         assert winds[-1] > winds[0]
 
     def test_invariant_under_refinement(self):
-        p = make_params(2.0, 2.3)
-        w = st.winding_number(p)
-        assert st.winding_number(p, R=2.0 * w.R).winding == w.winding
-        assert st.winding_number(p, n_samples=40000).winding == w.winding
+        # a larger half-disk is sampled afresh and must hold the same roots
+        for gamma, b in [(2.0, 2.3), (2.0, 0.1), (1.2, 0.05), (3.0, 1e6)]:
+            p = make_params(gamma, b)
+            w = st.winding_number(p)
+            assert st.winding_number(p, R=2.0 * w.R).winding == w.winding
+            assert w.winding == crossing_count(gamma, b)
 
     def test_sigma_tilde_range(self):
         for gamma in (1.2, 2.0, 6.0):
@@ -145,6 +162,75 @@ class TestWinding:
         b = st.b_star_by_winding(2.0, tol_b=1e-300)
         assert abs(b - ref) <= 2.0 * np.spacing(ref)
         assert len(calls) < 60
+
+
+def oracle_grid(n, seed):
+    # gamma uniform on [1.02, 40], b log-uniform on [0.02, 3000]
+    rng = random.Random(seed)
+    return [(rng.uniform(1.02, 40.0),
+             math.exp(rng.uniform(math.log(0.02), math.log(3000.0))))
+            for _ in range(n)]
+
+
+class TestCertifiedCount:
+    def test_matches_the_crossing_count(self):
+        for gamma, b in oracle_grid(240, 19):
+            w = st.winding_number(make_params(gamma, b))
+            assert w.winding == crossing_count(gamma, b), (gamma, b)
+
+    def test_any_half_disk_that_holds_the_roots_counts(self):
+        # the unstable roots have |lam| <= 1 + st = 1.75 at gamma = 2
+        p = make_params(2.0, 2.3)
+        assert st.winding_number(p, R=2.0).winding == 1
+        with pytest.raises(DomainError, match="does not exceed 1 \\+ st"):
+            st.winding_number(p, R=1.75)
+
+    @pytest.mark.parametrize("gamma,b,pairs", [(1.2, 0.02, 31),
+                                               (1.2, 0.05, 13),
+                                               (2.0, 1e-3, 292)])
+    def test_many_loops_resolve(self, gamma, b, pairs):
+        # a fixed sampling once declined these: at (1.2, 0.02) its
+        # chord-sag resolution was 1.2e-2, and the curve passes within
+        # 4.6e-4 of the origin
+        w = st.winding_number(make_params(gamma, b))
+        assert w.winding == pairs == crossing_count(gamma, b)
+        assert w.root_count == 2 * pairs
+
+    @pytest.mark.parametrize("gamma,b", [(2.0, 1e-300), (2.0, 1e-12),
+                                         (2.0, 1e-4), (1.0000001, 0.02)])
+    def test_sample_budget_refuses_before_sampling(self, gamma, b):
+        start = time.perf_counter()
+        with pytest.raises(SampleBudgetError, match="sample budget 250000"):
+            st.winding_number(make_params(gamma, b))
+        assert time.perf_counter() - start < 0.1
+
+    def test_largest_count_within_budget_ends_fast(self):
+        # d_tilde = 1.5e4: about 0.24M samples against the budget's 0.25M
+        start = time.perf_counter()
+        w = st.winding_number(make_params(2.0, 1.85e-4))
+        assert time.perf_counter() - start < 1.0
+        assert w.winding == crossing_count(2.0, 1.85e-4)
+
+    @pytest.mark.parametrize("gamma,b", [(2.05, 5.15), (3.58, 150.0),
+                                         (2.04, 2.1)])
+    def test_samples_follow_the_geometry(self, gamma, b):
+        # the fixed sampling took about 40,000 samples at these map points
+        p = make_params(gamma, b)
+        cp = st.CharProblem.from_params(p)
+        w = st.winding_number(p)
+        assert w.curve.size <= 200
+        ends = st._axis_image(cp.sigma_tilde, cp.d_tilde,
+                              np.array([-w.R, w.R]))
+        assert (w.curve[0], w.curve[-1]) == tuple(ends)
+
+    def test_logs_one_line(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="gelshoot.stability")
+        w = st.winding_number(make_params(2.0, 2.3))
+        [msg] = [r.getMessage() for r in caplog.records
+                 if r.name == "gelshoot.stability"]
+        assert msg.startswith(f"winding: {w.curve.size} axis and ")
+        assert "rounds" in msg
+        assert msg.endswith(f"closest sampled |F| = {w.min_distance:.3e}")
 
 
 def reference_b_star_by_winding(gamma, tol_b):
