@@ -2,10 +2,10 @@
 
 Handles the two delay shapes used by the profile equations: proportional
 (pantograph) delays t -> p t with p in (0,1) and constant shifts t -> t - d.
-Steps are capped so the delayed argument of every stage lies at or below the
-last accepted node, which keeps all delayed lookups inside fully computed
-territory; a classical RK4 step-doubling estimate controls accuracy on top
-of that cap, and dense output is cubic Hermite per step.
+A classical RK4 step-doubling estimate controls accuracy, and dense output
+is cubic Hermite per step.  A step past the delay cap, whose delayed
+arguments pass the last accepted node, reads its own panel through a
+provisional node re-solved in passes, or falls back to the cap.
 
 The tolerance knob also caps the nominal step through
 
@@ -35,6 +35,10 @@ ORDER_EXP = 0.9
 T_SCALE = 10.0
 DEFAULT_TOL = 1e-10
 VALUE_CAP = 1e12
+# solves of a step on its own panel: at most MAX_PASSES, until u2 moves
+# by at most PASS_TOL * tol * (1 + |u2|)
+MAX_PASSES = 4
+PASS_TOL = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +49,7 @@ VALUE_CAP = 1e12
 class DelayRHS:
     """Descriptor of u'(t) = f(t, u(t), u(tau(t))) with tau(t) < t.
 
-    step_cap(t) is the largest h with tau(t + h) <= t.
+    step_cap(t), the largest h with tau(t + h) <= t, is the fallback cap.
     """
 
     name: str
@@ -193,6 +197,14 @@ def hermite_apply(w: tuple, us: np.ndarray, dus: np.ndarray) -> np.ndarray:
     return a0 * us[i] + b0 * dus[i] + a1 * us[i + 1] + b1 * dus[i + 1]
 
 
+def _slope(t0, h, t, u0, du0, u1, du1) -> float:
+    """Hermite slope at t from (u0, du0) at t0 and (u1, du1) at t0 + h."""
+    s = (t - t0) / h
+    return ((6.0 * s * s - 6.0 * s) * (u0 - u1) / h
+            + (3.0 * s * s - 4.0 * s + 1.0) * du0
+            + (3.0 * s * s - 2.0 * s) * du1)
+
+
 _EDGE_TOL = 1e-12
 
 
@@ -211,7 +223,9 @@ class DenseTrajectory(History):
         self.ts: list[float] = []
         self.us: list[float] = []
         self.dus: list[float] = []
-        self.n_rejected = 0
+        # rejected steps, accepted steps that read their own panel, extra
+        # corrector passes and fallbacks to the delay cap
+        self.n_rejected = self.n_overlap = self.n_passes = self.n_fallback = 0
         self.event_t: Optional[float] = None
 
     # -- construction -----------------------------------------------------
@@ -255,12 +269,8 @@ class DenseTrajectory(History):
         if not ts[0] <= t <= ts[-1]:
             raise OutOfRangeError(f"{t} outside [{ts[0]}, {ts[-1]}]")
         i = min(bisect.bisect_right(ts, t) - 1, len(ts) - 2)
-        t0 = ts[i]
-        h = ts[i + 1] - t0
-        s = (t - t0) / h
-        return ((6.0 * s * s - 6.0 * s) * (us[i] - us[i + 1]) / h
-                + (3.0 * s * s - 4.0 * s + 1.0) * dus[i]
-                + (3.0 * s * s - 2.0 * s) * dus[i + 1])
+        return _slope(ts[i], ts[i + 1] - ts[i], t, us[i], dus[i], us[i + 1],
+                      dus[i + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +322,27 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     # segment below t0; histories return Python floats and the loop keeps
     # to them: on numpy scalars it runs about half again as long
     f, tau, traj_eval = rhs.f, rhs.delay_arg, traj.eval
-    ts_append, us_append = traj.ts.append, traj.us.append
-    dus_append = traj.dus.append
+    ts, us, dus = traj.ts, traj.us, traj.dus
+    ts_append, us_append, dus_append = ts.append, us.append, dus.append
     traj._append(t, u, 0.0)
     du = f(t, u, traj_eval(tau(t)))
-    traj.dus[0] = du
+    dus[0] = du
     if stop_condition is not None and stop_condition(t, u):
         traj.event_t = t
         return traj
     order_cap, delay_cap = _order_cap(tol), rhs.step_cap
-
-    def caps(tt: float) -> float:
-        return min(order_cap(tt), t1 - tt, delay_cap(tt) * (1.0 - 1e-12))
-
-    h = min(caps(t), 0.05 / (1.0 + abs(du)))
+    # the first step keeps to the delay cap, so every own-panel step has a
+    # last panel to predict from; a zero cap means a proportional delay from
+    # the origin, which must start from a local series at t > 0
+    h = min(order_cap(t), t1 - t, 0.05 / (1.0 + abs(du)),
+            delay_cap(t) * (1.0 - 1e-12))
     if h <= 0.0:
-        # a zero delay cap means a proportional delay starting at the
-        # origin; those runs must start from a local series at t > 0
         raise StepUnderflowError(t, h)
-
     t_stop = t1 - _EDGE_TOL * max(1.0, abs(t1))  # once per run, not per step
+    reach = math.inf  # step bound in delay caps after a step did not settle
     while t < t_stop:
-        h = min(h, caps(t))
+        cap = delay_cap(t) * (1.0 - 1e-12)
+        h = min(h, order_cap(t), t1 - t, reach * cap)
         # h < 1e-14 max(1, |t|), relative to t like the force-accept test
         # below (a bound on the whole span rejects the ordinary first steps
         # of a long run), spelled without a max() call on every step
@@ -347,35 +356,58 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         qh = 0.5 * hh
         tm, te = t + hh, t + h
         tq, t3, te2 = t + qh, tm + qh, tm + hh
-        dm, de = traj_eval(tau(tm)), traj_eval(tau(te))
-        dq, d3 = traj_eval(tau(tq)), traj_eval(tau(t3))
-        de2 = de if te2 == te else traj_eval(tau(te2))
-        k2 = f(tm, u + hh * du, dm)
-        k3 = f(tm, u + hh * k2, dm)
-        k4 = f(te, u + h * k3, de)
-        u_full = u + h * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        k2 = f(tq, u + qh * du, dq)
-        k3 = f(tq, u + qh * k2, dq)
-        k4 = f(tm, u + hh * k3, dm)
-        u_half = u + hh * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        k1 = f(tm, u_half, dm)
-        k2 = f(t3, u_half + qh * k1, d3)
-        k3 = f(t3, u_half + qh * k2, d3)
-        k4 = f(te2, u_half + hh * k3, de2)
-        u2 = u_half + hh * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        # a step past the delay cap reads its own panel through a node at te,
+        # predicted from the last panel, then set to u2 until u2 settles
+        own = h > cap
+        if own:
+            tp, up, dp = ts[-2], us[-2], dus[-2]
+            a0, b0, a1, b1 = _basis(tp, t - tp, te)
+            ts_append(te)
+            us_append(a0 * up + b0 * dp + a1 * u + b1 * du)
+            dus_append(_slope(tp, t - tp, te, up, dp, u, du))
+        for n in range(MAX_PASSES if own else 1):
+            if n:
+                traj.n_passes += 1
+                us[-1] = u2
+                dus[-1] = f(te, u2, traj_eval(tau(te)))
+            dm, de = traj_eval(tau(tm)), traj_eval(tau(te))
+            dq, d3 = traj_eval(tau(tq)), traj_eval(tau(t3))
+            de2 = de if te2 == te else traj_eval(tau(te2))
+            k2 = f(tm, u + hh * du, dm)
+            k3 = f(tm, u + hh * k2, dm)
+            k4 = f(te, u + h * k3, de)
+            u_full = u + h * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            k2 = f(tq, u + qh * du, dq)
+            k3 = f(tq, u + qh * k2, dq)
+            k4 = f(tm, u + hh * k3, dm)
+            u_half = u + hh * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            k1 = f(tm, u_half, dm)
+            k2 = f(t3, u_half + qh * k1, d3)
+            k3 = f(t3, u_half + qh * k2, d3)
+            k4 = f(te2, u_half + hh * k3, de2)
+            u2 = u_half + hh * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            if not own or abs(u2 - us[-1]) <= PASS_TOL * tol * (1.0 + abs(u2)):
+                break
+        else:   # no convergence: retry at the delay cap
+            del ts[-1], us[-1], dus[-1]
+            traj.n_fallback += 1
+            reach = 0.5 * (1.0 + h / cap)
+            h = cap
+            continue
         est = abs(u2 - u_full)
         scale = tol * (1.0 + abs(u2))
         if est <= scale or h <= 1e-13 * max(1.0, abs(t)):
-            t_new = t + h
-            if abs(u2) > value_cap:
-                traj._append(t_new, u2, f(t_new, u2, traj_eval(tau(t_new))))
-                raise BlowUpError(t_new, traj)
-            t = t_new
+            t = te
             u = u2
-            du = f(t, u, traj_eval(tau(t)))
+            du = f(t, u, traj_eval(tau(t)))  # reads any provisional node
+            if own:
+                traj.n_overlap += 1
+                del ts[-1], us[-1], dus[-1]
             ts_append(t)
             us_append(u)
             dus_append(du)
+            if abs(u) > value_cap:
+                raise BlowUpError(t, traj)
             if stop_condition is not None and stop_condition(t, u):
                 traj.event_t = t
                 return traj
@@ -384,6 +416,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             else:
                 h *= 5.0
         else:
+            if own:
+                del ts[-1], us[-1], dus[-1]
             traj.n_rejected += 1
             h *= max(0.2, 0.9 * (scale / est) ** 0.2)
     return traj

@@ -73,10 +73,11 @@ class Classification:
 def _series_run(series, rhs: dc.DelayRHS, y_max: float,
                 tol: float) -> dc.DenseTrajectory:
     """Run rhs from its local series up to y_max, stopped at the first node
-    (y0 included) below -TOL_NEG, or at a blow-up past that level.  The delay
-    cap h <= r y grows y by a factor of at most 1 + r per step, so a run
-    whose ln(y_max/y0) / ln(1 + r) exceeds MAX_STEPS raises StepBudgetError.
+    (y0 included) below -TOL_NEG, or at a blow-up past that level.  Steps
+    that all fell back to the delay cap h <= r y would need ln(y_max/y0) /
+    ln(1 + r) of them; above MAX_STEPS the run raises StepBudgetError.
     """
+    import logging
     y0 = min(series_switchover(series), 0.25 * y_max)
     dc.check_run((y0, y_max), tol)
     growth = math.log1p(rhs.step_cap(y0) / y0)
@@ -87,13 +88,18 @@ def _series_run(series, rhs: dc.DelayRHS, y_max: float,
             f"least {steps:.4g} steps, above the budget of {MAX_STEPS}")
     hist = dc.SeriesHistory(series, y0)
     try:
-        return dc.integrate(rhs, hist, (y0, y_max), tol=tol,
+        traj = dc.integrate(rhs, hist, (y0, y_max), tol=tol,
                             stop_condition=lambda y, u: u < -TOL_NEG)
     except BlowUpError as err:
-        if err.trajectory is not None and err.trajectory.us[-1] < -TOL_NEG:
-            err.trajectory.event_t = err.trajectory.ts[-1]
-            return err.trajectory
-        raise
+        traj = err.trajectory
+        if traj is None or not traj.us[-1] < -TOL_NEG:
+            raise
+        traj.event_t = traj.ts[-1]
+    logging.getLogger(__name__).debug(
+        "%s run: %d steps, %d on own panels, %d extra passes, %d fallbacks",
+        rhs.name, len(traj.ts) - 1, traj.n_overlap, traj.n_passes,
+        traj.n_fallback)
+    return traj
 
 
 def h_profile(params: ModelParams, y_max: float,

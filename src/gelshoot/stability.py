@@ -262,10 +262,10 @@ def stability_scan(gamma: float, b_values) -> list[dict]:
     return [one(b) for b in b_values]
 
 
-def curve_samples(params: ModelParams, n_samples: int = 4000) -> np.ndarray:
-    """Imaginary-axis image of the characteristic function, for plotting."""
+def curve_samples(params: ModelParams) -> np.ndarray:
+    """Imaginary-axis image of the characteristic function at 4000 points,
+    for plotting."""
     import numpy as np
     cp = CharProblem.from_params(params)
     R = max(12.0, 6.0 / cp.d_tilde)
-    return _axis_image(cp.sigma_tilde, cp.d_tilde,
-                       np.linspace(-R, R, n_samples))
+    return _axis_image(cp.sigma_tilde, cp.d_tilde, np.linspace(-R, R, 4000))

@@ -365,6 +365,7 @@ FUZZ = [
     ("psi-asym", "--eta", "1000"),
     ("psi-asym", "--eta", "1e250"),
     ("classify", "--gamma", "2", "--b", "1e6"),
+    ("classify", "--gamma", "2", "--b", "5e4"),
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "4e12"),
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "1e13"),
     ("bracket-bbar", "--gamma", "1.00001"),
@@ -412,6 +413,9 @@ FUZZ_EXIT = {
     # this run needs 1.0e7 steps: it once ran for minutes and now stops on
     # the step budget before it starts
     ("classify", "--gamma", "2", "--b", "1e6"): 2,
+    # 511,767 steps at the delay cap, which took 5.6-10 s; steps that read
+    # their own panel take 351
+    ("classify", "--gamma", "2", "--b", "5e4"): 0,
     # the first step, h = 0.039 at y = 0.907, once fell below an underflow
     # bound of 1e-14 times the whole span and ended in StepUnderflowError
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "4e12"): 0,

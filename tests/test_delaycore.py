@@ -225,6 +225,22 @@ class TestFailureModes:
         assert traj.us[-1] < 0.5
 
 
+def _h_run_3_200():
+    # the delay cap, 0.0035 y, lies far below the order cap
+    p = make_params(3.0, 200.0)
+    s = local_series(p, 40)
+    y0 = series_switchover(s)
+    return dc.h_equation(p), dc.SeriesHistory(s, y0), (y0, 200.0), {}
+
+
+def _phi_run_short_shift():
+    # the shift d = 0.069 lies below the order cap, 0.16 at tol 1e-9
+    p = make_params(2.0, 10.0)
+    return (dc.phi_equation(p),
+            dc.FunctionHistory(lambda z: 0.5 * math.exp(z), -p.d, 0.0),
+            (0.0, 6.0), {})
+
+
 class TestWorkCounts:
     def test_eleven_f_evals_per_accepted_step(self):
         # one evaluation at the start node; an accepted step costs ten for
@@ -245,6 +261,51 @@ class TestWorkCounts:
         accepted = len(traj.ts) - 1
         assert accepted > 0
         assert len(calls) == 1 + 11 * accepted + 10 * traj.n_rejected
+
+    @pytest.mark.parametrize("passes", [dc.MAX_PASSES, 2])
+    @pytest.mark.parametrize("make_run", [_h_run_3_200, _phi_run_short_shift])
+    def test_f_evals_with_own_panel_steps(self, make_run, passes,
+                                          monkeypatch):
+        # a step that reads its own panel adds 11 per extra pass (the
+        # provisional node's derivative and a re-solve); a fallback to the
+        # delay cap adds the 10 of its last unconverged solve
+        monkeypatch.setattr(dc, "MAX_PASSES", passes)
+        calls = []
+        rhs, init, span, kw = make_run()
+
+        def counted(y, u, ud):
+            calls.append(y)
+            return rhs.f(y, u, ud)
+
+        traj = dc.integrate(dataclasses.replace(rhs, f=counted), init, span,
+                            tol=1e-9, **kw)
+        accepted = len(traj.ts) - 1
+        assert traj.n_overlap > 0 and traj.n_passes > 0
+        assert len(calls) == 1 + 11 * accepted + 10 * traj.n_rejected \
+            + 11 * traj.n_passes + 10 * traj.n_fallback
+        if passes == 2:
+            assert traj.n_fallback > 0
+
+    def test_a_fallback_bounds_the_later_steps(self, monkeypatch):
+        # phi with the shift d = 0.076: a step of about 7 d does not settle,
+        # and every later step stays below half way from it to the delay
+        # cap, so the run falls back once where it would every third step
+        p = make_params(1.62, 9.169)
+        hist = dc.FunctionHistory(
+            lambda z: p.phi_inf * (1.0 + 0.05 * math.cos(z)), -p.d, 0.0)
+
+        def f_evals():
+            run = dc.integrate(dc.phi_equation(p), hist, (0.0, 200.0),
+                               tol=1e-9)
+            return run, 1 + 11 * (len(run.ts) - 1) + 10 * run.n_rejected \
+                + 11 * run.n_passes + 10 * run.n_fallback
+
+        run, work = f_evals()
+        assert 1 <= run.n_fallback <= 2 and run.n_overlap > 500
+        monkeypatch.setattr(dc, "MAX_PASSES", 0)
+        capped, capped_work = f_evals()
+        assert capped.n_fallback > 20
+        assert work < 0.6 * capped_work
 
     def test_one_lookup_per_stage_abscissa(self):
         # the start node, four or five distinct stage abscissae per
@@ -394,6 +455,74 @@ class TestBitwiseAgainstReference:
         if make_run is _h_run:
             assert new.n_rejected > 0
 
+    @pytest.mark.parametrize("make_run", [_h_run_3_200, _phi_run_short_shift])
+    def test_corrector_off_is_the_delay_capped_step(self, make_run,
+                                                    monkeypatch):
+        # with no pass allowed every step past the delay cap falls back to
+        # it, as every step was capped before steps could read their own
+        # panel; the fallbacks are not rejections
+        rhs, init, span, kw = make_run()
+        assert dc.integrate(rhs, init, span, tol=1e-9, **kw).n_overlap > 0
+        monkeypatch.setattr(dc, "MAX_PASSES", 0)
+        new = dc.integrate(rhs, init, span, tol=1e-9, **kw)
+        ref = reference_integrate(rhs, init, span, 1e-9, **kw)
+        assert new.n_fallback > 0 and new.n_overlap == new.n_passes == 0
+        assert _bytes(new) == _bytes(ref)
+        assert new.n_rejected == ref.n_rejected
+
+
+# h_profile(p, 500) runs whose steps read their own panel, against the
+# delay-capped run of the same point (every step falls back)
+OWN_PANEL_POINTS = [(2.0, 150.0), (2.0, 1e3), (3.583, 294.85), (4.8, 81.0),
+                    (1.3, 250.0)]
+
+
+class TestOwnPanelAccuracy:
+    @staticmethod
+    def _error(p, tol, monkeypatch):
+        run = sh.h_profile(p, 500.0, tol=tol)
+        with monkeypatch.context() as m:
+            m.setattr(dc, "MAX_PASSES", 0)
+            ref = sh.h_profile(p, 500.0, tol=tol)
+        assert run.n_overlap > 0 and ref.n_overlap == 0
+        assert len(run.ts) < len(ref.ts)
+        y = np.geomspace(run.ts[0], min(run.ts[-1], ref.ts[-1]), 3000)
+        return float(np.max(np.abs(run.eval_many(y) - ref.eval_many(y))))
+
+    @pytest.mark.parametrize("gamma,b", OWN_PANEL_POINTS)
+    def test_near_the_delay_capped_run_and_converging(self, gamma, b,
+                                                      monkeypatch):
+        # measured 1.8e-9 ... 4.8e-8 at tol 1e-9, falling 1.7-1.8x per
+        # halving of tol (the tol^0.8 rate of per-step error control)
+        p = make_params(gamma, b)
+        errs = [self._error(p, tol, monkeypatch)
+                for tol in (1e-9, 5e-10, 2.5e-10, 1.25e-10)]
+        assert errs[0] <= 1e-7
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse >= 1.5 * fine
+
+
+# large-b shoot-map points and their classes, as the delay-capped steps
+# classified them
+LARGE_B_KINDS = [
+    (1.392, 238.9, "Undetermined"), (1.798, 72.28, "Undetermined"),
+    (1.798, 252.4, "Undetermined"), (2.046, 115.3, "Undetermined"),
+    (2.046, 278.6, "Undetermined"), (2.208, 157.9, "Undetermined"),
+    (2.945, 79.84, "ConvergesToConstant"),
+    (2.945, 278.6, "ConvergesToConstant"),
+    (3.583, 294.85, "ConvergesToConstant"),
+    (3.887, 52.84, "ConvergesToConstant"),
+    (4.581, 295.0, "ConvergesToConstant"),
+    (4.808, 63.35, "ConvergesToConstant"),
+]
+
+
+@pytest.mark.parametrize("gamma,b,kind", LARGE_B_KINDS)
+def test_large_b_classes_are_kept(gamma, b, kind):
+    c = sh.classify(make_params(gamma, b))
+    assert c.trajectory.n_overlap > 0
+    assert c.kind == kind
+
 
 # the integrator's arithmetic stays on Python floats: one numpy scalar
 # entering through a lookup would make every later node a numpy scalar
@@ -520,11 +649,11 @@ class TestOneLookupDefinition:
         assert _defined("_hermite_deriv") == set()
 
     def test_integrate_has_no_private_router(self):
-        # every delayed value goes through the trajectory's eval; the one
-        # function integrate defines is its step cap
+        # every delayed value goes through the trajectory's eval, that of a
+        # step's own panel included; integrate defines no inner function
         tree = ast.parse(inspect.getsource(dc.integrate))
         assert [n.name for n in ast.walk(tree)
-                if isinstance(n, ast.FunctionDef)] == ["integrate", "caps"]
+                if isinstance(n, ast.FunctionDef)] == ["integrate"]
 
 
 # every right-hand side builder; gamma in (1, GAMMA_MAX), b > 0, eps in (-1, 1)

@@ -2,7 +2,9 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import logging
 import math
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from gelshoot import asymptotics, fixedpoint, gelsim, greens
+from gelshoot import delaycore as dc
 from gelshoot import shooting as sh
 from gelshoot.errors import (BracketFailureError, DomainError,
                              NoPlateausError, StepBudgetError)
@@ -284,6 +287,9 @@ class TestStepBudget:
             sh.limit_profile(1.0 - 1e-7)
 
     def test_prediction_is_a_tight_lower_bound(self, monkeypatch):
+        # the prediction counts steps that all fall back to the delay cap,
+        # as they do with the corrector off
+        monkeypatch.setattr(dc, "MAX_PASSES", 0)
         p = make_params(2.0, 100.0)
         steps = len(sh.h_profile(p, 500.0).ts) - 1
         monkeypatch.setattr(sh, "MAX_STEPS", steps)
@@ -297,6 +303,25 @@ class TestStepBudget:
     def test_bad_span_or_tol_is_checked_first(self, kw):
         with pytest.raises(DomainError):
             sh.classify(make_params(2.0, 1e6), **kw)
+
+    def test_own_panel_steps_stay_inside_the_budget(self):
+        # 511,767 steps at the delay cap (5.6-10 s); steps that read their
+        # own panel take 351
+        start = time.perf_counter()
+        c = sh.classify(make_params(2.0, 5e4))
+        assert time.perf_counter() - start <= 1.0
+        assert c.trajectory.n_overlap > 0
+        assert len(c.trajectory.ts) < 1000
+
+    def test_series_run_logs_its_counts(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="gelshoot.shooting")
+        traj = sh.h_profile(make_params(3.0, 200.0), 500.0)
+        [msg] = [r.getMessage() for r in caplog.records
+                 if r.name == "gelshoot.shooting"]
+        assert msg == (f"H run: {len(traj.ts) - 1} steps, {traj.n_overlap} "
+                       f"on own panels, {traj.n_passes} extra passes, "
+                       f"{traj.n_fallback} fallbacks")
+        assert traj.n_overlap > 0
 
     def test_vanishing_lag_is_over_budget(self):
         # q rounds to 1 above b ~ 1e16, so no step can grow y
@@ -369,7 +394,7 @@ RETIRED = [
      {"tread_slope", "riser_slope", "level_cap", "pts_per_decade"}),
     ("shooting.plateau_diagnostics", {"slope_tol"}),
     ("delaycore.integrate", {"h_max"}),
-    ("stability.curve_samples", {"R"}),
+    ("stability.curve_samples", {"R", "n_samples"}),
     ("stability.stability_empirical", {"horizon", "tol"}),
     ("gelsim.evolve_chain", {"n_out"}),
     ("gelsim.riccati_blowup_estimate", {"window"}),
@@ -419,7 +444,7 @@ class TestRetiredKnobs:
                         for d in node.decorator_list):
                     count += sum(isinstance(s, ast.AnnAssign)
                                  and s.value is not None for s in node.body)
-        assert count <= 57
+        assert count <= 56
 
 
 # second copies and unreachable paths, each deleted in favour of the one

@@ -336,6 +336,6 @@ class TestScanExport:
             assert r["d_star"] == pytest.approx(1.0926714764, abs=1e-8)
 
     def test_curve_samples_shape(self):
-        z = st.curve_samples(make_params(2.0, 2.3), n_samples=1000)
-        assert z.shape == (1000,)
+        z = st.curve_samples(make_params(2.0, 2.3))
+        assert z.shape == (4000,)
         assert np.all(np.isfinite(z.view(float)))
