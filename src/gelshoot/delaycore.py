@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (BlowUpError, DomainError, OutOfRangeError,
-                     StepUnderflowError)
+                     StepBudgetError, StepUnderflowError)
 from .profiles import LN2, ModelParams, PowerSeries, series_eval
 
 TOL_REF = 1e-10
@@ -39,6 +39,8 @@ VALUE_CAP = 1e12
 # by at most PASS_TOL * tol * (1 + |u2|)
 MAX_PASSES = 4
 PASS_TOL = 0.1
+# attempted steps of one run: accepted, rejected or fallen back
+MAX_STEPS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +61,9 @@ class DelayRHS:
 
 
 def _proportional(name: str, f, p: float) -> DelayRHS:
-    """Pantograph delay t -> p t, whose step cap is (1/p - 1) t."""
+    """Pantograph delay t -> p t, 0 < p < 1, whose step cap is (1/p - 1) t."""
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"{name} equation: delay ratio {p!r} not in (0, 1)")
     r = 1.0 / p - 1.0
     return DelayRHS(name=name, f=f, delay_arg=lambda t: p * t,
                     step_cap=lambda t: r * t)
@@ -92,11 +96,9 @@ def limit_h_equation(eps: float) -> DelayRHS:
 
 def rescaled_h_equation(eps: float, eta: float) -> DelayRHS:
     """h' = -h(x (1+eps)/2)^2 + eta h(x)^2."""
-    p = 0.5 * (1.0 + eps)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"delay ratio (1+eps)/2 = {p} outside (0,1)")
     return _proportional("rescaled-h" if eta else "limit-h",
-                         lambda x, u, ud: -ud * ud + eta * u * u, p)
+                         lambda x, u, ud: -ud * ud + eta * u * u,
+                         0.5 * (1.0 + eps))
 
 
 def linear_g_equation() -> DelayRHS:
@@ -282,21 +284,6 @@ def _order_cap(tol: float) -> Callable[[float], float]:
     return lambda t: c * max(1.0, abs(t) / T_SCALE)
 
 
-def check_run(span, tol: float) -> tuple:
-    """integrate's argument checks: the span (t0, t1) as floats, or
-    DomainError unless it is finite and longer than the end-point
-    tolerance and tol is positive and finite."""
-    t0, t1 = float(span[0]), float(span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise DomainError(f"span ({t0}, {t1}) must be finite")
-    if not t0 < t1 - _EDGE_TOL * max(1.0, abs(t1)):
-        raise DomainError(f"span ({t0}, {t1}) must be increasing and "
-                          "longer than the end-point tolerance")
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite")
-    return t0, t1
-
-
 def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
               u0: Optional[float] = None,
               stop_condition: Optional[Callable[[float, float], bool]] = None,
@@ -308,10 +295,21 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     run at the first node where it holds, the start node included; the node
     is recorded in the trajectory's event_t.
 
-    Raises BlowUpError when |u| exceeds value_cap and StepUnderflowError
-    when the step control collapses.
+    Raises DomainError unless the span is finite and longer than the
+    end-point tolerance and tol is positive and finite; BlowUpError when
+    |u| exceeds value_cap, StepUnderflowError when the step control
+    collapses, and StepBudgetError after MAX_STEPS attempted steps
+    (accepted, rejected or fallen back) short of the span's end.
     """
-    t0, t1 = check_run(span, tol)
+    t0, t1 = float(span[0]), float(span[1])
+    t_stop = t1 - _EDGE_TOL * max(1.0, abs(t1))  # the loop's end bound
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError(f"span ({t0}, {t1}) must be finite")
+    if not t0 < t_stop:
+        raise DomainError(f"span ({t0}, {t1}) must be increasing and "
+                          "longer than the end-point tolerance")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     if init.hi < t0 - _EDGE_TOL:
         raise DomainError("initial segment does not reach the start point")
 
@@ -338,9 +336,10 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             delay_cap(t) * (1.0 - 1e-12))
     if h <= 0.0:
         raise StepUnderflowError(t, h)
-    t_stop = t1 - _EDGE_TOL * max(1.0, abs(t1))  # once per run, not per step
     reach = math.inf  # step bound in delay caps after a step did not settle
-    while t < t_stop:
+    for _ in range(MAX_STEPS):
+        if not t < t_stop:
+            break
         cap = delay_cap(t) * (1.0 - 1e-12)
         h = min(h, order_cap(t), t1 - t, reach * cap)
         # h < 1e-14 max(1, |t|), relative to t like the force-accept test
@@ -420,6 +419,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
                 del ts[-1], us[-1], dus[-1]
             traj.n_rejected += 1
             h *= max(0.2, 0.9 * (scale / est) ** 0.2)
+    if t < t_stop:
+        raise StepBudgetError(rhs.name, t, t1, traj)
     return traj
 
 

@@ -38,7 +38,18 @@ class StepUnderflowError(GelshootError):
 
 
 class StepBudgetError(GelshootError):
-    """A run's lower bound on its step count exceeds the step budget."""
+    """An integration spent its budget of attempted steps short of the end
+    of its span; carries the abscissa reached and the partial trajectory."""
+
+    def __init__(self, name, location, end, trajectory):
+        tr = trajectory
+        super().__init__(
+            f"{name} run: step budget spent at t = {location:.6g} of "
+            f"{end:.6g} ({len(tr.ts) - 1} accepted, {tr.n_rejected} "
+            f"rejected, {tr.n_passes} extra passes, {tr.n_fallback} "
+            "fallbacks)")
+        self.location = location
+        self.trajectory = trajectory
 
 
 class SampleBudgetError(GelshootError):

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import delaycore as dc
 from .errors import (BlowUpError, BracketFailureError, DomainError,
-                     GelshootError, NoPlateausError, NoSignChangeError,
-                     StepBudgetError)
+                     GelshootError, NoPlateausError, NoSignChangeError)
 from .profiles import (ModelParams, bisect, check_gamma, make_params,
                        local_series, pantograph_series, series_switchover)
 from .stability import b_star
@@ -40,8 +39,6 @@ TOL_CONV = 1e-3
 CONV_WINDOW = 0.25
 MIN_EXTREMA = 3
 EXTREMA_AMP = 1e-4
-# step budget of a series-started run, checked before the run starts
-MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -73,19 +70,9 @@ class Classification:
 def _series_run(series, rhs: dc.DelayRHS, y_max: float,
                 tol: float) -> dc.DenseTrajectory:
     """Run rhs from its local series up to y_max, stopped at the first node
-    (y0 included) below -TOL_NEG, or at a blow-up past that level.  Steps
-    that all fell back to the delay cap h <= r y would need ln(y_max/y0) /
-    ln(1 + r) of them; above MAX_STEPS the run raises StepBudgetError.
-    """
+    (y0 included) below -TOL_NEG, or at a blow-up past that level."""
     import logging
     y0 = min(series_switchover(series), 0.25 * y_max)
-    dc.check_run((y0, y_max), tol)
-    growth = math.log1p(rhs.step_cap(y0) / y0)
-    steps = math.log(y_max / y0) / growth if growth > 0.0 else math.inf
-    if steps > MAX_STEPS:
-        raise StepBudgetError(
-            f"{rhs.name} run from y0 = {y0:.6g} to y_max = {y_max:.6g}: at "
-            f"least {steps:.4g} steps, above the budget of {MAX_STEPS}")
     hist = dc.SeriesHistory(series, y0)
     try:
         traj = dc.integrate(rhs, hist, (y0, y_max), tol=tol,

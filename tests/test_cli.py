@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gelshoot
-from gelshoot import fixedpoint
+from gelshoot import delaycore, fixedpoint
 from gelshoot.cli import build_parser, main, parse_grid
 from gelshoot.errors import DomainError
 from gelshoot.profiles import GAMMA_MAX, make_params
@@ -299,6 +299,15 @@ class TestExitCodes:
         assert doc["error"] == "domain"
         assert "tol must be positive" in doc["message"]
 
+    def test_step_budget_is_numerical(self, capsys, monkeypatch):
+        monkeypatch.setattr(delaycore, "MAX_STEPS", 1000)
+        code, out, err = run(capsys, "greens-verify", "--tol", "1e-14")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["type"] == "StepBudgetError"
+        assert doc["message"].startswith("linear-G run: step budget spent")
+
     def test_tolerance_below_roundoff_is_numerical(self, capsys):
         code, out, err = run(capsys, "fixedpoint", "--tol", "1e-20")
         assert (code, out) == (2, "")
@@ -365,6 +374,13 @@ FUZZ = [
     ("psi-asym", "--eta", "1000"),
     ("psi-asym", "--eta", "1e250"),
     ("classify", "--gamma", "2", "--b", "1e6"),
+    ("classify", "--gamma", "2", "--b", "1e8"),
+    ("classify", "--gamma", "2", "--b", "1e12"),
+    # q = 2^(-1/b) rounds to 1 from b ~ 1.2487e16 and to 0 below
+    # b ~ 1/1075 (the latter once a ZeroDivisionError in the step cap)
+    ("classify", "--gamma", "2", "--b", "1e17"),
+    ("classify", "--gamma", "2", "--b", "1e300"),
+    ("profile", "--gamma", "2", "--b", "1e-4"),
     ("classify", "--gamma", "2", "--b", "5e4"),
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "4e12"),
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "1e13"),
@@ -409,10 +425,13 @@ FUZZ_EXIT = {
     # sum without a word
     ("psi-asym", "--eta", "1000"): 2,
     ("psi-asym", "--eta", "1e250"): 2,
-    # the delay cap lets a step grow y by a factor of at most 2^(1/b), so
-    # this run needs 1.0e7 steps: it once ran for minutes and now stops on
-    # the step budget before it starts
-    ("classify", "--gamma", "2", "--b", "1e6"): 2,
+    # at the delay cap a step grows y by a factor of at most 2^(1/b), so
+    # these runs would need 1.0e7 steps and more: they once ran for minutes,
+    # then were refused on that prediction; steps that read their own
+    # panel take 353-362
+    ("classify", "--gamma", "2", "--b", "1e6"): 0,
+    ("classify", "--gamma", "2", "--b", "1e8"): 0,
+    ("classify", "--gamma", "2", "--b", "1e12"): 0,
     # 511,767 steps at the delay cap, which took 5.6-10 s; steps that read
     # their own panel take 351
     ("classify", "--gamma", "2", "--b", "5e4"): 0,

@@ -620,15 +620,15 @@ class TestOneTrajectoryLookup:
             traj.eval_many(np.array(pts))
 
 
-def _defined(name: str) -> set:
-    """Qualified names of the definitions of name under src/gelshoot."""
+def _scopes(match) -> set:
+    """Qualified scopes under src/gelshoot of the nodes that match."""
     found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.add(scope)
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                if child.name == name:
-                    found.add(scope)
                 visit(child, f"{scope}.{child.name}")
             else:
                 visit(child, scope)
@@ -636,6 +636,12 @@ def _defined(name: str) -> set:
     for path in sorted(Path(dc.__file__).resolve().parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     return found
+
+
+def _defined(name: str) -> set:
+    """Qualified names of the definitions of name under src/gelshoot."""
+    return _scopes(lambda n: isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                   and n.name == name)
 
 
 class TestOneLookupDefinition:
@@ -654,6 +660,20 @@ class TestOneLookupDefinition:
         tree = ast.parse(inspect.getsource(dc.integrate))
         assert [n.name for n in ast.walk(tree)
                 if isinstance(n, ast.FunctionDef)] == ["integrate"]
+
+
+class TestOneStepBudget:
+    # integrate counts the attempts of every run against one constant
+    def test_step_budget_error_is_raised_in_integrate_only(self):
+        def raises_it(n):
+            return isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call) \
+                and getattr(n.exc.func, "id", None) == "StepBudgetError"
+        assert _scopes(raises_it) == {"delaycore.integrate"}
+
+    def test_max_steps_is_defined_in_delaycore_only(self):
+        assert _scopes(lambda n: isinstance(n, ast.Assign) and any(
+            getattr(t, "id", None) == "MAX_STEPS" for t in n.targets)) \
+            == {"delaycore"}
 
 
 # every right-hand side builder; gamma in (1, GAMMA_MAX), b > 0, eps in (-1, 1)

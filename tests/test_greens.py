@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from gelshoot import delaycore as dc
 from gelshoot import greens as gr
-from gelshoot.errors import DomainError, TruncationWarning
+from gelshoot.errors import DomainError, StepBudgetError, TruncationWarning
 
 # independent partial sums of the alternating series, written out by hand
 Q1_ORACLE = (math.exp(-1.0) - 4.0 * math.exp(-2.0)
@@ -93,6 +94,20 @@ class TestOdeRoute:
     def test_source_must_be_positive(self):
         with pytest.raises(DomainError):
             gr.g_by_ode(1.0, 0.0)
+
+    def test_step_budget_bounds_a_run_without_series_start(self,
+                                                           monkeypatch):
+        # about 2e5 steps at tol 1e-14 from the jump at xi = 1 to x = 2
+        monkeypatch.setattr(dc, "MAX_STEPS", 1000)
+        with pytest.raises(StepBudgetError) as info:
+            gr.g_by_ode(2.0, 1.0, tol=1e-14)
+        err = info.value
+        traj = err.trajectory
+        assert 1.0 < err.location == traj.ts[-1] < 2.0
+        assert len(traj.ts) - 1 + traj.n_rejected + traj.n_fallback == 1000
+        assert str(err).startswith(
+            f"linear-G run: step budget spent at t = {err.location:.6g} of 2 "
+            f"({len(traj.ts) - 1} accepted, {traj.n_rejected} rejected")
 
 
 class TestResidueRoute:
