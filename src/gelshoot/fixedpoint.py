@@ -44,7 +44,9 @@ from .profiles import LN2, check_gamma
 X_MAX = 40.0
 N_NODES = 700
 MAX_SWEEPS = 80  # picard_solve's sweep budget
-F_TOL = 1e-9  # |F| stop of the eps root, for eps(eta) and bbar(gamma)
+F_TOL = 1e-9  # |F| stop of the eps root at eta = ETA_MAX, for eps and bbar
+F_FLOOR = 1e-16  # below eta ~ 1e-9 the computed F scatters by 2-4e-17
+ETA_MAX = 0.05  # largest eta at eps = 0 for the eps root
 # smallest eta at eps = 0 for the eps root: F sees eps only through 1 + eps,
 # and eps/eta strays from 0.2097 by 0.45% above it, 0.91% in [2^-50, 2^-49)
 ETA_MIN = 2.0 ** -49
@@ -300,52 +302,58 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
 
 
 def _root_in_eps(eta_of, tol: float):
-    """Root in eps of F(W*(eps, eta_of(eps)), eps, eta_of(eps)) by a secant
-    over warm-started Picard solves, safeguarded in the bracket [0, 10 eta]:
-    F grows in eps and falls in eta, and eta_of must not grow with eps.
-    Stops at |F| < tol or a bracket under 1e-16; returns (eps, state)."""
+    """Root (eps, state) of eps -> F(W*(eps, eta_of(eps)), eps, eta_of(eps))
+    from the first-order root kappa1 eta: one Newton step of slope c0, then a
+    secant over warm-started Picard solves.  F grows in eps and falls in eta,
+    and eta_of must not grow with eps: a step off the signs known in
+    [0, 10 eta] checks the ends and bisects.  Stops at a bracket under 1e-16
+    or |F| <= tol eta/ETA_MAX, floored at F_FLOOR (eta at eps = 0)."""
     eta0 = eta_of(0.0)
-    if not ETA_MIN <= eta0 <= 0.05:
-        raise DomainError(
-            f"eta = {eta0:.3g} at eps = 0 lies outside [{ETA_MIN:.3g}, 0.05]: "
-            "below, 1 + eps cannot hold eps; above, T need not contract")
-    lo, hi = 0.0, 10.0 * eta0
+    if not ETA_MIN <= eta0 <= ETA_MAX:
+        raise DomainError(f"eta = {eta0:.3g} at eps = 0 lies outside "
+                          f"[{ETA_MIN:.3g}, {ETA_MAX}]: below, 1 + eps cannot "
+                          "hold eps; above, T need not contract")
+    c0, stop = greens.c0_moment(), max(tol * (eta0 / ETA_MAX), F_FLOOR)
+    lo, hi, f_lo, f_hi, state = 0.0, 10.0 * eta0, None, None, None
 
-    def solve(eps, warm_start):
-        state = picard_solve(eps, eta_of(eps), warm_start=warm_start)
+    def solve(eps):
+        nonlocal state
+        state = picard_solve(eps, eta_of(eps), warm_start=state)
         f = f_eval(state)
         log.debug("root iterate eps = %.17g, eta = %.17g, F = %.3e "
                   "in %d sweeps", eps, state.eta, f, state.iterations)
-        return state, f
+        return f
 
-    best, f_lo = solve(lo, None)
-    best, f_hi = solve(hi, best)
-    if f_lo * f_hi > 0.0:
-        hi *= 2.0
-        best, f_hi = solve(hi, best)
-        if f_lo * f_hi > 0.0:
-            raise NoSignChangeError(lo, f_lo, hi, f_hi)
+    eps = -greens.eta_derivative_moment() / c0 * eta0
+    f = solve(eps)
+    step = f / c0
     for _ in range(80):
-        # secant step, safeguarded into the bracket
-        denom = f_hi - f_lo
-        eps_new = hi - f_hi * (hi - lo) / denom if denom != 0.0 \
-            else 0.5 * (lo + hi)
-        if not lo < eps_new < hi:
-            eps_new = 0.5 * (lo + hi)
-        best, f_new = solve(eps_new, best)
-        if abs(f_new) < tol:
-            return eps_new, best
-        if f_new * f_lo < 0.0:
-            hi, f_hi = eps_new, f_new
+        if f < 0.0:
+            lo, f_lo = eps, f
         else:
-            lo, f_lo = eps_new, f_new
-        if hi - lo < 1e-16:
-            return eps_new, best
+            hi, f_hi = eps, f
+        if abs(f) <= stop or hi - lo < 1e-16:
+            return eps, state
+        if not lo < eps - step < hi:  # off the known signs: check the ends
+            f_lo = solve(lo) if f_lo is None else f_lo
+            if f_hi is None:
+                f_hi = solve(hi)
+                if f_lo * f_hi > 0.0:
+                    hi, f_hi = 2.0 * hi, solve(2.0 * hi)
+            if f_lo * f_hi > 0.0:
+                raise NoSignChangeError(lo, f_lo, hi, f_hi)
+            step = eps - 0.5 * (lo + hi)
+        eps_old, f_old, eps = eps, f, eps - step
+        f = solve(eps)
+        step = f * (eps - eps_old) / (f - f_old) if f != f_old else math.inf
     raise GelshootError("eps root iteration did not reach the F tolerance")
 
 
 def eps_of_eta(eta: float, tol: float = F_TOL):
-    """Root of eps -> F at fixed eta; returns (eps, converged state)."""
+    """Root of eps -> F at fixed eta; returns (eps, converged state).
+
+    tol is the |F| stop at eta = ETA_MAX; below, the stop is tol eta/ETA_MAX,
+    but never under F_FLOOR, so that eps keeps its relative accuracy."""
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
     if eta == 0.0:
@@ -369,9 +377,10 @@ def bbar_of_gamma(gamma: float) -> CriticalProfile:
 
     The relations 2^(1/b) = 2/(1 + eps) and eta = 2^(2/b + 1 - gamma) make
     b and eta closed-form functions of eps, so bbar is the one root in eps
-    of F(W*(eps, eta(eps)), eps, eta(eps)); eta shrinks as eps grows.  The
-    reconstructed h = e^(-x) + W must stay positive and decay; violations
-    raise PositivityViolationError.
+    of F(W*(eps, eta(eps)), eps, eta(eps)), to |F| <= F_TOL eta/ETA_MAX
+    (floored at F_FLOOR) at the eta of eps = 0; eta shrinks as eps grows.
+    The reconstructed h = e^(-x) + W must stay positive and decay;
+    violations raise PositivityViolationError.
     """
     gamma = check_gamma(gamma)
 

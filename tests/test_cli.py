@@ -398,6 +398,7 @@ FUZZ = [
     ("eps-of-eta", "--eta", "1e-16"),
     ("eps-of-eta", "--eta", "1e-18"),
     ("eps-of-eta", "--eta", "1e-200"),
+    ("eps-of-eta", "--eta", "1.7763568394002505e-15", "--tol", "1e-30"),
     ("bbar", "--gamma", "58"),
     ("bbar", "--gamma", "60"),
     ("bbar", "--gamma", "61"),
@@ -447,6 +448,9 @@ FUZZ_EXIT = {
     # resolution of 1.2e-2 against a closest pass under 4.6e-4
     ("winding", "--gamma", "1.2", "--b", "0.02"): 0,
     ("winding", "--gamma", "2", "--b", "1e12"): 0,
+    # at eta = 2^-49 a secant into F's rounding noise once returned
+    # eps/eta = 0.179; the stop's floor of 1e-16 keeps it at 0.2097
+    ("eps-of-eta", "--eta", "1.7763568394002505e-15", "--tol", "1e-30"): 0,
 }
 
 
@@ -486,7 +490,7 @@ class TestRemainingSubcommands:
     def test_eps_of_eta_reports_the_tested_f(self, capsys):
         # the F that the stop tested, recomputed from the returned W; the
         # state's F_value is that of the last sweep's input (at eta = 0.01
-        # 1.4034215e-11 against 1.4034293e-11)
+        # 6.5444953e-13 against 6.5521149e-13)
         code, out, _ = run(capsys, "eps-of-eta", "--eta", "0.01")
         eps, state = fixedpoint.eps_of_eta(0.01)
         doc = json.loads(out)["result"]

@@ -10,8 +10,8 @@ from scipy.interpolate import CubicSpline
 
 from gelshoot import fixedpoint as fp
 from gelshoot import shooting as sh
-from gelshoot.errors import (DomainError, NonContractionError,
-                             RoundoffFloorError)
+from gelshoot.errors import (DomainError, NoSignChangeError,
+                             NonContractionError, RoundoffFloorError)
 from gelshoot.greens import c0_moment, eta_derivative_moment
 
 # series oracles for the two gradient components at the origin
@@ -385,25 +385,101 @@ def count_sweeps(monkeypatch):
     return calls
 
 
+def iterates(caplog):
+    """The eps of each root iterate, from its debug line."""
+    return [float(r.getMessage().split()[4][:-1]) for r in caplog.records
+            if r.getMessage().startswith("root iterate ")]
+
+
 OUTSIDE = r"lies outside \[1.78e-15, 0.05\]"
+
+
+# bbar_of_gamma(gamma) with F_TOL = 1e-13 (a stop of max(1e-13 eta/0.05,
+# 1e-16)): (bbar, eps).  The bracketed secant that the eps root replaced,
+# run to an absolute |F| < 1e-14, gives bbar within 2e-14 of these.
+BBAR_TIGHT = {
+    8.0: (1.0095311981581314, 0.006565609277572939),
+    10.0: (1.0023684209671428, 0.0016391272535004298),
+    13.0: (1.0002955324926264, 0.00020480796310513744),
+    25.0: (1.000000072133388, 4.9999051984663654e-08),
+}
 
 
 class TestOneEpsRoot:
     @pytest.mark.parametrize("eta", [1e-3, 0.01, 0.048])
-    def test_eps_of_eta_bytes_identical(self, eta):
-        eps, st = fp.eps_of_eta(eta)
-        ref_eps, ref = reference_eps_of_eta(eta, 1e-9)
-        assert eps == ref_eps
-        assert _bytes(st.W, st.dW) == _bytes(ref.W, ref.dW)
-        assert st.sup_diff_history == ref.sup_diff_history
+    def test_eps_of_eta_matches_a_tight_root(self, eta):
+        eps, _ = fp.eps_of_eta(eta)
+        ref_eps, _ = reference_eps_of_eta(eta, 1e-14)
+        assert abs(eps - ref_eps) <= 1e-5 * ref_eps
 
-    @pytest.mark.parametrize("gamma, budget", [(8.0, 70), (13.0, 25)])
+    @pytest.mark.parametrize("gamma", sorted(BBAR_TIGHT))
+    def test_bbar_matches_a_tight_root(self, gamma):
+        bbar, eps = BBAR_TIGHT[gamma]
+        crit = fp.bbar_of_gamma(gamma)
+        assert abs(crit.bbar - bbar) <= 1e-10
+        assert abs(crit.eps - eps) <= 1e-5 * eps
+
+    @pytest.mark.parametrize("eta", [7.63e-6, 1e-4, 1e-3, 1e-2, 3e-2])
+    def test_eps_over_eta_tends_to_kappa1(self, eta):
+        # |eps/eta - kappa1|/eta reads 0.1004-0.1023 over these eta
+        eps, _ = fp.eps_of_eta(eta)
+        assert abs(eps / eta - SLOPE) <= 0.11 * eta
+
+    def test_root_at_the_rounding_floor(self):
+        # F scatters by 2-4e-17 about its root here: a secant into that
+        # noise once returned eps/eta = 0.179; the floor stops at kappa1 eta
+        eps, _ = fp.eps_of_eta(fp.ETA_MIN, tol=1e-30)
+        assert abs(eps / fp.ETA_MIN / SLOPE - 1.0) < 0.01
+
+    @pytest.mark.parametrize("gamma, budget", [(8.0, 20), (13.0, 10)])
     def test_sweeps_per_bbar(self, gamma, budget, monkeypatch):
-        # one root in eps: 55 and 18 sweeps, where re-solving eps(eta) per
-        # b iterate took 330 and 54
+        # started at kappa1 eta: 16 and 7 sweeps, where the secant from
+        # eps = 0 and 10 eta took 55 and 18
         calls = count_sweeps(monkeypatch)
         fp.bbar_of_gamma(gamma)
         assert len(calls) <= budget
+
+    def test_sweeps_per_eps_of_eta(self, monkeypatch):
+        # 22 sweeps, where the secant from eps = 0 and 10 eta took 70
+        calls = count_sweeps(monkeypatch)
+        fp.eps_of_eta(0.048)
+        assert len(calls) <= 30
+
+    @pytest.mark.parametrize("eta, at, over", [
+        (fp.ETA_MAX, fp.F_TOL, math.nextafter(fp.F_TOL, 1.0)),
+        (0.005, 1e-10 * (1 - 1e-12), 1e-10 * (1 + 1e-12)),
+        (1e-9, 1e-16, 1e-16 * (1 + 1e-12))])
+    def test_stop_is_f_tol_at_eta_max_scaled_and_floored(self, eta, at, over,
+                                                         monkeypatch):
+        # a constant F at the stop ends the root at its start; just above
+        # the stop it leaves no sign change
+        monkeypatch.setattr(fp, "f_eval", lambda state: at)
+        eps, _ = fp.eps_of_eta(eta)
+        assert eps == -eta_derivative_moment() / c0_moment() * eta
+        monkeypatch.setattr(fp, "f_eval", lambda state: over)
+        with pytest.raises(NoSignChangeError):
+            fp.eps_of_eta(eta)
+
+    def test_steps_off_the_known_signs_check_the_ends(self, caplog,
+                                                      monkeypatch):
+        # a slope 100 times too small sends the Newton step below eps = 0
+        # and the start to 10 kappa1 eta: the root bisects into the sign
+        # bracket and reaches the same root
+        ref_eps, _ = fp.eps_of_eta(0.01)
+        monkeypatch.setattr(fp.greens, "c0_moment", lambda: DF_DEPS / 100.0)
+        caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
+        eps, _ = fp.eps_of_eta(0.01)
+        assert iterates(caplog)[:3] == [
+            pytest.approx(100.0 * SLOPE * 0.01), 0.0,
+            pytest.approx(50.0 * SLOPE * 0.01)]
+        assert abs(eps - ref_eps) <= 1e-5 * ref_eps
+
+    def test_no_sign_change_after_doubling_hi(self, caplog, monkeypatch):
+        monkeypatch.setattr(fp, "f_eval", lambda state: -1.0)
+        caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
+        with pytest.raises(NoSignChangeError):
+            fp.eps_of_eta(0.01)
+        assert iterates(caplog) == [pytest.approx(SLOPE * 0.01), 0.1, 0.2]
 
     @pytest.mark.parametrize("gamma", [8.0, 13.0, 20.0])
     def test_eta_is_the_closed_form_at_bbar(self, gamma):
@@ -430,7 +506,7 @@ class TestOneEpsRoot:
 
         monkeypatch.setattr(fp, "picard_solve", counting)
         caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
-        crit = fp.bbar_of_gamma(13.0)
+        crit = fp.bbar_of_gamma(8.0)
         lines = [r.getMessage() for r in caplog.records
                  if r.getMessage().startswith("root iterate ")]
         assert len(lines) == len(solves) >= 3
