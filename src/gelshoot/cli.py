@@ -234,7 +234,7 @@ def cmd_fixedpoint(a):
 def cmd_eps_of_eta(a):
     from . import fixedpoint
     eps, st = fixedpoint.eps_of_eta(a.eta, tol=a.tol)
-    emit_json(a.out, {"eta": a.eta, "eps": eps, "F": fixedpoint.f_eval(st),
+    emit_json(a.out, {"eta": a.eta, "eps": eps, "F": st.F_value,
                       "iterations": st.iterations,
                       "slope": eps / a.eta if a.eta else 0.0}, a.echo)
 

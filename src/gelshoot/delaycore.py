@@ -286,18 +286,19 @@ def _order_cap(tol: float) -> Callable[[float], float]:
 
 def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
               u0: Optional[float] = None,
-              stop_condition: Optional[Callable[[float, float], bool]] = None,
-              value_cap: float = VALUE_CAP) -> DenseTrajectory:
+              stop_condition: Optional[Callable[[float, float], bool]] = None
+              ) -> DenseTrajectory:
     """Integrate a delay ODE over span = (t_start, t_end).
 
     The initial value defaults to the history evaluated at t_start (pass u0
     explicitly for jump data).  stop_condition(t, u), when given, ends the
-    run at the first node where it holds, the start node included; the node
-    is recorded in the trajectory's event_t.
+    run at the first node where it holds, the start node included, before
+    the value cap is tested; the node is recorded in the trajectory's
+    event_t.
 
     Raises DomainError unless the span is finite and longer than the
     end-point tolerance and tol is positive and finite; BlowUpError when
-    |u| exceeds value_cap, StepUnderflowError when the step control
+    |u| exceeds VALUE_CAP, StepUnderflowError when the step control
     collapses, and StepBudgetError after MAX_STEPS attempted steps
     (accepted, rejected or fallen back) short of the span's end.
     """
@@ -405,11 +406,11 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             ts_append(t)
             us_append(u)
             dus_append(du)
-            if abs(u) > value_cap:
-                raise BlowUpError(t, traj)
             if stop_condition is not None and stop_condition(t, u):
                 traj.event_t = t
                 return traj
+            if abs(u) > VALUE_CAP:
+                raise BlowUpError(t, traj)
             if est > 0.0:
                 h *= min(5.0, max(0.2, 0.9 * (scale / est) ** 0.2))
             else:

@@ -31,7 +31,7 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,7 +163,10 @@ def default_grid() -> FixedPointGrid:
 
 @dataclass(frozen=True)
 class FixedPointState:
-    """Gridded perturbation with iteration diagnostics."""
+    """Gridded perturbation with iteration diagnostics.
+
+    F_value is F of the last sweep's input W, which lies within the
+    solve's tol of the returned W; f_eval recomputes F from W itself."""
 
     x: np.ndarray
     W: np.ndarray
@@ -175,13 +178,8 @@ class FixedPointState:
 
     @property
     def iterations(self) -> int:
-        """Sweeps applied since the zero state, one history entry each."""
+        """Sweeps of the solve, one history entry each."""
         return len(self.sup_diff_history)
-
-    def interp(self, pts):
-        """Cubic Hermite values of the grid function at pts in [0, X_MAX]."""
-        w = hermite_weights(self.x, np.asarray(pts, dtype=float))
-        return hermite_apply(w, self.W, self.dW)
 
     def to_dict(self) -> dict:
         return {
@@ -190,21 +188,6 @@ class FixedPointState:
             "sup_diff_history": list(self.sup_diff_history),
             "grid": self.x.tolist(), "W": self.W.tolist(),
         }
-
-
-def zero_state(eps: float, eta: float) -> FixedPointState:
-    grid = default_grid()
-    z = np.zeros_like(grid.x)
-    return FixedPointState(x=grid.x, W=z, dW=z.copy(), eps=eps, eta=eta,
-                           F_value=0.0, sup_diff_history=())
-
-
-def apply_T(state: FixedPointState) -> FixedPointState:
-    """One application of the integral operator to the state."""
-    T, dT, F = default_grid().apply(state.W, state.dW, state.eps, state.eta)
-    sup = float(np.max(np.abs(T - state.W)))
-    return replace(state, W=T, dW=dT, F_value=F,
-                   sup_diff_history=state.sup_diff_history + (sup,))
 
 
 _DECAY_RATES = (0.49, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)
@@ -246,18 +229,20 @@ def picard_solve(eps: float, eta: float,
         raise DomainError("need -1 < eps < 1 (delay ratio) and |eta| < 1")
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
-    state = zero_state(eps, eta)
+    grid = default_grid()
+    W = dW = np.zeros_like(grid.x)
     if warm_start is not None:
-        state = replace(state, W=warm_start.W.copy(),
-                        dW=warm_start.dW.copy())
-    grew = 0
+        W, dW = warm_start.W, warm_start.dW  # read, never written
+    history, grew = (), 0
     for _ in range(MAX_SWEEPS):
-        state = apply_T(state)
-        history = state.sup_diff_history
-        sup = history[-1]
+        T, dT, F = grid.apply(W, dW, eps, eta)
+        sup = float(np.max(np.abs(T - W)))
+        W, dW = T, dT
+        history += (sup,)
         if sup < tol:
-            return state
-        floor = 16.0 * np.finfo(float).eps * float(np.max(np.abs(state.W)))
+            return FixedPointState(x=grid.x, W=W, dW=dW, eps=eps, eta=eta,
+                                   F_value=F, sup_diff_history=history)
+        floor = 16.0 * np.finfo(float).eps * float(np.max(np.abs(W)))
         if len(history) >= 2 and history[-2] <= sup <= floor:
             raise RoundoffFloorError(tol, floor, history)
         if len(history) >= 2 and sup > history[-2]:
@@ -266,11 +251,12 @@ def picard_solve(eps: float, eta: float,
                 raise NonContractionError(history)
         else:
             grew = 0
-    raise NonContractionError(state.sup_diff_history)
+    raise NonContractionError(history)
 
 
 def f_eval(state: FixedPointState) -> float:
-    """F(W, eps, eta), recomputed from the state's W.
+    """F(W, eps, eta), recomputed from the state's W: the oracles' check
+    on the F_value that the last sweep computed.
 
     The fixed-point normalization parks the limiting value at W(0) = -F,
     so |W(X_MAX)| doubles as a sanity check on the domain truncation.
@@ -304,10 +290,11 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
 def _root_in_eps(eta_of, tol: float):
     """Root (eps, state) of eps -> F(W*(eps, eta_of(eps)), eps, eta_of(eps))
     from the first-order root kappa1 eta: one Newton step of slope c0, then a
-    secant over warm-started Picard solves.  F grows in eps and falls in eta,
-    and eta_of must not grow with eps: a step off the signs known in
-    [0, 10 eta] checks the ends and bisects.  Stops at a bracket under 1e-16
-    or |F| <= tol eta/ETA_MAX, floored at F_FLOOR (eta at eps = 0)."""
+    secant over warm-started Picard solves, each read by its F_value.  F
+    grows in eps and falls in eta, and eta_of must not grow with eps: a step
+    off the signs known in [0, 10 eta] checks the ends and bisects.  Stops
+    at a bracket under 1e-16 or |F| <= tol eta/ETA_MAX, floored at F_FLOOR
+    (eta at eps = 0)."""
     eta0 = eta_of(0.0)
     if not ETA_MIN <= eta0 <= ETA_MAX:
         raise DomainError(f"eta = {eta0:.3g} at eps = 0 lies outside "
@@ -319,10 +306,10 @@ def _root_in_eps(eta_of, tol: float):
     def solve(eps):
         nonlocal state
         state = picard_solve(eps, eta_of(eps), warm_start=state)
-        f = f_eval(state)
         log.debug("root iterate eps = %.17g, eta = %.17g, F = %.3e "
-                  "in %d sweeps", eps, state.eta, f, state.iterations)
-        return f
+                  "in %d sweeps", eps, state.eta, state.F_value,
+                  state.iterations)
+        return state.F_value
 
     eps = -greens.eta_derivative_moment() / c0 * eta0
     f = solve(eps)

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import delaycore as dc
-from .errors import (BlowUpError, BracketFailureError, DomainError,
-                     GelshootError, NoPlateausError, NoSignChangeError)
+from .errors import (BracketFailureError, DomainError, GelshootError,
+                     NoPlateausError, NoSignChangeError)
 from .profiles import (ModelParams, bisect, check_gamma, make_params,
                        local_series, pantograph_series, series_switchover)
 from .stability import b_star
@@ -70,18 +70,12 @@ class Classification:
 def _series_run(series, rhs: dc.DelayRHS, y_max: float,
                 tol: float) -> dc.DenseTrajectory:
     """Run rhs from its local series up to y_max, stopped at the first node
-    (y0 included) below -TOL_NEG, or at a blow-up past that level."""
+    (y0 included) below -TOL_NEG."""
     import logging
     y0 = min(series_switchover(series), 0.25 * y_max)
     hist = dc.SeriesHistory(series, y0)
-    try:
-        traj = dc.integrate(rhs, hist, (y0, y_max), tol=tol,
-                            stop_condition=lambda y, u: u < -TOL_NEG)
-    except BlowUpError as err:
-        traj = err.trajectory
-        if traj is None or not traj.us[-1] < -TOL_NEG:
-            raise
-        traj.event_t = traj.ts[-1]
+    traj = dc.integrate(rhs, hist, (y0, y_max), tol=tol,
+                        stop_condition=lambda y, u: u < -TOL_NEG)
     logging.getLogger(__name__).debug(
         "%s run: %d steps, %d on own panels, %d extra passes, %d fallbacks",
         rhs.name, len(traj.ts) - 1, traj.n_overlap, traj.n_passes,

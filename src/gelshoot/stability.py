@@ -65,8 +65,7 @@ class WindingResult:
 
     winding: int
     root_count: int
-    curve: np.ndarray           # certified samples of F(it), t from -R to R
-    R: float
+    curve: np.ndarray           # certified samples of F(it), |t| <= R
     min_distance: float
 
 
@@ -86,6 +85,9 @@ def _axis_image(st: float, dt: float, t: np.ndarray) -> np.ndarray:
 
 
 ORIGIN_FLOOR = 1e-8          # a failing piece's end this near 0 declines
+# the half-disk's radius R: a root with Re lam >= 0 has |lam| =
+# |st - e^(-dt lam)| <= 1 + st < 2, and |F| >= R - 1 - st > 2 on the arc
+DISK_RADIUS = 4.0
 SAMPLE_BUDGET = 250_000      # about 0.6 us a sample: well inside 1 s
 
 
@@ -115,29 +117,23 @@ def _certified(f, n: int, lo: float, hi: float, speed: float):
         rounds += 1
 
 
-def winding_number(params: ModelParams,
-                   R: float | None = None) -> WindingResult:
+def winding_number(params: ModelParams) -> WindingResult:
     """Count unstable characteristic roots by the argument principle.
 
-    The boundary of the right half-disk of radius R maps to the closed
-    curve {F(it)} + {F(R e^(i phi))}; its total winding around the origin
-    equals the number of roots with positive real part, which is even by
-    conjugate symmetry.  The reported winding is the pair count: 0 exactly
-    when b > b_star.  _certified samples both parts, as |dF(it)/dt| <=
-    1 + dt and |dF/dphi| <= R (1 + dt) on the arc: the count is exact, or
-    OriginOnCurveError, or SampleBudgetError before any sampling, or
+    The boundary of the right half-disk of radius R = DISK_RADIUS maps to
+    the closed curve {F(it)} + {F(R e^(i phi))}; its total winding around
+    the origin equals the number of roots with positive real part, which is
+    even by conjugate symmetry.  The reported winding is the pair count: 0
+    exactly when b > b_star.  _certified samples both parts, as |dF(it)/dt|
+    <= 1 + dt and |dF/dphi| <= R (1 + dt) on the arc: the count is exact,
+    or OriginOnCurveError, or SampleBudgetError before any sampling, or
     WindingCountError for a count that is not an even integer.
     """
     import logging
 
     import numpy as np
     cp = CharProblem.from_params(params)
-    st, dt = cp.sigma_tilde, cp.d_tilde
-    if R is None:
-        R = max(50.0, 20.0 / dt)
-    # a root with Re lam >= 0 has |lam| = |st - e^(-dt lam)| <= 1 + st
-    if not R > 1.0 + st:
-        raise DomainError(f"R = {R:.6g} does not exceed 1 + st = {1 + st:.6g}")
+    st, dt, R = cp.sigma_tilde, cp.d_tilde, DISK_RADIUS
     # |F| >= R - 1 - st on the arc, so arc pieces this short pass at once;
     # the axis takes about 4 (1 + dt) ln(1 + R/2) samples (dt up to 1e5)
     n_arc = math.pi * R * (1.0 + dt) / (R - 1.0 - st) + 2.0
@@ -165,7 +161,7 @@ def winding_number(params: ModelParams,
     if abs(total - count) > 0.05 or count < 0 or count % 2 != 0:
         raise WindingCountError(f"{total:.4f} turns: no even root count")
     return WindingResult(winding=count // 2, root_count=count,
-                         curve=z1, R=R, min_distance=min_distance)
+                         curve=z1, min_distance=min_distance)
 
 
 def b_star_by_winding(gamma: float, tol_b: float = 1e-4) -> float:

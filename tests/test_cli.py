@@ -488,14 +488,14 @@ class TestRemainingSubcommands:
             assert out
 
     def test_eps_of_eta_reports_the_tested_f(self, capsys):
-        # the F that the stop tested, recomputed from the returned W; the
-        # state's F_value is that of the last sweep's input (at eta = 0.01
-        # 6.5444953e-13 against 6.5521149e-13)
+        # the F that the stop tested: the returned state's F_value, that of
+        # the last sweep's input W (at eta = 0.01 6.5386946e-13, where
+        # f_eval recomputes 6.5463079e-13 from the returned W)
         code, out, _ = run(capsys, "eps-of-eta", "--eta", "0.01")
         eps, state = fixedpoint.eps_of_eta(0.01)
         doc = json.loads(out)["result"]
         assert code == 0 and doc["eps"] == eps
-        assert doc["F"] == fixedpoint.f_eval(state) != state.F_value
+        assert doc["F"] == state.F_value != fixedpoint.f_eval(state)
         assert doc["iterations"] == state.iterations
 
     def test_fig2_per_b_files(self, tmp_path, capsys):

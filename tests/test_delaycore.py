@@ -184,10 +184,10 @@ class TestFailureModes:
                           lambda t: 0.0, lambda t: 1.0)
         hist = dc.ConstantHistory(1.0, 0.0, 0.0)
         with pytest.raises(BlowUpError) as info:
-            dc.integrate(rhs, hist, (0.0, 2.0), tol=1e-9, value_cap=1e6)
+            dc.integrate(rhs, hist, (0.0, 2.0), tol=1e-9)
         assert info.value.location == pytest.approx(1.0, abs=1e-4)
         assert info.value.trajectory is not None
-        assert abs(info.value.trajectory.us[-1]) > 1e6
+        assert abs(info.value.trajectory.us[-1]) > dc.VALUE_CAP
 
     def test_step_underflow_near_singularity(self):
         rhs = dc.DelayRHS("singular", lambda t, u, ud: 1.0 / (1.0 - t),

@@ -2,6 +2,7 @@ import ast
 import inspect
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,42 +21,43 @@ DF_DETA = -0.0605621040012903
 SLOPE = -DF_DETA / DF_DEPS      # 0.2097112...
 
 
-def r_eval(state, x):
-    """Pointwise R[W] of the state at x, through the grid's own R route."""
+def r_eval(W, dW, eps, eta, x):
+    """Pointwise R[W] at x, through the grid's own R route."""
     x_arr = np.asarray(x, dtype=float)
     grid = fp.default_grid()
     at = fp._PointPlan(grid.x, np.atleast_1d(x_arr))
-    out = grid.r_terms(state.W, state.dW, at, state.eps, state.eta)
+    out = grid.r_terms(W, dW, at, eps, eta)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+
+
+def zeros():
+    return np.zeros_like(fp.default_grid().x)
 
 
 class TestREval:
     def test_vanishes_identically_at_zero_parameters(self):
-        st = fp.zero_state(0.0, 0.0)
         xs = np.linspace(0.0, 30.0, 50)
-        assert np.max(np.abs(r_eval(st, xs))) == 0.0
+        assert np.max(np.abs(r_eval(zeros(), zeros(), 0.0, 0.0, xs))) == 0.0
 
     def test_zero_profile_reduces_to_the_source(self):
-        st = fp.zero_state(0.05, 0.0)
         xs = np.linspace(0.1, 10.0, 30)
         oracle = np.exp(-xs) - np.exp(-1.05 * xs)
-        assert r_eval(st, xs) == pytest.approx(oracle, abs=1e-14)
+        assert r_eval(zeros(), zeros(), 0.05, 0.0, xs) == pytest.approx(
+            oracle, abs=1e-14)
         # and that source behaves like eps*x*e^(-x) for small eps
-        small = fp.zero_state(1e-5, 0.0)
-        assert r_eval(small, 2.0) == pytest.approx(
+        assert r_eval(zeros(), zeros(), 1e-5, 0.0, 2.0) == pytest.approx(
             1e-5 * 2.0 * math.exp(-2.0), rel=1e-4)
 
     def test_origin_value_is_eta(self):
-        st = fp.zero_state(0.02, 0.03)
-        assert r_eval(st, 0.0) == pytest.approx(0.03, abs=1e-15)
+        assert r_eval(zeros(), zeros(), 0.02, 0.03, 0.0) == pytest.approx(
+            0.03, abs=1e-15)
 
 
 class TestApplyT:
     def test_zero_maps_to_zero(self):
-        st = fp.zero_state(0.0, 0.0)
-        out = fp.apply_T(st)
-        assert np.max(np.abs(out.W)) == 0.0
-        assert out.F_value == 0.0
+        T, _, F = fp.default_grid().apply(zeros(), zeros(), 0.0, 0.0)
+        assert np.max(np.abs(T)) == 0.0
+        assert F == 0.0
 
     def test_contraction_on_admissible_profiles(self):
         grid = fp.default_grid()
@@ -66,8 +68,8 @@ class TestApplyT:
 
     def test_fixed_point_residual(self):
         st = fp.picard_solve(0.01, 0.01)
-        out = fp.apply_T(st)
-        assert np.max(np.abs(out.W - st.W)) < 1e-10
+        T, _, _ = fp.default_grid().apply(st.W, st.dW, 0.01, 0.01)
+        assert np.max(np.abs(T - st.W)) < 1e-10
 
 
 # reference: the sweep as it was before the interpolation plan, with the
@@ -132,11 +134,14 @@ class TestSweepPlanBitwise:
     def test_apply_bytes_identical(self, start):
         grid = fp.default_grid()
         for eps, eta in SWEEP_PARAMS:
-            st = fp.zero_state(eps, eta) if start == "zero" \
-                else fp.picard_solve(eps, eta)
+            if start == "zero":
+                W = dW = zeros()
+            else:
+                st = fp.picard_solve(eps, eta)
+                W, dW = st.W, st.dW
             for _ in range(2):
-                new = grid.apply(st.W, st.dW, eps, eta)
-                ref = reference_apply(grid, st.W, st.dW, eps, eta)
+                new = grid.apply(W, dW, eps, eta)
+                ref = reference_apply(grid, W, dW, eps, eta)
                 assert _bytes(*new) == _bytes(*ref), (eps, eta)
 
     def test_f_eval_and_r_eval_bytes_identical(self):
@@ -145,8 +150,9 @@ class TestSweepPlanBitwise:
         for eps, eta in SWEEP_PARAMS:
             st = fp.picard_solve(eps, eta)
             assert fp.f_eval(st) == reference_f_eval(st)
-            assert _bytes(r_eval(st, xs)) == _bytes(reference_r_terms(
-                grid.x, st.W, st.dW, xs, eps, eta))
+            new = r_eval(st.W, st.dW, eps, eta, xs)
+            ref = reference_r_terms(grid.x, st.W, st.dW, xs, eps, eta)
+            assert _bytes(new) == _bytes(ref)
 
     def test_contraction_factor_identical(self):
         grid = fp.default_grid()
@@ -168,6 +174,68 @@ class TestSweepPlanBitwise:
         assert (new.bbar, new.eps) == (ref.bbar, ref.eps)
         assert _bytes(new.state.W, new.state.dW, new.h) \
             == _bytes(ref.state.W, ref.state.dW, ref.h)
+
+
+def reference_picard_solve(eps, eta, tol=1e-12, warm_start=None):
+    """picard_solve's loop as it was on frozen states: every sweep replaced
+    the state, from a zero state or a copy of the warm start."""
+    grid = fp.default_grid()
+    z = np.zeros_like(grid.x)
+    state = fp.FixedPointState(x=grid.x, W=z, dW=z.copy(), eps=eps, eta=eta,
+                               F_value=0.0, sup_diff_history=())
+    if warm_start is not None:
+        state = replace(state, W=warm_start.W.copy(),
+                        dW=warm_start.dW.copy())
+    grew = 0
+    for _ in range(fp.MAX_SWEEPS):
+        T, dT, F = grid.apply(state.W, state.dW, eps, eta)
+        sup = float(np.max(np.abs(T - state.W)))
+        state = replace(state, W=T, dW=dT, F_value=F,
+                        sup_diff_history=state.sup_diff_history + (sup,))
+        history = state.sup_diff_history
+        if sup < tol:
+            return state
+        floor = 16.0 * np.finfo(float).eps * float(np.max(np.abs(state.W)))
+        if len(history) >= 2 and history[-2] <= sup <= floor:
+            raise RoundoffFloorError(tol, floor, history)
+        if len(history) >= 2 and sup > history[-2]:
+            grew += 1
+            if grew >= 3:
+                raise NonContractionError(history)
+        else:
+            grew = 0
+    raise NonContractionError(state.sup_diff_history)
+
+
+class TestPicardLoopBitwise:
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_the_frozen_state_loop(self, warm):
+        # warm: each solve starts from the previous parameters' fixed point
+        prev = None
+        for eps, eta in SWEEP_PARAMS:
+            start = prev if warm else None
+            kept = None if start is None else _bytes(start.W, start.dW)
+            new = fp.picard_solve(eps, eta, warm_start=start)
+            ref = reference_picard_solve(eps, eta, warm_start=start)
+            assert _bytes(new.W, new.dW) == _bytes(ref.W, ref.dW), (eps, eta)
+            assert new.F_value == ref.F_value
+            assert new.sup_diff_history == ref.sup_diff_history
+            assert new.x is ref.x and (new.eps, new.eta) == (eps, eta)
+            if start is not None:  # the warm start is read, not written
+                assert _bytes(start.W, start.dW) == kept
+            prev = new
+
+    @pytest.mark.parametrize("eps, eta, tol, error", [
+        (0.01, 0.01, 1e-20, RoundoffFloorError),
+        (-0.9, 0.9, 1e-12, NonContractionError),   # three rises
+        (0.5, -0.9, 1e-12, NonContractionError)])  # the sweep budget
+    def test_errors_match_the_frozen_state_loop(self, eps, eta, tol, error):
+        with pytest.raises(error) as new:
+            fp.picard_solve(eps, eta, tol=tol)
+        with pytest.raises(error) as ref:
+            reference_picard_solve(eps, eta, tol=tol)
+        assert vars(new.value) == vars(ref.value)
+        assert str(new.value) == str(ref.value)
 
 
 class TestBlockedKernel:
@@ -223,7 +291,7 @@ class TestSweepPlanWork:
             st = fp.picard_solve(eps, eta, tol=1e-14)
             assert st.iterations >= 6
             fp.f_eval(st)
-            fp.apply_T(st)
+            grid.apply(st.W, st.dW, eps, eta)
             assert sorted(calls) == sorted([len(grid.g), len(grid.x)])
         calls.clear()
         fp.picard_solve(0.0071, 0.004)
@@ -385,6 +453,13 @@ def count_sweeps(monkeypatch):
     return calls
 
 
+def inject_f(monkeypatch, f):
+    """Every Picard solve reports F = f as its F_value."""
+    solve = fp.picard_solve
+    monkeypatch.setattr(fp, "picard_solve", lambda *args, **kwargs: replace(
+        solve(*args, **kwargs), F_value=f))
+
+
 def iterates(caplog):
     """The eps of each root iterate, from its debug line."""
     return [float(r.getMessage().split()[4][:-1]) for r in caplog.records
@@ -453,10 +528,11 @@ class TestOneEpsRoot:
                                                          monkeypatch):
         # a constant F at the stop ends the root at its start; just above
         # the stop it leaves no sign change
-        monkeypatch.setattr(fp, "f_eval", lambda state: at)
+        inject_f(monkeypatch, at)
         eps, _ = fp.eps_of_eta(eta)
         assert eps == -eta_derivative_moment() / c0_moment() * eta
-        monkeypatch.setattr(fp, "f_eval", lambda state: over)
+        monkeypatch.undo()
+        inject_f(monkeypatch, over)
         with pytest.raises(NoSignChangeError):
             fp.eps_of_eta(eta)
 
@@ -475,7 +551,7 @@ class TestOneEpsRoot:
         assert abs(eps - ref_eps) <= 1e-5 * ref_eps
 
     def test_no_sign_change_after_doubling_hi(self, caplog, monkeypatch):
-        monkeypatch.setattr(fp, "f_eval", lambda state: -1.0)
+        inject_f(monkeypatch, -1.0)
         caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
         with pytest.raises(NoSignChangeError):
             fp.eps_of_eta(0.01)
@@ -512,9 +588,18 @@ class TestOneEpsRoot:
         assert len(lines) == len(solves) >= 3
         for line, st in zip(lines, solves):
             assert line == (f"root iterate eps = {st.eps:.17g}, "
-                            f"eta = {st.eta:.17g}, F = {fp.f_eval(st):.3e} "
+                            f"eta = {st.eta:.17g}, F = {st.F_value:.3e} "
                             f"in {st.iterations} sweeps")
         assert solves[-1].eps == crit.eps
+
+    def test_root_reads_the_solves_f(self, monkeypatch):
+        # the stop tests the F of each solve's last sweep; f_eval is only
+        # the oracles' recomputation
+        calls = []
+        monkeypatch.setattr(fp, "f_eval", calls.append)
+        fp.eps_of_eta(0.01)
+        fp.bbar_of_gamma(13.0)
+        assert calls == []
 
     @pytest.mark.parametrize("eta", [1e-16, 1e-18, 1e-200,
                                      0.99 * 2.0 ** -49])
@@ -595,7 +680,9 @@ class TestBbar:
                                tol=1e-10)
         xs = np.linspace(0.5, 10.0, 40)
         direct = run.trajectory.eval_many(xs)
-        recon = np.exp(-xs) + crit.state.interp(xs)
+        st = crit.state
+        recon = np.exp(-xs) + fp.hermite_apply(fp.hermite_weights(st.x, xs),
+                                               st.W, st.dW)
         assert np.max(np.abs(direct - recon)) < 1e-5
 
     def test_small_gamma_rejected(self):
@@ -625,9 +712,7 @@ class TestOneGrid:
         fp.default_grid.cache_clear()
         st = fp.picard_solve(0.01, 0.01)
         fp.f_eval(st)
-        r_eval(st, [0.5, 2.0])
-        fp.apply_T(st)
-        st.interp([0.5, 2.0])
+        r_eval(st.W, st.dW, st.eps, st.eta, [0.5, 2.0])
         fp.eps_of_eta(0.005)
         x = fp.default_grid().x
         fp.contraction_factor(0.01, 0.01, 0.01 * np.exp(-x),

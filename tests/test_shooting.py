@@ -418,7 +418,7 @@ RETIRED = [
     ("shooting._plateau_levels",
      {"tread_slope", "riser_slope", "level_cap", "pts_per_decade"}),
     ("shooting.plateau_diagnostics", {"slope_tol"}),
-    ("delaycore.integrate", {"h_max"}),
+    ("delaycore.integrate", {"h_max", "value_cap"}),
     ("stability.curve_samples", {"R", "n_samples"}),
     ("stability.stability_empirical", {"horizon", "tol"}),
     ("gelsim.evolve_chain", {"n_out"}),
@@ -434,7 +434,7 @@ RETIRED = [
     ("asymptotics.matching_closure", {"c0_amp"}),
     ("profiles.series_switchover", {"tol"}),
     ("fixedpoint.picard_solve", {"max_iter"}),
-    ("stability.winding_number", {"n_samples"}),
+    ("stability.winding_number", {"n_samples", "R"}),
 ]
 
 
@@ -469,7 +469,7 @@ class TestRetiredKnobs:
                         for d in node.decorator_list):
                     count += sum(isinstance(s, ast.AnnAssign)
                                  and s.value is not None for s in node.body)
-        assert count <= 56
+        assert count <= 54
 
 
 # second copies and unreachable paths, each deleted in favour of the one
@@ -499,6 +499,9 @@ DELETED = [
     ("fixedpoint.CriticalProfile", "h_interp"),
     ("fixedpoint.FixedPointState", "decay_rate_fit"),
     ("fixedpoint.FixedPointState", "amplitude_fit"),
+    ("fixedpoint", "zero_state"),
+    ("fixedpoint", "apply_T"),
+    ("fixedpoint.FixedPointState", "interp"),
 ]
 
 

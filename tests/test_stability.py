@@ -92,13 +92,15 @@ class TestWinding:
         assert winds == sorted(winds)
         assert winds[-1] > winds[0]
 
-    def test_invariant_under_refinement(self):
+    def test_invariant_under_refinement(self, monkeypatch):
         # a larger half-disk is sampled afresh and must hold the same roots
-        for gamma, b in [(2.0, 2.3), (2.0, 0.1), (1.2, 0.05), (3.0, 1e6)]:
-            p = make_params(gamma, b)
-            w = st.winding_number(p)
-            assert st.winding_number(p, R=2.0 * w.R).winding == w.winding
-            assert w.winding == crossing_count(gamma, b)
+        cases = [(2.0, 2.3), (2.0, 0.1), (1.2, 0.05), (3.0, 1e6)]
+        counts = [st.winding_number(make_params(gamma, b)).winding
+                  for gamma, b in cases]
+        assert counts == [crossing_count(gamma, b) for gamma, b in cases]
+        monkeypatch.setattr(st, "DISK_RADIUS", 8.0)
+        assert counts == [st.winding_number(make_params(gamma, b)).winding
+                          for gamma, b in cases]
 
     def test_sigma_tilde_range(self):
         for gamma in (1.2, 2.0, 6.0):
@@ -155,8 +157,7 @@ class TestWinding:
             calls.append(params.b)
             w = int(params.b < ref)
             return st.WindingResult(winding=w, root_count=2 * w,
-                                    curve=np.empty(0), R=50.0,
-                                    min_distance=1.0)
+                                    curve=np.empty(0), min_distance=1.0)
 
         monkeypatch.setattr(st, "winding_number", step)
         b = st.b_star_by_winding(2.0, tol_b=1e-300)
@@ -178,12 +179,10 @@ class TestCertifiedCount:
             w = st.winding_number(make_params(gamma, b))
             assert w.winding == crossing_count(gamma, b), (gamma, b)
 
-    def test_any_half_disk_that_holds_the_roots_counts(self):
+    def test_any_half_disk_that_holds_the_roots_counts(self, monkeypatch):
         # the unstable roots have |lam| <= 1 + st = 1.75 at gamma = 2
-        p = make_params(2.0, 2.3)
-        assert st.winding_number(p, R=2.0).winding == 1
-        with pytest.raises(DomainError, match="does not exceed 1 \\+ st"):
-            st.winding_number(p, R=1.75)
+        monkeypatch.setattr(st, "DISK_RADIUS", 2.0)
+        assert st.winding_number(make_params(2.0, 2.3)).winding == 1
 
     @pytest.mark.parametrize("gamma,b,pairs", [(1.2, 0.02, 31),
                                                (1.2, 0.05, 13),
@@ -220,7 +219,7 @@ class TestCertifiedCount:
         w = st.winding_number(p)
         assert w.curve.size <= 200
         ends = st._axis_image(cp.sigma_tilde, cp.d_tilde,
-                              np.array([-w.R, w.R]))
+                              np.array([-st.DISK_RADIUS, st.DISK_RADIUS]))
         assert (w.curve[0], w.curve[-1]) == tuple(ends)
 
     def test_logs_one_line(self, caplog):
@@ -275,8 +274,7 @@ class TestBisectionBitwiseAgainstReference:
                 raise OriginOnCurveError("on the curve")
             w = int(params.b < ref)
             return st.WindingResult(winding=w, root_count=2 * w,
-                                    curve=np.empty(0), R=50.0,
-                                    min_distance=1.0)
+                                    curve=np.empty(0), min_distance=1.0)
 
         monkeypatch.setattr(st, "winding_number", stub)
         new = st.b_star_by_winding(2.0, 1e-12)
@@ -287,7 +285,7 @@ class TestBisectionBitwiseAgainstReference:
     def test_ends_that_do_not_straddle_are_a_domain_error(self, monkeypatch):
         monkeypatch.setattr(st, "winding_number", lambda params:
                             st.WindingResult(winding=0, root_count=0,
-                                             curve=np.empty(0), R=50.0,
+                                             curve=np.empty(0),
                                              min_distance=1.0))
         with pytest.raises(DomainError, match="do not straddle"):
             st.b_star_by_winding(2.0)
