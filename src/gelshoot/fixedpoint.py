@@ -107,8 +107,10 @@ class FixedPointGrid:
             r1 = min(r0 + 100, len(self.x))
             xb, gb = self.x[r0:r1, None], self.g[None, :3 * (r1 - 1)]
             Kb = self.K[r0:r1, :gb.size]
-            Kb[...] = np.exp(np.minimum(gb - xb, 0.0)) \
-                * greens.gtilde_exact(xb, gb) * self.gw[:gb.size]
+            np.minimum(np.subtract(gb, xb, out=Kb), 0.0, out=Kb)
+            np.exp(Kb, out=Kb)
+            Kb *= greens.gtilde_exact(xb, gb)
+            Kb *= self.gw[:gb.size]
             Kb[np.arange(gb.size) // 3 >= np.arange(r0, r1)[:, None]] = 0.0
             self.blocks.append(Kb)
         log.debug("kernel built in %.3f s from %d entries",

@@ -259,9 +259,10 @@ def stability_scan(gamma: float, b_values) -> list[dict]:
 
 
 def curve_samples(params: ModelParams) -> np.ndarray:
-    """Imaginary-axis image of the characteristic function at 4000 points,
+    """Imaginary-axis image of the characteristic function at 4000 points
+    on |t| <= DISK_RADIUS, the part of the axis the winding count reads,
     for plotting."""
     import numpy as np
     cp = CharProblem.from_params(params)
-    R = max(12.0, 6.0 / cp.d_tilde)
-    return _axis_image(cp.sigma_tilde, cp.d_tilde, np.linspace(-R, R, 4000))
+    return _axis_image(cp.sigma_tilde, cp.d_tilde,
+                       np.linspace(-DISK_RADIUS, DISK_RADIUS, 4000))

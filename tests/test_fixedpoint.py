@@ -2,6 +2,7 @@ import ast
 import inspect
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -169,7 +170,6 @@ class TestSweepPlanBitwise:
     def test_bbar_identical(self, monkeypatch):
         new = fp.bbar_of_gamma(13.0)
         monkeypatch.setattr(fp.FixedPointGrid, "apply", reference_apply)
-        monkeypatch.setattr(fp, "f_eval", reference_f_eval)
         ref = fp.bbar_of_gamma(13.0)
         assert (new.bbar, new.eps) == (ref.bbar, ref.eps)
         assert _bytes(new.state.W, new.state.dW, new.h) \
@@ -719,6 +719,19 @@ class TestOneGrid:
                               0.01 * np.exp(-x / 2.0))
         assert len(builds) == 1
         assert fp.default_grid() is builds[0]
+
+    def test_build_memory_beyond_the_kernel(self):
+        # the residue terms share one block-sized buffer and each block is
+        # formed in place in K: 4.1 MiB beyond K, 10.3 MiB when every term
+        # and every factor of a block had an array of its own
+        fp.default_grid()
+        tracemalloc.start()
+        try:
+            grid = fp.FixedPointGrid()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - grid.K.nbytes <= 6 * 2 ** 20
 
     def test_no_function_takes_a_grid_knob(self):
         for name, obj in vars(fp).items():

@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from gelshoot import delaycore as dc
+from gelshoot import fixedpoint as fp
 from gelshoot import greens as gr
 from gelshoot.errors import DomainError, StepBudgetError, TruncationWarning
 
@@ -139,6 +141,7 @@ class TestResidueRoute:
     def test_value_at_source_edge(self):
         # G(xi+, xi) = 1 forces Gtilde(1+, 1) = 1 - e Q(1)
         val = gr.gtilde_exact(1.0 + 1e-12, 1.0)
+        assert same_bytes(val, reference_gtilde(1.0 + 1e-12, 1.0))
         oracle = 1.0 - math.e * gr.q_eval(1.0)
         assert val == pytest.approx(oracle, rel=1e-9)
         assert val == pytest.approx(1.208766, abs=1e-5)
@@ -173,9 +176,96 @@ class TestResidueRouteAccuracy:
         ref = np.array([gtilde_mpmath(x, xi) for xi in xis])
         bound = 2e-7 * np.maximum(1.0, np.abs(ref))
         scalar = np.array([gr.gtilde_exact(x, xi) for xi in xis])
-        block = gr.gtilde_exact(np.array([[x]]), np.array([xis]))[0]
+        x_col, xi_row = np.array([[x]]), np.array([xis])
+        block = gr.gtilde_exact(x_col, xi_row)[0]
+        assert same_bytes(block, reference_gtilde(x_col, xi_row)[0])
         assert np.all(np.abs(scalar - ref) <= bound)
         assert np.all(np.abs(block - ref) <= bound)
+
+
+def reference_residue_term(n, a, ex, exi):
+    """The n-th contour integral as the term loop built it before each term
+    was written into one buffer: a matrix product on a column of x against
+    a row of xi, einsum otherwise, both branches everywhere."""
+    _, w = gr._residue_weights(n)
+    u, v = ex[..., 1:n + 1] * w[1:], exi[..., n - 1::-1]
+    outer = u.ndim == v.ndim == 3 and u.shape[1] == v.shape[0] == 1
+    left = u[:, 0] @ v[0].T if outer else np.einsum("...j,...j->...", u, v)
+    return np.where(a < 0.0, -w[0] * ex[..., 0] * exi[..., n], left)
+
+
+def reference_gtilde(x, xi):
+    """gtilde_exact's term loop with a new array for every pass."""
+    x_arr = np.asarray(x, dtype=float)
+    xi_arr = np.asarray(xi, dtype=float)
+    ex, exi = gr._residue_factors(x_arr, xi_arr)
+    total = np.zeros(np.broadcast_shapes(x_arr.shape, xi_arr.shape))
+    for n in range(1, 25):
+        a = x_arr - 2.0 ** n * xi_arr
+        coef = gr.term_coefficient(n)
+        if abs(coef) * math.exp(float(np.max(a, initial=-np.inf))) \
+                < 1e-18 * (1.0 + float(np.max(np.abs(total)))) and n > 2:
+            break
+        total = total + coef * reference_residue_term(n, a, ex, exi)
+    return float(total) if total.ndim == 0 else total
+
+
+def same_bytes(new, ref):
+    return np.asarray(new).tobytes() == np.asarray(ref).tobytes() \
+        and np.shape(new) == np.shape(ref)
+
+
+class TestResidueBufferBitwise:
+    """gtilde_exact reorders no arithmetic: byte for byte the loop above."""
+
+    def test_every_block_of_the_default_grid_and_k(self):
+        grid = fp.default_grid()
+        K = np.zeros_like(grid.K)
+        for r0 in range(0, len(grid.x), 100):
+            r1 = min(r0 + 100, len(grid.x))
+            xb, gb = grid.x[r0:r1, None], grid.g[None, :3 * (r1 - 1)]
+            ref = reference_gtilde(xb, gb)
+            assert same_bytes(gr.gtilde_exact(xb, gb), ref), r0
+            Kb = K[r0:r1, :gb.size]
+            Kb[...] = np.exp(np.minimum(gb - xb, 0.0)) * ref \
+                * grid.gw[:gb.size]
+            Kb[np.arange(gb.size) // 3 >= np.arange(r0, r1)[:, None]] = 0.0
+        assert same_bytes(fp.FixedPointGrid().K, K)
+
+    def test_scalar_pairs_and_the_same_pairs_as_arrays(self):
+        rng = np.random.default_rng(24)
+        x, xi = rng.uniform(0.0, 40.0, 300), rng.uniform(0.0, 20.0, 300)
+        scalars = [gr.gtilde_exact(a, b) for a, b in zip(x, xi)]
+        assert all(isinstance(v, float) for v in scalars)
+        assert same_bytes(scalars,
+                          [reference_gtilde(a, b) for a, b in zip(x, xi)])
+        assert same_bytes(gr.gtilde_exact(x, xi), reference_gtilde(x, xi))
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted"])
+    def test_column_against_row(self, order):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.0, 40.0, (40, 1))
+        xi = rng.uniform(0.0, 30.0, (1, 300))
+        if order == "sorted":
+            x, xi = np.sort(x, axis=0), np.sort(xi, axis=1)
+        assert same_bytes(gr.gtilde_exact(x, xi), reference_gtilde(x, xi))
+
+    def test_a_zero_on_the_edges_of_the_band(self):
+        # 2^n xi equal to min x and to max x: a = 0 takes the left branch
+        x = np.array([[0.5], [1.0], [2.0], [4.0]])
+        xi = np.array([[0.125, 0.25, 0.5, 1.0, 2.0, 4.0]])
+        assert same_bytes(gr.gtilde_exact(x, xi), reference_gtilde(x, xi))
+
+    def test_vector_x_against_scalar_xi(self):
+        xs = 1.0 + np.linspace(0.05, 10.0, 120)
+        assert same_bytes(gr.gtilde_exact(xs, 1.0), reference_gtilde(xs, 1.0))
+
+    def test_terms_logged_per_block(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gelshoot.greens"):
+            fp.FixedPointGrid()
+        terms = [int(r.getMessage().split()[1]) for r in caplog.records
+                 if r.getMessage().startswith("gtilde_exact:")]
+        assert terms == [12] * 6 + [14]
 
 
 class TestQuadratureRoute:

@@ -337,3 +337,9 @@ class TestScanExport:
         z = st.curve_samples(make_params(2.0, 2.3))
         assert z.shape == (4000,)
         assert np.all(np.isfinite(z.view(float)))
+
+    def test_curve_samples_span_the_counted_window(self):
+        # |t| <= DISK_RADIUS, the axis part the winding count reads: at
+        # b = 1e6 the old window |t| <= 6/d~ = 2.2e6 kept no sample there
+        z = st.curve_samples(make_params(2.0, 1e6))
+        assert np.count_nonzero(np.abs(z) < 4.0) >= 1000
