@@ -32,7 +32,9 @@ def alpha_root(b: float) -> float:
     """Unique positive root of b*alpha / (2 (1 - 2^-alpha)) = 1.
 
     Exists for 0 < b < 2 ln 2 (the left side starts below 1 and increases);
-    for b = 1 the root is exactly 1.
+    for b = 1 the root is exactly 1.  The left side exceeds b alpha/2, so
+    the root lies below 2/b, a bound widened by 2^-50 for rounding and
+    capped at the largest double, past which the root is no finite double.
     """
     if not b > 0.0:
         raise DomainError("b must be positive")
@@ -43,9 +45,10 @@ def alpha_root(b: float) -> float:
     def g(al: float) -> float:
         return b * al / (2.0 * -math.expm1(-al * LN2)) - 1.0
 
-    hi = 1.0
-    while g(hi) < 0.0:
-        hi *= 2.0
+    hi = min(2.0 / b * (1.0 + 2.0 ** -50), math.nextafter(math.inf, 0.0))
+    if g(hi) < 0.0:
+        raise DomainError(f"the root, about 2/b, is no finite double at "
+                          f"b = {b!r}")
     # g tends to b/(2 ln 2) - 1 < 0 as alpha -> 0
     return bisect_root(g, 1e-300, hi)
 

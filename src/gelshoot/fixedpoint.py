@@ -37,9 +37,9 @@ import numpy as np
 
 from . import greens
 from .delaycore import hermite_apply, hermite_weights
-from .errors import DomainError, GelshootError, NoSignChangeError, \
-    NonContractionError, RoundoffFloorError
-from .profiles import LN2, check_gamma
+from .errors import DomainError, GelshootError, NonContractionError, \
+    RoundoffFloorError
+from .profiles import LN2, bisect, check_gamma
 
 X_MAX = 40.0
 N_NODES = 700
@@ -291,19 +291,17 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
 
 def _root_in_eps(eta_of, tol: float):
     """Root (eps, state) of eps -> F(W*(eps, eta_of(eps)), eps, eta_of(eps))
-    from the first-order root kappa1 eta: one Newton step of slope c0, then a
-    secant over warm-started Picard solves, each read by its F_value.  F
-    grows in eps and falls in eta, and eta_of must not grow with eps: a step
-    off the signs known in [0, 10 eta] checks the ends and bisects.  Stops
-    at a bracket under 1e-16 or |F| <= tol eta/ETA_MAX, floored at F_FLOOR
-    (eta at eps = 0)."""
+    by profiles.bisect on [0, 20 eta] over warm-started Picard solves, each
+    read by its F_value, from the first-order root kappa1 eta with a Newton
+    step of slope c0.  F grows in eps and falls in eta, and eta_of must not
+    grow with eps.  Stops at a bracket under 1e-16 or |F| <= tol eta/ETA_MAX,
+    floored at F_FLOOR (eta at eps = 0), and returns the last solve."""
     eta0 = eta_of(0.0)
     if not ETA_MIN <= eta0 <= ETA_MAX:
         raise DomainError(f"eta = {eta0:.3g} at eps = 0 lies outside "
                           f"[{ETA_MIN:.3g}, {ETA_MAX}]: below, 1 + eps cannot "
                           "hold eps; above, T need not contract")
-    c0, stop = greens.c0_moment(), max(tol * (eta0 / ETA_MAX), F_FLOOR)
-    lo, hi, f_lo, f_hi, state = 0.0, 10.0 * eta0, None, None, None
+    c0, state = greens.c0_moment(), None
 
     def solve(eps):
         nonlocal state
@@ -313,33 +311,15 @@ def _root_in_eps(eta_of, tol: float):
                   state.iterations)
         return state.F_value
 
-    eps = -greens.eta_derivative_moment() / c0 * eta0
-    f = solve(eps)
-    step = f / c0
-    for _ in range(80):
-        if f < 0.0:
-            lo, f_lo = eps, f
-        else:
-            hi, f_hi = eps, f
-        if abs(f) <= stop or hi - lo < 1e-16:
-            return eps, state
-        if not lo < eps - step < hi:  # off the known signs: check the ends
-            f_lo = solve(lo) if f_lo is None else f_lo
-            if f_hi is None:
-                f_hi = solve(hi)
-                if f_lo * f_hi > 0.0:
-                    hi, f_hi = 2.0 * hi, solve(2.0 * hi)
-            if f_lo * f_hi > 0.0:
-                raise NoSignChangeError(lo, f_lo, hi, f_hi)
-            step = eps - 0.5 * (lo + hi)
-        eps_old, f_old, eps = eps, f, eps - step
-        f = solve(eps)
-        step = f * (eps - eps_old) / (f - f_old) if f != f_old else math.inf
-    raise GelshootError("eps root iteration did not reach the F tolerance")
+    kappa1_eta = -greens.eta_derivative_moment() / c0 * eta0
+    bisect(solve, 0.0, 20.0 * eta0, 1e-16,
+           (kappa1_eta, c0, max(tol * (eta0 / ETA_MAX), F_FLOOR)))
+    return state.eps, state
 
 
 def eps_of_eta(eta: float, tol: float = F_TOL):
-    """Root of eps -> F at fixed eta; returns (eps, converged state).
+    """Root of eps -> F at fixed eta; returns (eps, state) of the root's
+    last Picard solve, whose state.eps is eps.
 
     tol is the |F| stop at eta = ETA_MAX; below, the stop is tol eta/ETA_MAX,
     but never under F_FLOOR, so that eps keeps its relative accuracy."""
@@ -366,8 +346,9 @@ def bbar_of_gamma(gamma: float) -> CriticalProfile:
 
     The relations 2^(1/b) = 2/(1 + eps) and eta = 2^(2/b + 1 - gamma) make
     b and eta closed-form functions of eps, so bbar is the one root in eps
-    of F(W*(eps, eta(eps)), eps, eta(eps)), to |F| <= F_TOL eta/ETA_MAX
-    (floored at F_FLOOR) at the eta of eps = 0; eta shrinks as eps grows.
+    of F(W*(eps, eta(eps)), eps, eta(eps)), found as eps_of_eta's is, to
+    |F| <= F_TOL eta/ETA_MAX (floored at F_FLOOR) at the eta of eps = 0;
+    eta shrinks as eps grows.
     The reconstructed h = e^(-x) + W must stay positive and decay;
     violations raise PositivityViolationError.
     """

@@ -178,28 +178,54 @@ def horner(coefficients, u):
     return acc
 
 
-def bisect(f, lo: float, hi: float, width: float):
-    """The package's one halving loop: halves [lo, hi], where f(lo) < 0 <=
-    f(hi), until f(hi) is 0, hi - lo <= width, or lo and hi are adjacent
-    doubles, and returns the bracket (lo, f_lo, hi, f_hi)."""
-    f_lo, f_hi = f(lo), f(hi)
-    if not f_lo < 0.0 <= f_hi:
-        raise NoSignChangeError(lo, f_lo, hi, f_hi)
-    while f_hi != 0.0 and hi - lo > width:
-        mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:
-            break
-        f_mid = f(mid)
-        if f_mid < 0.0:
-            lo, f_lo = mid, f_mid
+def bisect(f, lo: float, hi: float, width: float, start=None):
+    """The package's one bracketing loop, on [lo, hi] with f(lo) < 0 <=
+    f(hi), else NoSignChangeError.  It steps to the secant point
+    (f1 x0 - f0 x1)/(f1 - f0) of its two latest points when that lies
+    inside the bracket and the last three evaluations halved it; else it
+    checks any unevaluated end and halves.  So on a side of only +-1 every
+    step is the midpoint.  It stops at a latest |f| <= stop (0 without a
+    start), hi - lo <= width or adjacent doubles, and returns (lo, f_lo,
+    hi, f_hi).  start = (x, slope, stop) evaluates x first and steps from
+    it by the slope, the ends unevaluated (f None) until a step leaves
+    the bracket."""
+    x0 = f0 = f_lo = f_hi = None
+    if start is None:
+        f_lo, f_hi = f(lo), f(hi)
+        if not f_lo < 0.0 <= f_hi:
+            raise NoSignChangeError(lo, f_lo, hi, f_hi)
+        x0, f0, x1, f1, stop = lo, f_lo, hi, f_hi, 0.0
+    else:
+        x1, slope, stop = start
+        f1 = f(x1)
+        if f1 < 0.0:
+            lo, f_lo = x1, f1
         else:
-            hi, f_hi = mid, f_mid
+            hi, f_hi = x1, f1
+    widths = (math.inf,) * 3  # hi - lo before the last three evaluations
+    while not abs(f1) <= stop and hi - lo > width:  # a NaN f goes on
+        x = (x1 - f1 / slope if x0 is None else math.nan if f1 == f0
+             else (f1 * x0 - f0 * x1) / (f1 - f0))
+        if not (lo < x < hi and hi - lo <= 0.5 * widths[0]):
+            f_lo = f(lo) if f_lo is None else f_lo
+            f_hi = f(hi) if f_hi is None else f_hi
+            if not f_lo < 0.0 <= f_hi:
+                raise NoSignChangeError(lo, f_lo, hi, f_hi)
+            x = 0.5 * lo + 0.5 * hi
+            if not lo < x < hi:
+                break
+        widths = widths[1:] + (hi - lo,)
+        x0, f0, x1, f1 = x1, f1, x, f(x)
+        if f1 < 0.0:
+            lo, f_lo = x, f1
+        else:
+            hi, f_hi = x, f1
     return lo, f_lo, hi, f_hi
 
 
 def bisect_root(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi], where f(lo) < 0 <= f(hi): bisects until f(hi)
-    is 0 or lo and hi are adjacent doubles, so no tolerance is chosen, and
+    """Root of f in [lo, hi], where f(lo) < 0 <= f(hi): runs bisect until
+    f is 0 or lo and hi are adjacent doubles, so no tolerance is chosen, and
     returns the end with the smaller |f|."""
     lo, f_lo, hi, f_hi = bisect(f, lo, hi, 0.0)
     return lo if -f_lo < f_hi else hi

@@ -28,6 +28,9 @@ def b_star(gamma: float) -> float:
     stability."""
     gamma = check_gamma(gamma)
     st = 0.5 + 2.0 ** (-gamma)
+    if st == 1.0:
+        raise DomainError(f"gamma must be at least {1.0 + 2.0 ** -51!r} for "
+                          f"b_star: 0.5 + 2**-gamma rounds to 1 at {gamma!r}")
     return (2.0 ** gamma * LN2 * math.sqrt(1.0 - st * st)
             / ((2.0 ** (gamma - 1.0) - 1.0) * math.acos(st)))
 
@@ -196,7 +199,7 @@ class DecayReport:
     sup_deviation: float
     rate_fit: float | None
     horizon: float
-    escaped: bool = False
+    escaped: bool
 
 
 DECAY_HORIZON = 200.0

@@ -45,6 +45,20 @@ class TestAlphaRoot:
         with pytest.raises(DomainError):
             asy.alpha_root(0.0)
 
+    @pytest.mark.parametrize("b", [1e-300, 1.2e-308])
+    def test_root_near_the_top_of_the_doubles(self, b):
+        # the root is about 2/b; at b = 1e-300 the computed left side at
+        # 2/b is 1 - 2^-53, below the root; at 1.2e-308 (2/b = 1.67e308)
+        # doubling the bracket's top once overflowed to inf and returned
+        # its bottom, 1e-300
+        al = asy.alpha_root(b)
+        assert al == pytest.approx(2.0 / b, rel=1e-15)
+        assert b * al / (2.0 * -math.expm1(-al * LN2)) - 1.0 == 0.0
+
+    def test_root_past_the_doubles_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="no finite double"):
+            asy.alpha_root(1e-310)
+
 
 class TestGamma1Series:
     def test_zero_a1_gives_the_constant(self):

@@ -387,6 +387,12 @@ FUZZ = [
     ("bracket-bbar", "--gamma", "1.00001"),
     ("bracket-bbar", "--gamma", "1"),
     ("bracket-bbar", "--gamma", "1.0001"),
+    # 0.5 + 2^-gamma rounds to 1, and b* divided by acos(1) = 0
+    ("b-star", "--gamma", "1.0000000000000002"),
+    ("bracket-bbar", "--gamma", "1.0000000000000002"),
+    # alpha ~ 2/b: 1.67e308 is a finite double, 2e310 is not
+    ("gamma1", "--b", "1.2e-308"),
+    ("gamma1", "--b", "1e-310"),
     ("simulate", "--gamma", "nan", "--sites", "10", "--t-end", "1"),
     ("simulate", "--gamma", "inf", "--sites", "10", "--t-end", "1"),
     ("simulate", "--gamma", "1e308", "--sites", "10", "--t-end", "1"),
@@ -451,6 +457,9 @@ FUZZ_EXIT = {
     # at eta = 2^-49 a secant into F's rounding noise once returned
     # eps/eta = 0.179; the stop's floor of 1e-16 keeps it at 0.2097
     ("eps-of-eta", "--eta", "1.7763568394002505e-15", "--tol", "1e-30"): 0,
+    # alpha = 1.67e308: the continuation's first step, at z = ln x = 0,
+    # underflows
+    ("gamma1", "--b", "1.2e-308"): 2,
 }
 
 

@@ -539,8 +539,9 @@ class TestOneEpsRoot:
     def test_steps_off_the_known_signs_check_the_ends(self, caplog,
                                                       monkeypatch):
         # a slope 100 times too small sends the Newton step below eps = 0
-        # and the start to 10 kappa1 eta: the root bisects into the sign
-        # bracket and reaches the same root
+        # and the start to 100 kappa1 eta, past 20 eta: the start becomes hi,
+        # and the root bisects into the sign bracket and reaches the same
+        # root
         ref_eps, _ = fp.eps_of_eta(0.01)
         monkeypatch.setattr(fp.greens, "c0_moment", lambda: DF_DEPS / 100.0)
         caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
@@ -551,11 +552,13 @@ class TestOneEpsRoot:
         assert abs(eps - ref_eps) <= 1e-5 * ref_eps
 
     def test_no_sign_change_after_doubling_hi(self, caplog, monkeypatch):
+        # F < 0 at the start, which becomes lo, so the Newton step leaves
+        # the bracket and only its unevaluated hi, 20 eta, is checked
         inject_f(monkeypatch, -1.0)
         caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
         with pytest.raises(NoSignChangeError):
             fp.eps_of_eta(0.01)
-        assert iterates(caplog) == [pytest.approx(SLOPE * 0.01), 0.1, 0.2]
+        assert iterates(caplog) == [pytest.approx(SLOPE * 0.01), 0.2]
 
     @pytest.mark.parametrize("gamma", [8.0, 13.0, 20.0])
     def test_eta_is_the_closed_form_at_bbar(self, gamma):

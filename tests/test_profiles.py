@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gelshoot
+from gelshoot import asymptotics as asy
+from gelshoot import profiles
+from gelshoot import shooting as sh
+from gelshoot import stability as stab
 from gelshoot.delaycore import SeriesHistory
 from gelshoot.errors import DomainError, NoSignChangeError, \
     SeriesOverflowError
@@ -195,9 +200,16 @@ class TestBisectRoot:
 
 class TestBisect:
     def test_stops_at_width(self):
-        lo, f_lo, hi, f_hi = bisect(lambda x: x - 1.0 / 3.0, 0.0, 1.0, 1e-3)
+        # a sign side halves, so it stops at the first bracket under width;
+        # the secant point of x - 1/3 is its root, so a curved f shows the
+        # width stop of secant steps
+        lo, f_lo, hi, f_hi = bisect(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0,
+                                    0.0, 1.0, 1e-3)
         assert hi - lo <= 1e-3 < 2.0 * (hi - lo)
-        assert f_lo == lo - 1.0 / 3.0 < 0.0 <= f_hi == hi - 1.0 / 3.0
+        assert f_lo == -1.0 and f_hi == 1.0 and lo < 1.0 / 3.0 <= hi
+        lo, f_lo, hi, f_hi = bisect(lambda x: x * x - 0.1, 0.0, 1.0, 1e-3)
+        assert hi - lo <= 1e-3
+        assert f_lo == lo * lo - 0.1 < 0.0 <= f_hi == hi * hi - 0.1
 
     def test_exact_zero_stops_at_once(self):
         calls = []
@@ -206,8 +218,9 @@ class TestBisect:
             calls.append(x)
             return x - 0.5
 
+        # the secant point of the two ends is the root
         assert bisect(f, 0.0, 2.0, 1e-9) == (0.0, -0.5, 0.5, 0.0)
-        assert calls == [0.0, 2.0, 1.0, 0.5]
+        assert calls == [0.0, 2.0, 0.5]
 
     @pytest.mark.parametrize("width", [0.0, -1.0, 1e-300])
     def test_ends_on_adjacent_doubles(self, width):
@@ -225,6 +238,157 @@ class TestBisect:
     def test_bad_ends_are_typed(self, f):
         with pytest.raises(NoSignChangeError):
             bisect(f, 0.0, 1.0, 0.0)
+
+
+def reference_bisect(f, lo, hi, width):
+    """profiles.bisect as the halving loop it was before its secant
+    steps."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo < 0.0 <= f_hi:
+        raise NoSignChangeError(lo, f_lo, hi, f_hi)
+    while f_hi != 0.0 and hi - lo > width:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo, f_lo, hi, f_hi
+
+
+def _sign_side(r0, r1):
+    """-1 below r0, 0 on [r0, r1), 1 from r1: a classifier's side."""
+    return lambda x: -1.0 if x < r0 else (0.0 if x < r1 else 1.0)
+
+
+def _g_t_star(eta):
+    return lambda t: t - asy._q(t) - (2.0 * eta - 1.0)
+
+
+def _g_alpha(b):
+    return lambda al: b * al / (2.0 * -math.expm1(-al * LN2)) - 1.0
+
+
+def _a_root_of(f, x) -> bool:
+    """f is 0 at x, or changes sign between x and a neighbouring double."""
+    below = [f(y) < 0.0 for y in (math.nextafter(x, -math.inf), x,
+                                  math.nextafter(x, math.inf))]
+    return f(x) == 0.0 or below[0] != below[1] or below[1] != below[2]
+
+
+def _band(f, x, reach=400):
+    """The doubles within reach ulps of x, from the first to the last where
+    the sign of the computed f (-1, 0 or 1) changes."""
+    xs = [x]
+    for _ in range(reach):
+        xs = [math.nextafter(xs[0], -math.inf)] + xs + [
+            math.nextafter(xs[-1], math.inf)]
+    signs = [(f(y) > 0.0) - (f(y) < 0.0) for y in xs]
+    ends = [i for i in range(len(xs) - 1) if signs[i] != signs[i + 1]]
+    return xs[ends[0]:ends[-1] + 2]
+
+
+ROOTS = [(asy.t_star, _g_t_star, 0.6), (asy.t_star, _g_t_star, 1.0),
+         (asy.t_star, _g_t_star, 5.0), (asy.alpha_root, _g_alpha, 0.8),
+         (asy.alpha_root, _g_alpha, 1.2)]
+
+
+class TestSecantSteps:
+    @pytest.mark.parametrize("width", [0.0, 1e-3, 1e-9])
+    def test_sign_sides_keep_the_halving_brackets(self, width):
+        rng = random.Random(26)
+        for _ in range(700):
+            if rng.random() < 0.5:
+                lo = rng.uniform(-5.0, 5.0)
+                hi = lo + 10.0 ** rng.uniform(-6.0, 2.0)
+            else:  # hi/lo from 1 to 1e4
+                lo = 10.0 ** rng.uniform(-3.0, 1.0)
+                hi = lo * 10.0 ** rng.uniform(0.0, 4.0)
+            r0 = rng.uniform(lo, hi)
+            r1 = r0 + (hi - lo) * rng.choice([0.0, 1e-12, 1e-4, 0.1])
+            f = _sign_side(r0, r1)
+            if not f(lo) < 0.0 <= f(hi):
+                continue
+            assert bisect(f, lo, hi, width) == reference_bisect(
+                f, lo, hi, width), (lo, hi, r0, r1)
+
+    @pytest.mark.parametrize("gamma, ends", [
+        (2.0, (2.243112396700094, 2.243637045505062)),
+        (10.0, (1.001638089597294, 1.0025433086973554))])
+    def test_classifier_bracket_is_pinned(self, gamma, ends):
+        # the ends bracket_bbar returned when bisect only halved
+        br = sh.bracket_bbar(gamma)
+        assert (br.b_lo, br.b_hi) == ends
+
+    def test_winding_transition_is_pinned(self):
+        assert stab.b_star_by_winding(2.0) == 2.5374636072475107
+
+    @pytest.mark.parametrize("root, g, arg", ROOTS)
+    def test_smooth_roots_in_few_evaluations(self, root, g, arg,
+                                             monkeypatch):
+        # the halving loop took 53-57 evaluations for t* and 51-52 for
+        # alpha at these points
+        calls = []
+
+        def counting(f, *args):
+            return bisect(lambda x: calls.append(x) or f(x), *args)
+
+        monkeypatch.setattr(profiles, "bisect", counting)
+        x = root(arg)
+        assert len(calls) <= 15
+        assert _a_root_of(g(arg), x)
+
+    @pytest.mark.parametrize("root, g, arg", ROOTS)
+    def test_root_as_halving_found_it_or_in_its_band(self, root, g, arg,
+                                                     monkeypatch):
+        # where the computed f changes sign once and is 0 at one double at
+        # most, the root is the halving loop's; elsewhere (t*(1): 0 at two
+        # doubles; alpha(0.8): at four; alpha(1.2): five sign changes) both
+        # lie in the band where f changes sign or is 0
+        x = root(arg)
+        monkeypatch.setattr(profiles, "bisect", reference_bisect)
+        halved = root(arg)
+        band = _band(g(arg), halved)
+        if [(g(arg)(y) > 0.0) - (g(arg)(y) < 0.0) for y in band] in (
+                [-1, 1], [-1, 0, 1]):
+            assert x == halved
+        assert band[0] <= x <= band[-1] and band[0] <= halved <= band[-1]
+
+    def test_a_crawling_secant_is_halved(self):
+        # secant steps close in on the fifth-order root of (x - 0.3)^5 from
+        # one side, by a factor 4/5 a step, without moving the far end:
+        # the bracket must halve over every four evaluations
+        calls = []
+        lo, f_lo, hi, f_hi = bisect(
+            lambda x: calls.append(x) or (x - 0.3) ** 5, 0.0, 1.0, 0.0)
+        widths, a, b = [1.0], 0.0, 1.0
+        for x in calls[2:]:
+            a, b = (x, b) if (x - 0.3) ** 5 < 0.0 else (a, x)
+            widths.append(b - a)
+        assert (a, b) == (lo, hi)
+        assert all(w <= 0.5 * w_before
+                   for w, w_before in zip(widths[4:], widths))
+        # 0.3 lies in [2^-2, 2^-1), where doubles are 2^-54 apart
+        assert hi - lo == 2.0 ** -54 or f_hi == 0.0
+        assert len(calls) <= 2 + 4 * 54
+
+    def test_start_leaves_the_ends_unevaluated(self):
+        calls = []
+        lo, f_lo, hi, f_hi = bisect(lambda x: calls.append(x) or x - 0.25,
+                                    0.0, 1.0, 0.0, (0.3, 1.0, 1e-12))
+        # a Newton step of the true slope from 0.3 reaches 0.25 at once
+        assert calls == [0.3, 0.25] and f_hi == 0.0
+        assert f_lo is None and lo == 0.0
+
+    def test_start_checks_the_ends_when_a_step_leaves_them(self):
+        calls = []
+        with pytest.raises(NoSignChangeError):
+            bisect(lambda x: calls.append(x) or -1.0, 0.0, 1.0, 0.0,
+                   (0.5, 1.0, 0.0))
+        # 0.5 + 1 lies off [0.5, 1]: only the unevaluated hi is checked
+        assert calls == [0.5, 1.0]
 
 
 # the spellings of a bracket's midpoint, as ast.unparse writes them
@@ -259,12 +423,11 @@ def _halving_loops() -> set:
 
 
 class TestOneHalvingLoop:
-    def test_only_bisect_and_the_secant_fallback_halve_a_bracket(self):
-        # the eps root's safeguarded secant (eps_of_eta and bbar_of_gamma)
-        # keeps its own bisection fallback until the shared root finder
-        # takes secant steps
-        assert _halving_loops() == {"profiles.bisect",
-                                    "fixedpoint._root_in_eps"}
+    def test_only_bisect_halves_a_bracket(self):
+        # bisect is the one bracketing loop: its secant steps serve the eps
+        # root (eps_of_eta and bbar_of_gamma), t* and alpha, and its
+        # halving the classifier and winding brackets
+        assert _halving_loops() == {"profiles.bisect"}
 
     @pytest.mark.parametrize("text, found", [
         ("0.5*(lo+hi)", True), ("0.5 * lo + 0.5 * hi", True),

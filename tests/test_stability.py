@@ -35,6 +35,14 @@ class TestBStar:
         with pytest.raises(DomainError, match="GAMMA_MAX"):
             st.b_star(math.nextafter(GAMMA_MAX, math.inf))
 
+    def test_finite_from_the_second_double_above_one(self):
+        # at 1 + 2^-52, 0.5 + 2^-gamma rounds to 1 and acos to 0: once a
+        # ZeroDivisionError
+        gamma = math.nextafter(1.0, 2.0)
+        with pytest.raises(DomainError, match=repr(gamma)):
+            st.b_star(gamma)
+        assert math.isfinite(st.b_star(math.nextafter(gamma, 2.0)))
+
 
 class TestPRatio:
     def test_matches_b_star_over_b0(self):
