@@ -121,8 +121,9 @@ def load_config(path: str) -> dict:
 # A handler imports the library modules it calls, and outside the array
 # modules each function imports numpy itself, so a process loads only what
 # its subcommand needs: importing scipy takes far longer than the work of
-# the cheap subcommands, and numpy would double the cold time of --version,
-# params, b-star, tails and laplace, which load none.
+# the cheap subcommands, and numpy would nearly double the cold time of
+# --version, params, b-star, tails, laplace, classify, winding, profile and
+# bracket-bbar, which load none.
 
 
 def cmd_params(a):
@@ -143,9 +144,8 @@ def cmd_profile(a):
     from . import shooting
     p = make_params(a.gamma, a.b)
     traj = shooting.h_profile(p, a.y_max, tol=a.tol)
-    ts, us, dus = traj.nodes()
     write_csv(a.out, ["y", "value", "derivative"],
-              zip(ts, us, dus), a.echo)
+              zip(traj.ts, traj.us, traj.dus), a.echo)
 
 
 def cmd_classify(a):

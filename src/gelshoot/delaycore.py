@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import (BlowUpError, DomainError, OutOfRangeError,
                      StepBudgetError, StepUnderflowError)
 from .profiles import LN2, ModelParams, PowerSeries, series_eval
@@ -134,6 +132,7 @@ class History:
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
         """eval at every entry of t, in t's shape: the one vector lookup."""
+        import numpy as np
         t = np.asarray(t, dtype=float)
         return np.array([self.eval(float(s)) for s in t.ravel()]) \
             .reshape(t.shape)
@@ -189,6 +188,7 @@ def hermite_weights(ts: np.ndarray, t: np.ndarray) -> tuple:
     us[i+1] and dus[i+1] on nodes ts.  Points outside [ts[0], ts[-1]] take
     the cubic of the nearest panel.
     """
+    import numpy as np
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     return (i, *_basis(ts[i], ts[i + 1] - ts[i], t))
 
@@ -240,6 +240,8 @@ class DenseTrajectory(History):
     # -- evaluation --------------------------------------------------------
 
     def nodes(self):
+        """The node lists ts, us and dus as arrays."""
+        import numpy as np
         return (np.asarray(self.ts), np.asarray(self.us),
                 np.asarray(self.dus))
 
@@ -437,6 +439,7 @@ def monotonicity_and_bound_check(traj: DenseTrajectory,
     Both properties hold for profile solutions with b > b0; violations are
     reported, not raised.
     """
+    import numpy as np
     ts, us, dus = traj.nodes()
     pos = us > slack
     mono_bad = np.nonzero(pos & (dus > slack))[0]

@@ -15,6 +15,7 @@ computed once at construction.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -115,21 +116,22 @@ def _quadratic_delay_series(c0: float, c1: float, r: float, N: int,
 
         a_{n+1} = (c0 - c1 r^n) / (n+1) * sum_{k<=n} a_k a_{n-k},
 
-    as Python floats, so that Horner sums on a float stay on floats.
+    as Python floats, so that Horner sums on a float stay on floats; each
+    convolution is summed by math.fsum, correctly rounded.
     Raises SeriesOverflowError at the first coefficient that is not finite.
     """
-    import numpy as np
-    a = np.zeros(N + 1)
-    a[0] = 1.0
+    a = [1.0]
     rn = 1.0  # r^n
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(N):
-            conv = float(np.dot(a[: n + 1], a[n::-1]))
-            a[n + 1] = (c0 - c1 * rn) * conv / (n + 1)
-            if not math.isfinite(a[n + 1]):
-                raise SeriesOverflowError(where, n + 1)
-            rn *= r
-    return tuple(a.tolist())
+    for n in range(N):
+        try:
+            conv = math.fsum(map(operator.mul, a, reversed(a)))
+        except (OverflowError, ValueError):  # a partial sum past the range
+            conv = math.nan
+        a.append((c0 - c1 * rn) * conv / (n + 1))
+        if not math.isfinite(a[-1]):
+            raise SeriesOverflowError(where, n + 1)
+        rn *= r
+    return tuple(a)
 
 
 def local_series(params: ModelParams, N: int) -> PowerSeries:
@@ -236,26 +238,49 @@ def series_eval(series: PowerSeries, y: float) -> float:
     return float(horner(series.coefficients, y))
 
 
+def log_grid(lo: float, hi: float, n: int):
+    """The point of index i in range(n), n >= 2, of a grid from lo to hi,
+    both exact, evenly spaced in log10: numpy.geomspace's formula on
+    math.log10 and pow, one point at a time."""
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1)
+
+    def point(i: int) -> float:
+        return lo if i == 0 else hi if i == n - 1 else 10.0 ** (i * step + a)
+    return point
+
+
 def series_switchover(series: PowerSeries) -> float:
     """Largest y at which the last few series terms stay below 1e-14.
 
-    Scans a log grid inside the radius estimate; the returned point is where
-    stepping should take over from the series.
+    Searches a 400-point log grid inside the radius estimate; the returned
+    point is where stepping should take over from the series.  The terms
+    grow with y, so a bisection finds the last point that passes.
     """
-    import numpy as np
-    a = np.abs(series.coefficients)
+    a = [abs(c) for c in series.coefficients]
     n = series.order
     hi = series.validity_radius_estimate
     if not math.isfinite(hi):
         hi = 1.0
-    grid = np.geomspace(1e-8, 0.95 * hi, 400)
-    # require the three highest retained orders small, not just the last
-    tail = (a[n] * grid ** n + a[n - 1] * grid ** (n - 1)
-            + a[n - 2] * grid ** (n - 2))
-    ok = tail < 1e-14
-    if not ok.any():
-        return float(grid[0])
-    return float(grid[np.nonzero(ok)[0][-1]])
+    grid = log_grid(1e-8, 0.95 * hi, 400)
+
+    def ok(i):
+        # require the three highest retained orders small, not just the last
+        y = grid(i)
+        return (a[n] * y ** n + a[n - 1] * y ** (n - 1)
+                + a[n - 2] * y ** (n - 2)) < 1e-14
+
+    # the passing points are a prefix of a rising grid and a suffix of one
+    # that falls (0.95 hi < 1e-8): the last of them is the answer
+    if ok(399):
+        return grid(399)
+    if not ok(0):
+        return grid(0)
+    lo, bad = 0, 399
+    while bad - lo > 1:
+        mid = (lo + bad) // 2
+        lo, bad = (mid, bad) if ok(mid) else (lo, mid)
+    return grid(lo)
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,16 @@ between the sign-changing and oscillating regimes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import delaycore as dc
 from .errors import (BracketFailureError, DomainError, GelshootError,
                      NoPlateausError, NoSignChangeError)
-from .profiles import (ModelParams, bisect, check_gamma, make_params,
-                       local_series, pantograph_series, series_switchover)
+from .profiles import (ModelParams, bisect, check_gamma, local_series,
+                       log_grid, make_params, pantograph_series,
+                       series_switchover)
 from .stability import b_star
 
 
@@ -106,27 +106,16 @@ def _refine_crossing(traj: dc.DenseTrajectory) -> float:
     return 0.5 * lo + 0.5 * hi
 
 
-def _phi_extrema(ts, us, dus, amp_tol: float):
-    """Interior extrema of phi(z) = y H(y) with swings above amp_tol.
-
-    The slope d phi/dz = y (H + y H') is analytic in the node data, so
-    extrema are sign changes of that expression.
-    """
-    phi = ts * us
-    slope = ts * (us + ts * dus)
-    sign = np.sign(slope)
-    nz = sign != 0.0
-    idx = np.nonzero(nz[1:] & nz[:-1] & (sign[1:] * sign[:-1] < 0.0))[0] + 1
-    if len(idx) == 0:
-        return 0, phi
-    vals = phi[idx]
-    kept = []
+def _phi_extrema(phi, slope, amp_tol: float) -> int:
+    """Interior extrema of phi(z) = y H(y) with swings above amp_tol, from
+    its node values and slopes d phi/dz."""
+    kept = 0
     last = phi[0]
-    for v in vals:
-        if abs(v - last) > amp_tol:
-            kept.append(v)
+    for s0, s1, v in zip(slope, slope[1:], phi[1:]):
+        if (s0 < 0.0 < s1 or s1 < 0.0 < s0) and abs(v - last) > amp_tol:
+            kept += 1
             last = v
-    return len(kept), phi
+    return kept
 
 
 def classify(params: ModelParams, y_max: float = 500.0,
@@ -143,13 +132,17 @@ def classify(params: ModelParams, y_max: float = 500.0,
         return Classification(kind="SignChange", trajectory=traj,
                               y_cross=_refine_crossing(traj))
 
-    ts, us, dus = traj.nodes()
-    n_ext, phi = _phi_extrema(ts, us, dus, EXTREMA_AMP)
-    min_level = float(np.min(phi))
-    dev = np.abs(phi - params.phi_inf)
-    z = np.log(ts)
-    window = z >= z[-1] - CONV_WINDOW
-    tail_residual = float(np.max(dev[window]))
+    ts = traj.ts
+    phi = [t * u for t, u in zip(ts, traj.us)]
+    # the slope d phi/dz = y (H + y H') is analytic in the node data, so
+    # extrema are sign changes of that expression
+    slope = [t * (u + t * du) for t, u, du in zip(ts, traj.us, traj.dus)]
+    n_ext = _phi_extrema(phi, slope, EXTREMA_AMP)
+    min_level = min(phi)
+    # the windows in z = ln y are suffixes of the nodes, as ln is monotone
+    z0, z1 = math.log(ts[0]), math.log(ts[-1])
+    window = bisect_left(ts, z1 - CONV_WINDOW, key=math.log)
+    tail_residual = max(abs(v - params.phi_inf) for v in phi[window:])
 
     if n_ext >= MIN_EXTREMA and min_level > 0.0:
         ratios = ()
@@ -165,15 +158,14 @@ def classify(params: ModelParams, y_max: float = 500.0,
 
     # quiet trailing quarter guards against calling an oscillation trough
     # converged
-    quarter = z >= z[-1] - 0.25 * (z[-1] - z[0])
-    n_tail_ext, _ = _phi_extrema(ts[quarter], us[quarter], dus[quarter],
-                                 EXTREMA_AMP)
+    quarter = bisect_left(ts, z1 - 0.25 * (z1 - z0), key=math.log)
+    n_tail_ext = _phi_extrema(phi[quarter:], slope[quarter:], EXTREMA_AMP)
     if tail_residual < TOL_CONV and n_tail_ext == 0:
         return Classification(kind="ConvergesToConstant", trajectory=traj,
                               tail_residual=tail_residual)
 
     return Classification(kind="Undetermined", trajectory=traj,
-                          y_max_reached=float(ts[-1]),
+                          y_max_reached=ts[-1],
                           tail_residual=tail_residual,
                           num_extrema=n_ext, min_level=min_level)
 
@@ -270,9 +262,8 @@ def _plateau_levels(traj: dc.DenseTrajectory):
     counts when its slope minimum is below 0.6 and its level sits below
     half the starting value, which excludes the flat start at the origin.
     """
-    ts, us, _ = traj.nodes()
-    pos = us > 0.0
-    last = int(np.argmin(pos)) - 1 if not pos.all() else len(ts) - 1
+    ts, us = traj.ts, traj.us
+    last = next((k for k, u in enumerate(us) if not u > 0.0), len(us)) - 1
     if last < 8:
         raise NoPlateausError("profile too short for plateau detection")
     y_lo = max(2.0 * ts[0], 1e-3)
@@ -280,15 +271,14 @@ def _plateau_levels(traj: dc.DenseTrajectory):
     if y_hi <= y_lo * 1.5:
         raise NoPlateausError("profile span too short for plateau detection")
     n = max(16, int(30 * math.log10(y_hi / y_lo)))
-    y = np.geomspace(y_lo, y_hi, n)
-    h = traj.eval_many(y)
-    if np.any(h <= 0.0):
-        keep = np.nonzero(h > 0.0)[0]
-        y, h = y[: keep[-1] + 1], h[: keep[-1] + 1]
-    dh = np.array([traj.deriv(float(v)) for v in y])
-    s = np.abs(y * dh / h)
+    y = list(map(log_grid(y_lo, y_hi, n), range(n)))
+    h = [traj.eval(v) for v in y]
+    while h and h[-1] <= 0.0:
+        del y[-1], h[-1]
+    s = [abs(v * traj.deriv(v) / g) if g else math.inf
+         for v, g in zip(y, h)]
 
-    u_start = float(us[0])
+    u_start = us[0]
     levels, spans = [], []
     i = 1
     while i < len(y) - 1:
@@ -299,11 +289,11 @@ def _plateau_levels(traj: dc.DenseTrajectory):
             j1 = i
             while j1 < len(y) - 1 and s[j1 + 1] < 1.0:
                 j1 += 1
-            k = i + int(np.argmin(s[i:j1 + 1]))
-            level = float(h[k])
+            k = min(range(i, j1 + 1), key=s.__getitem__)
+            level = h[k]
             if level < 0.5 * u_start and j0 > 0:
                 levels.append(level)
-                spans.append((float(y[j0]), float(y[j1])))
+                spans.append((y[j0], y[j1]))
             i = j1 + 1
         else:
             i += 1

@@ -15,7 +15,9 @@ loops the image curve makes around the origin).
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (DomainError, NoSignChangeError, OriginOnCurveError,
@@ -68,56 +70,50 @@ class WindingResult:
 
     winding: int
     root_count: int
-    curve: np.ndarray           # certified samples of F(it), |t| <= R
+    curve: tuple                # certified samples of F(it), |t| <= R
     min_distance: float
 
 
-def _unwrapped_angle_sum(z: np.ndarray) -> float:
-    """Total continuous argument increment along a sampled curve."""
-    import numpy as np
-    ang = np.angle(z)
-    d = np.diff(ang)
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    return float(np.sum(d))
+def _unwrapped_angle_sum(z) -> float:
+    """Total continuous argument increment along a sampled curve: the sum
+    of the principal angles of z_k+1 / z_k."""
+    return math.fsum(map(cmath.phase, map(operator.truediv, z[1:], z)))
 
 
-def _axis_image(st: float, dt: float, t: np.ndarray) -> np.ndarray:
+def _axis_image(st: float, dt: float, t: float) -> complex:
     """F(it) = e^(-i dt t) + it - st, the image of the imaginary axis."""
-    import numpy as np
-    return (-st + np.cos(dt * t)) + 1j * (t - np.sin(dt * t))
+    return complex(-st + math.cos(dt * t), t - math.sin(dt * t))
 
 
-ORIGIN_FLOOR = 1e-8          # a failing piece's end this near 0 declines
+ORIGIN_FLOOR = 1e-8          # a sample this near 0 declines the count
 # the half-disk's radius R: a root with Re lam >= 0 has |lam| =
 # |st - e^(-dt lam)| <= 1 + st < 2, and |F| >= R - 1 - st > 2 on the arc
 DISK_RADIUS = 4.0
-SAMPLE_BUDGET = 250_000      # about 0.6 us a sample: well inside 1 s
+SAMPLE_BUDGET = 250_000      # about 1.1 us a sample: 0.4 s cold at most
 
 
-def _certified(f, n: int, lo: float, hi: float, speed: float):
-    """Samples z = f(s) on [lo, hi], |f'| <= speed, and the rounds that
-    halved every failing piece of n uniform ones.  A piece of length h
-    passes if speed*h < max(|z_k|, |z_k+1|): it lies in a disk about an end
-    that excludes 0, so its argument increment is the principal angle.  A
-    failing piece with an end within ORIGIN_FLOOR of 0 raises, which bounds
-    the rounds by log2(speed*h0/ORIGIN_FLOOR) for the first spacing h0."""
-    import numpy as np
-    s = np.linspace(lo, hi, n)
-    z = f(s)
-    rounds = 0
-    while True:
-        a = np.abs(z)
-        k = np.flatnonzero(speed * np.diff(s) >= np.maximum(a[:-1], a[1:]))
-        if k.size == 0:
-            return z, rounds
-        near = min(a[k].min(), a[k + 1].min())
-        if near < ORIGIN_FLOOR:
+def _certified(f, lo: float, hi: float, speed: float):
+    """Abscissas s and samples z = f(s) on [lo, hi], |f'| <= speed, taken
+    by a walk: each step is h = 0.999 |z_k| / speed, so speed*h <
+    max(|z_k|, |z_k+1|) and the piece lies in a disk about an end that
+    excludes 0; its argument increment is then the principal angle.  A
+    sample within ORIGIN_FLOOR of 0 raises, which bounds a step below by
+    0.999*ORIGIN_FLOOR/speed."""
+    s, z = [lo], [f(lo)]
+    t, w, c = lo, z[0], 0.999 / speed
+    while t < hi:
+        a = abs(w)
+        if a < ORIGIN_FLOOR:
             raise OriginOnCurveError(
-                f"curve passes within {near:.2e} of the origin, below the "
+                f"curve passes within {a:.2e} of the origin, below the "
                 f"floor {ORIGIN_FLOOR:.0e}")
-        mid = 0.5 * (s[k] + s[k + 1])
-        s, z = np.insert(s, k + 1, mid), np.insert(z, k + 1, f(mid))
-        rounds += 1
+        u = min(t + c * a, hi)
+        while not speed * (u - t) < a:   # t + h rounded up
+            u = 0.5 * (t + u)
+        t, w = u, f(u)
+        s.append(t)
+        z.append(w)
+    return s, z
 
 
 def winding_number(params: ModelParams) -> WindingResult:
@@ -134,11 +130,11 @@ def winding_number(params: ModelParams) -> WindingResult:
     """
     import logging
 
-    import numpy as np
     cp = CharProblem.from_params(params)
     st, dt, R = cp.sigma_tilde, cp.d_tilde, DISK_RADIUS
-    # |F| >= R - 1 - st on the arc, so arc pieces this short pass at once;
-    # the axis takes about 4 (1 + dt) ln(1 + R/2) samples (dt up to 1e5)
+    # |F| >= R - 1 - st on the arc, so the arc's walk takes about n_arc
+    # steps at most; the axis takes about 4 (1 + dt) ln(1 + R/2) samples
+    # (dt up to 1e5)
     n_arc = math.pi * R * (1.0 + dt) / (R - 1.0 - st) + 2.0
     predicted = 4.0 * (1.0 + dt) * math.log1p(R / 2.0) + n_arc
     if not predicted <= SAMPLE_BUDGET:
@@ -147,24 +143,23 @@ def winding_number(params: ModelParams) -> WindingResult:
             f"over the sample budget {SAMPLE_BUDGET}")
 
     def arc(phi):
-        lam = R * np.exp(1j * phi)
-        return np.exp(-dt * lam) + lam - st
+        lam = cmath.rect(R, phi)
+        return cmath.exp(-dt * lam) + lam - st
 
-    z1, r1 = _certified(lambda t: _axis_image(st, dt, t), 65, -R, R, 1.0 + dt)
-    z2, r2 = _certified(arc, int(n_arc), -math.pi / 2.0, math.pi / 2.0,
-                        R * (1.0 + dt))
-    closed = np.concatenate([z1[::-1], z2])   # down the axis, then the arc
-    min_distance = float(np.min(np.abs(closed)))
+    _, z1 = _certified(lambda t: _axis_image(st, dt, t), -R, R, 1.0 + dt)
+    _, z2 = _certified(arc, -math.pi / 2.0, math.pi / 2.0, R * (1.0 + dt))
+    closed = z1[::-1] + z2   # down the axis, then the arc
+    min_distance = min(map(abs, closed))
     logging.getLogger(__name__).debug(
-        "winding: %d axis and %d arc samples in %d and %d rounds, closest "
-        "sampled |F| = %.3e", z1.size, z2.size, r1, r2, min_distance)
+        "winding: %d axis and %d arc samples, closest sampled |F| = %.3e",
+        len(z1), len(z2), min_distance)
 
     total = _unwrapped_angle_sum(closed) / (2.0 * math.pi)
     count = int(round(total))
     if abs(total - count) > 0.05 or count < 0 or count % 2 != 0:
         raise WindingCountError(f"{total:.4f} turns: no even root count")
     return WindingResult(winding=count // 2, root_count=count,
-                         curve=z1, min_distance=min_distance)
+                         curve=tuple(z1), min_distance=min_distance)
 
 
 def b_star_by_winding(gamma: float, tol_b: float = 1e-4) -> float:
@@ -267,5 +262,5 @@ def curve_samples(params: ModelParams) -> np.ndarray:
     for plotting."""
     import numpy as np
     cp = CharProblem.from_params(params)
-    return _axis_image(cp.sigma_tilde, cp.d_tilde,
-                       np.linspace(-DISK_RADIUS, DISK_RADIUS, 4000))
+    return np.array([_axis_image(cp.sigma_tilde, cp.d_tilde, t) for t in
+                     np.linspace(-DISK_RADIUS, DISK_RADIUS, 4000).tolist()])

@@ -608,8 +608,17 @@ class TestGammaBound:
 SCIPY_FREE = ["params", "b-star", "classify", "winding", "tails", "greens-q",
               "fixedpoint", "eps-of-eta", "bbar", "laplace", "psi-asym",
               "gamma1"]
-# the scalar subcommands, run first so that no earlier one has loaded numpy
-NUMPY_FREE = ["--version", "params", "b-star", "tails", "laplace"]
+# the command lines that load no numpy, run first so that no earlier one
+# has loaded it: the scalar subcommands, then the shooting and winding ones,
+# classify in each of its four classes
+SCALAR = ["--version", "params", "b-star", "tails", "laplace"]
+CLASSES = {"Oscillating": ["classify"],
+           "ConvergesToConstant": ["classify", "--gamma", "2", "--b", "10"],
+           "Undetermined": ["classify", "--gamma", "2", "--b", "1000"],
+           "SignChange": ["classify", "--gamma", "2", "--b", "2.1"]}
+SHOOTING = [*CLASSES.values(), ["winding", "--gamma", "2", "--b", "3"],
+            ["bracket-bbar", "--gamma", "2", "--tol-b", "1e-3"], ["profile"]]
+NUMPY_FREE = [[name] for name in SCALAR] + SHOOTING
 # the independent quadrature route for c0 and the ODE solver
 SCIPY_ROUTES = [["greens-verify", "--t-max", "10"],
                 ["simulate", "--sites", "4", "--t-end", "1"]]
@@ -643,15 +652,16 @@ def cold_report():
     """One fresh process: import the CLI, then run the numpy-free
     subcommands, the other scipy-free ones and those that need scipy, one
     after another."""
-    argvs = [[name] for name in NUMPY_FREE] + [
-        [name] for name in SCIPY_FREE if name not in NUMPY_FREE] + SCIPY_ROUTES
+    argvs = NUMPY_FREE + [
+        [name] for name in SCIPY_FREE if [name] not in NUMPY_FREE] \
+        + SCIPY_ROUTES
     proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT,
                            json.dumps(argvs)], env=child_env(),
                           capture_output=True, text=True, timeout=300,
                           check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
     return {"import": report[0],
-            **{r["argv"][0]: r for r in report[1:]}}
+            **{" ".join(r["argv"]): r for r in report[1:]}}
 
 
 def importers(top: str) -> set:
@@ -686,18 +696,32 @@ class TestImportBudget:
     def test_cli_import_loads_no_numpy(self, cold_report):
         assert cold_report["import"]["numpy"] is False
 
-    @pytest.mark.parametrize("name", NUMPY_FREE)
-    def test_scalar_subcommand_loads_no_numpy(self, name, cold_report,
-                                              capsys):
+    @staticmethod
+    def check_numpy_free(argv, cold_report, capsys):
         # and prints what it prints with numpy loaded, in this process
-        entry = cold_report[name]
+        entry = cold_report[" ".join(argv)]
         assert entry["numpy"] is False
         try:
-            code = main([name])
+            code = main(argv)
         except SystemExit as stop:
             code = stop.code
         assert code == entry["code"] == 0
         assert capsys.readouterr().out == entry["stdout"] != ""
+
+    @pytest.mark.parametrize("name", SCALAR)
+    def test_scalar_subcommand_loads_no_numpy(self, name, cold_report,
+                                              capsys):
+        self.check_numpy_free([name], cold_report, capsys)
+
+    @pytest.mark.parametrize("argv", SHOOTING, ids=" ".join)
+    def test_shooting_subcommand_loads_no_numpy(self, argv, cold_report,
+                                                capsys):
+        self.check_numpy_free(argv, cold_report, capsys)
+
+    @pytest.mark.parametrize("kind", CLASSES)
+    def test_classify_cases_cover_every_class(self, kind, cold_report):
+        entry = cold_report[" ".join(CLASSES[kind])]
+        assert json.loads(entry["stdout"])["result"]["class"] == kind
 
     @pytest.mark.parametrize("name", SCIPY_FREE)
     def test_subcommand_loads_no_scipy(self, name, cold_report):
@@ -708,7 +732,7 @@ class TestImportBudget:
 
     @pytest.mark.parametrize("argv", SCIPY_ROUTES, ids=" ".join)
     def test_scipy_routes_load_scipy(self, argv, cold_report):
-        entry = cold_report[argv[0]]
+        entry = cold_report[" ".join(argv)]
         assert entry["code"] == 0
         assert "scipy.integrate" in entry["scipy"]
 
@@ -722,7 +746,7 @@ class TestImportBudget:
     def test_numpy_imported_at_module_level_only_by_array_modules(self):
         # every other module imports numpy inside the functions that use it
         assert {s for s in importers("numpy") if "." not in s} == {
-            "delaycore", "fixedpoint", "gelsim", "greens", "shooting"}
+            "fixedpoint", "gelsim", "greens"}
 
     def test_laplace_output_unchanged(self, cold_report, capsys):
         entry = cold_report["laplace"]

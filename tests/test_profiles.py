@@ -4,6 +4,7 @@ import math
 import random
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -455,6 +456,45 @@ class TestPantographSeries:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
+def mp_series(c0, c1, r, N):
+    """The recursion of _quadratic_delay_series in 50-digit arithmetic
+    from the same doubles, and the scale (|c0| + |c1| r^n)/(n+1)
+    sum_k |a_k a_n-k| of each a_n+1."""
+    with mp.workdps(50):
+        c0, c1, r = mp.mpf(c0), mp.mpf(c1), mp.mpf(r)
+        a, scales = [mp.mpf(1)], []
+        for n in range(N):
+            terms = [a[k] * a[n - k] for k in range(n + 1)]
+            a.append((c0 - c1 * r ** n) / (n + 1) * mp.fsum(terms))
+            scales.append((abs(c0) + abs(c1) * r ** n) / (n + 1)
+                          * mp.fsum(abs(t) for t in terms))
+        return a, scales
+
+
+class TestSeriesOracle:
+    # the order in which a convolution is summed is not part of the
+    # contract, only the error against its terms: a relative bound alone
+    # fails where a coefficient nearly cancels, as a_2 does at b = 3
+    @staticmethod
+    def check(a, c0, c1, r):
+        ref, scales = mp_series(c0, c1, r, len(a) - 1)
+        for n, scale in enumerate(scales):
+            assert abs(a[n + 1] - ref[n + 1]) <= 1e-13 * scale, n + 1
+
+    @pytest.mark.parametrize("gamma,b", [(2.0, 3.0), (2.0, 10.0),
+                                         (2.0, 1000.0), (2.0, 2.3),
+                                         (1.2, 12.0), (3.0, 1.5),
+                                         (5.0, 0.7), (13.0, 1.0)])
+    def test_local_series(self, gamma, b):
+        p = make_params(gamma, b)
+        self.check(local_series(p, 40).coefficients, 1.0, p.sigma, p.q)
+
+    @pytest.mark.parametrize("p,eta", [(0.5, 0.0), (0.75, 0.3),
+                                       (0.9, 2.0)])
+    def test_pantograph_series(self, p, eta):
+        self.check(pantograph_series(p, eta, 40).coefficients, eta, 1.0, p)
+
+
 class TestExplicitResiduals:
     GRID = np.geomspace(0.1, 10.0, 300)
 
@@ -510,3 +550,31 @@ class TestProperties:
         scale = np.abs(du) + c0 * u * u + c1 * u_r * u_r
         assert np.all(np.abs(du - c0 * u * u + c1 * u_r * u_r)
                       <= 1e-12 * scale)
+
+    @PROPERTY
+    @given(log_radius=st.floats(-12.0, 3.0), growth=st.floats(0.1, 10.0),
+           N=st.integers(2, 40), bounded=st.booleans())
+    def test_switchover_bisection_finds_the_scan_point(
+            self, log_radius, growth, N, bounded):
+        # the last grid point whose three top terms pass, found by scanning
+        # all 400; a radius below 1e-8 turns the grid downward
+        radius = 10.0 ** log_radius if bounded else math.inf
+        c = growth / min(radius, 1.0)
+        a = [c ** n if n * math.log10(c) < 300.0 else 1e300
+             for n in range(N + 1)]
+        s = PowerSeries(tuple(a), validity_radius_estimate=radius)
+        grid = list(map(profiles.log_grid(
+            1e-8, 0.95 * (radius if bounded else 1.0), 400), range(400)))
+        ok = [y for y in grid
+              if a[N] * y ** N + a[N - 1] * y ** (N - 1)
+              + a[N - 2] * y ** (N - 2) < 1e-14]
+        assert series_switchover(s) == (ok[-1] if ok else grid[0])
+
+    @PROPERTY
+    @given(lo=st.floats(1e-9, 1e3), ratio=st.floats(1e-6, 1e8),
+           n=st.integers(2, 500))
+    def test_log_grid_matches_numpy(self, lo, ratio, n):
+        y = list(map(profiles.log_grid(lo, lo * ratio, n), range(n)))
+        ref = np.geomspace(lo, lo * ratio, n)
+        assert (y[0], y[-1]) == (ref[0], ref[-1]) and len(y) == n
+        assert np.allclose(y, ref, rtol=1e-14, atol=0.0)

@@ -225,19 +225,111 @@ class TestCertifiedCount:
         p = make_params(gamma, b)
         cp = st.CharProblem.from_params(p)
         w = st.winding_number(p)
-        assert w.curve.size <= 200
-        ends = st._axis_image(cp.sigma_tilde, cp.d_tilde,
-                              np.array([-st.DISK_RADIUS, st.DISK_RADIUS]))
-        assert (w.curve[0], w.curve[-1]) == tuple(ends)
+        assert len(w.curve) <= 200
+        assert (w.curve[0], w.curve[-1]) == tuple(
+            st._axis_image(cp.sigma_tilde, cp.d_tilde, t)
+            for t in (-st.DISK_RADIUS, st.DISK_RADIUS))
 
     def test_logs_one_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="gelshoot.stability")
         w = st.winding_number(make_params(2.0, 2.3))
         [msg] = [r.getMessage() for r in caplog.records
                  if r.name == "gelshoot.stability"]
-        assert msg.startswith(f"winding: {w.curve.size} axis and ")
-        assert "rounds" in msg
+        assert msg.startswith(f"winding: {len(w.curve)} axis and ")
+        assert " arc samples, " in msg
         assert msg.endswith(f"closest sampled |F| = {w.min_distance:.3e}")
+
+    @pytest.mark.parametrize("gamma,b", [(2.0, 2.3), (2.0, 1e-3),
+                                         (1.2, 0.02), (3.58, 150.0),
+                                         (2.0, B_STAR_2 * (1.0 + 1e-6))])
+    def test_every_piece_is_certified(self, gamma, b, monkeypatch):
+        # the walk's own samples: each piece of both parts lies in a disk
+        # about an end that excludes 0, from end to end of its range
+        walks, walk = [], st._certified
+
+        def spy(f, lo, hi, speed):
+            s, z = walk(f, lo, hi, speed)
+            walks.append((lo, hi, speed, s, z))
+            return s, z
+
+        monkeypatch.setattr(st, "_certified", spy)
+        w = st.winding_number(make_params(gamma, b))
+        assert len(walks) == 2 and w.curve == tuple(walks[0][4])
+        for lo, hi, speed, s, z in walks:
+            assert (s[0], s[-1]) == (lo, hi) and len(s) == len(z)
+            for k in range(len(s) - 1):
+                assert s[k] < s[k + 1]
+                assert speed * (s[k + 1] - s[k]) < max(abs(z[k]),
+                                                       abs(z[k + 1]))
+
+    def test_fewer_samples_than_halving(self):
+        # the halving rounds took 122,455 axis samples here
+        w = st.winding_number(make_params(2.0, 1.3e-4))
+        assert w.winding == 2246 == crossing_count(2.0, 1.3e-4)
+        assert len(w.curve) < 122_455
+
+
+def reference_certified(f, n, lo, hi, speed):
+    # the sampler winding_number had before its walk: n uniform pieces,
+    # then rounds that halve every failing piece, on numpy arrays
+    s = np.linspace(lo, hi, n)
+    z = f(s)
+    while True:
+        a = np.abs(z)
+        k = np.flatnonzero(speed * np.diff(s) >= np.maximum(a[:-1], a[1:]))
+        if k.size == 0:
+            return z
+        if min(a[k].min(), a[k + 1].min()) < st.ORIGIN_FLOOR:
+            raise OriginOnCurveError("near the origin")
+        mid = 0.5 * (s[k] + s[k + 1])
+        s, z = np.insert(s, k + 1, mid), np.insert(z, k + 1, f(mid))
+
+
+def reference_count(params):
+    # (winding, root_count) by reference_certified on the same half-disk
+    cp = st.CharProblem.from_params(params)
+    s, dt, R = cp.sigma_tilde, cp.d_tilde, st.DISK_RADIUS
+
+    def arc(phi):
+        lam = R * np.exp(1j * phi)
+        return np.exp(-dt * lam) + lam - s
+
+    z1 = reference_certified(
+        lambda t: (-s + np.cos(dt * t)) + 1j * (t - np.sin(dt * t)),
+        65, -R, R, 1.0 + dt)
+    n_arc = math.pi * R * (1.0 + dt) / (R - 1.0 - s) + 2.0
+    z2 = reference_certified(arc, int(n_arc), -math.pi / 2.0,
+                             math.pi / 2.0, R * (1.0 + dt))
+    ang = np.diff(np.angle(np.concatenate([z1[::-1], z2])))
+    count = round(float(np.sum((ang + math.pi) % (2.0 * math.pi) - math.pi))
+                  / (2.0 * math.pi))
+    return count // 2, count
+
+
+def walk_grid(n, seed):
+    # gamma uniform on [1.02, 40]; d_tilde log-uniform on [1e-3, 1e3] for
+    # two thirds of the points, b within 1e-6..1e-3 relative of b_star on
+    # either side for the rest
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        gamma = rng.uniform(1.02, 40.0)
+        if i % 3:
+            th = 2.0 ** (gamma - 1.0)
+            dt = 10.0 ** rng.uniform(-3.0, 3.0)
+            out.append((gamma, 2.0 * th / (th - 1.0) * math.log(2.0) / dt))
+        else:
+            rel = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -3.0)
+            out.append((gamma, st.b_star(gamma) * (1.0 + rel)))
+    return out
+
+
+class TestWalkAgainstHalving:
+    def test_same_counts_as_the_halving_sampler(self):
+        for gamma, b in walk_grid(240, 27):
+            p = make_params(gamma, b)
+            w = st.winding_number(p)
+            assert (w.winding, w.root_count) == reference_count(p), (gamma, b)
 
 
 def reference_b_star_by_winding(gamma, tol_b):
