@@ -27,6 +27,12 @@ GAMMA1_B1_LIMIT = (1.0 - LN2) / LN2
 # ---------------------------------------------------------------------------
 # fractional-exponent profile series at the borderline homogeneity
 
+_TWO_LN2 = 2.0 * LN2
+_TWO_LN2_LO = 4.638093627692599e-17  # 2 ln 2 - _TWO_LN2
+# (x/(1 - e^-x) - 1 - x/2)/x^2 in powers of x^2 (Bernoulli numbers): its
+# first omitted term is below 5e-17 of the whole at x < 0.1
+_X_OVER_EXPM1 = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+
 
 def alpha_root(b: float) -> float:
     """Unique positive root of b*alpha / (2 (1 - 2^-alpha)) = 1.
@@ -43,7 +49,14 @@ def alpha_root(b: float) -> float:
             f"no positive root for b >= 2 ln 2 = {2.0 * LN2:.6f}")
 
     def g(al: float) -> float:
-        return b * al / (2.0 * -math.expm1(-al * LN2)) - 1.0
+        x = al * LN2
+        if x >= 0.1:
+            return b * al / (2.0 * -math.expm1(-x)) - 1.0
+        # as b -> 2 ln 2 the left side cancels against 1 (the form above is
+        # 2.8e-12 off in alpha at b = 1.3862): split off (b - 2 ln 2)/(2 ln 2)
+        # and add b/(2 ln 2) (x/(1 - e^-x) - 1), summed by its series
+        s = x * (0.5 + x * horner(_X_OVER_EXPM1, x * x))
+        return ((b - _TWO_LN2) - _TWO_LN2_LO + b * s) / _TWO_LN2
 
     hi = min(2.0 / b * (1.0 + 2.0 ** -50), math.nextafter(math.inf, 0.0))
     if g(hi) < 0.0:

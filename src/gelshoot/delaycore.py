@@ -401,7 +401,7 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         if est <= scale or h <= 1e-13 * max(1.0, abs(t)):
             t = te
             u = u2
-            du = f(t, u, traj_eval(tau(t)))  # reads any provisional node
+            du = f(t, u, de)  # the last pass's lookup at tau(te), same nodes
             if own:
                 traj.n_overlap += 1
                 del ts[-1], us[-1], dus[-1]

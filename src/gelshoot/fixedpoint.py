@@ -50,6 +50,7 @@ ETA_MAX = 0.05  # largest eta at eps = 0 for the eps root
 # smallest eta at eps = 0 for the eps root: F sees eps only through 1 + eps,
 # and eps/eta strays from 0.2097 by 0.45% above it, 0.91% in [2^-50, 2^-49)
 ETA_MIN = 2.0 ** -49
+FIRST_ORDER_STEP = 1e-6  # eps or eta of the sweeps behind d_eps and d_eta
 
 log = logging.getLogger(__name__)
 
@@ -118,6 +119,13 @@ class FixedPointGrid:
         self.exq_w = self.exq_g * self.gw
         self.at_g = _PointPlan(self.x, self.g)
         self.at_x = _PointPlan(self.x, self.x)
+        # first-order fields (W, dW) of dW*/d eps and dW*/d eta at (0, 0):
+        # T[0] = 0 there and T has no part linear in W, so each is one sweep
+        # from W = 0 at a small step, divided by it
+        zero = np.zeros_like(self.x)
+        self.d_eps, self.d_eta = (
+            np.array(self.apply(zero, zero, eps, eta)[:2]) / FIRST_ORDER_STEP
+            for eps, eta in ((FIRST_ORDER_STEP, 0.0), (0.0, FIRST_ORDER_STEP)))
 
     # -- operator -----------------------------------------------------------
 
@@ -217,8 +225,9 @@ def certify_decay(x: np.ndarray, values: np.ndarray, x_lo: float,
 
 def picard_solve(eps: float, eta: float,
                  tol: float = 1e-12,
-                 warm_start: FixedPointState | None = None) -> FixedPointState:
-    """Iterate W <- T[W] from zero (or a warm start) to the fixed point.
+                 warm_start: np.ndarray | None = None) -> FixedPointState:
+    """Iterate W <- T[W] from zero (or a warm start, the pair W, dW as a
+    2-row array or tuple, read and never written) to the fixed point.
 
     Outside the small-parameter contraction regime the iteration may
     diverge; three consecutive sup-difference increases raise
@@ -234,7 +243,7 @@ def picard_solve(eps: float, eta: float,
     grid = default_grid()
     W = dW = np.zeros_like(grid.x)
     if warm_start is not None:
-        W, dW = warm_start.W, warm_start.dW  # read, never written
+        W, dW = warm_start
     history, grew = (), 0
     for _ in range(MAX_SWEEPS):
         T, dT, F = grid.apply(W, dW, eps, eta)
@@ -291,29 +300,41 @@ def contraction_factor(eps: float, eta: float, w1: np.ndarray,
 
 def _root_in_eps(eta_of, tol: float):
     """Root (eps, state) of eps -> F(W*(eps, eta_of(eps)), eps, eta_of(eps))
-    by profiles.bisect on [0, 20 eta] over warm-started Picard solves, each
-    read by its F_value, from the first-order root kappa1 eta with a Newton
-    step of slope c0.  F grows in eps and falls in eta, and eta_of must not
-    grow with eps.  Stops at a bracket under 1e-16 or |F| <= tol eta/ETA_MAX,
-    floored at F_FLOOR (eta at eps = 0), and returns the last solve."""
+    by profiles.bisect on [0, 20 eta] over Picard solves, each read by its
+    F_value, from the first-order root kappa1 eta with a Newton step of
+    slope c0.  The first two solves start from the grid's first-order
+    fields, every later one from the secant through the last two solves.
+    F grows in eps and falls in eta, and eta_of must not grow with eps.
+    Stops at a bracket under 1e-16 or |F| <= tol eta/ETA_MAX, floored at
+    F_FLOOR (eta at eps = 0), and returns the last solve."""
     eta0 = eta_of(0.0)
     if not ETA_MIN <= eta0 <= ETA_MAX:
         raise DomainError(f"eta = {eta0:.3g} at eps = 0 lies outside "
                           f"[{ETA_MIN:.3g}, {ETA_MAX}]: below, 1 + eps cannot "
                           "hold eps; above, T need not contract")
-    c0, state = greens.c0_moment(), None
+    grid, c0 = default_grid(), greens.c0_moment()
+    last = []  # (eps, eta, stacked W and dW, state) of the last two solves
 
     def solve(eps):
-        nonlocal state
-        state = picard_solve(eps, eta_of(eps), warm_start=state)
+        eta = eta_of(eps)
+        if len(last) < 2:  # first order about the last solve or W*(0, 0) = 0
+            e1, h1, w1, _ = last[0] if last else (0.0, 0.0, 0.0, None)
+            start = w1 + (eps - e1) * grid.d_eps + (eta - h1) * grid.d_eta
+        else:  # the secant through the last two solves
+            (e0, _, w0, _), (e1, _, w1, _) = last
+            start = w1 + (eps - e1) / (e1 - e0) * (w1 - w0)
+        state = picard_solve(eps, eta, warm_start=start)
+        last[:] = last[-1:] + [(eps, eta, np.array((state.W, state.dW)),
+                                state)]
         log.debug("root iterate eps = %.17g, eta = %.17g, F = %.3e "
-                  "in %d sweeps", eps, state.eta, state.F_value,
-                  state.iterations)
+                  "in %d sweeps from %.3e", eps, eta, state.F_value,
+                  state.iterations, state.sup_diff_history[0])
         return state.F_value
 
     kappa1_eta = -greens.eta_derivative_moment() / c0 * eta0
     bisect(solve, 0.0, 20.0 * eta0, 1e-16,
            (kappa1_eta, c0, max(tol * (eta0 / ETA_MAX), F_FLOOR)))
+    state = last[-1][3]
     return state.eps, state
 
 

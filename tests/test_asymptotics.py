@@ -39,6 +39,19 @@ class TestAlphaRoot:
                         1e-9, 10.0, xtol=1e-14)
         assert asy.alpha_root(b) == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("b", [1.2, 1.3, 1.32, 1.38, 1.386, 1.3862])
+    def test_mpmath_root_near_two_ln2(self, b):
+        # b alpha/(2 (1 - 2^-alpha)) - 1 cancels as b -> 2 ln 2, where the
+        # direct form was off by 4.2e-17, 7.5e-15, 6.9e-13 and 2.8e-12 at
+        # 1.2, 1.38, 1.386 and 1.3862; alpha ln 2 lies either side of the
+        # split's 0.1 at 1.3 and 1.32
+        with mp.workdps(50):
+            bm = mp.mpf(b)
+            x0 = 4 * (2 * mp.log(2) - bm) / (bm * mp.log(2))  # alpha ~ x0
+            ref = mp.findroot(lambda a: bm * a / (2 * (1 - mp.power(2, -a)))
+                              - 1, (x0 / 2, 2 * x0), solver="anderson")
+            assert abs(asy.alpha_root(b) / ref - 1) <= 1e-14
+
     def test_domain(self):
         with pytest.raises(DomainError):
             asy.alpha_root(2.0 * LN2)

@@ -498,8 +498,8 @@ class TestRemainingSubcommands:
 
     def test_eps_of_eta_reports_the_tested_f(self, capsys):
         # the F that the stop tested: the returned state's F_value, that of
-        # the last sweep's input W (at eta = 0.01 6.5386946e-13, where
-        # f_eval recomputes 6.5463079e-13 from the returned W)
+        # the last sweep's input W (at eta = 0.01 6.5455488e-13, where
+        # f_eval recomputes 6.5527329e-13 from the returned W)
         code, out, _ = run(capsys, "eps-of-eta", "--eta", "0.01")
         eps, state = fixedpoint.eps_of_eta(0.01)
         doc = json.loads(out)["result"]

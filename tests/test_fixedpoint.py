@@ -184,8 +184,8 @@ def reference_picard_solve(eps, eta, tol=1e-12, warm_start=None):
     state = fp.FixedPointState(x=grid.x, W=z, dW=z.copy(), eps=eps, eta=eta,
                                F_value=0.0, sup_diff_history=())
     if warm_start is not None:
-        state = replace(state, W=warm_start.W.copy(),
-                        dW=warm_start.dW.copy())
+        state = replace(state, W=warm_start[0].copy(),
+                        dW=warm_start[1].copy())
     grew = 0
     for _ in range(fp.MAX_SWEEPS):
         T, dT, F = grid.apply(state.W, state.dW, eps, eta)
@@ -213,8 +213,8 @@ class TestPicardLoopBitwise:
         # warm: each solve starts from the previous parameters' fixed point
         prev = None
         for eps, eta in SWEEP_PARAMS:
-            start = prev if warm else None
-            kept = None if start is None else _bytes(start.W, start.dW)
+            start = (prev.W, prev.dW) if warm and prev is not None else None
+            kept = None if start is None else _bytes(*start)
             new = fp.picard_solve(eps, eta, warm_start=start)
             ref = reference_picard_solve(eps, eta, warm_start=start)
             assert _bytes(new.W, new.dW) == _bytes(ref.W, ref.dW), (eps, eta)
@@ -222,7 +222,7 @@ class TestPicardLoopBitwise:
             assert new.sup_diff_history == ref.sup_diff_history
             assert new.x is ref.x and (new.eps, new.eta) == (eps, eta)
             if start is not None:  # the warm start is read, not written
-                assert _bytes(start.W, start.dW) == kept
+                assert _bytes(*start) == kept
             prev = new
 
     @pytest.mark.parametrize("eps, eta, tol, error", [
@@ -415,11 +415,11 @@ def reference_eps_of_eta(eta, tol):
     lo, hi = 0.0, 10.0 * eta
     state = fp.picard_solve(lo, eta)
     f_lo = fp.f_eval(state)
-    st_hi = fp.picard_solve(hi, eta, warm_start=state)
+    st_hi = fp.picard_solve(hi, eta, warm_start=(state.W, state.dW))
     f_hi = fp.f_eval(st_hi)
     if f_lo * f_hi > 0.0:
         hi *= 2.0
-        st_hi = fp.picard_solve(hi, eta, warm_start=st_hi)
+        st_hi = fp.picard_solve(hi, eta, warm_start=(st_hi.W, st_hi.dW))
         f_hi = fp.f_eval(st_hi)
     best = st_hi
     for _ in range(80):
@@ -428,7 +428,7 @@ def reference_eps_of_eta(eta, tol):
             else 0.5 * (lo + hi)
         if not lo < eps_new < hi:
             eps_new = 0.5 * (lo + hi)
-        best = fp.picard_solve(eps_new, eta, warm_start=best)
+        best = fp.picard_solve(eps_new, eta, warm_start=(best.W, best.dW))
         f_new = fp.f_eval(best)
         if abs(f_new) < tol:
             return eps_new, best
@@ -592,7 +592,8 @@ class TestOneEpsRoot:
         for line, st in zip(lines, solves):
             assert line == (f"root iterate eps = {st.eps:.17g}, "
                             f"eta = {st.eta:.17g}, F = {st.F_value:.3e} "
-                            f"in {st.iterations} sweeps")
+                            f"in {st.iterations} sweeps "
+                            f"from {st.sup_diff_history[0]:.3e}")
         assert solves[-1].eps == crit.eps
 
     def test_root_reads_the_solves_f(self, monkeypatch):
@@ -637,7 +638,62 @@ class TestOneEpsRoot:
         assert consts["EPS_F_TOL"] == consts["BBAR_F_TOL"] == fp.F_TOL
 
 
+class TestPredictedStarts:
+    @pytest.mark.parametrize("root, arg, sweeps, solves", [
+        (fp.eps_of_eta, 0.01, 10, 3), (fp.eps_of_eta, 0.048, 18, 4),
+        (fp.bbar_of_gamma, 8.0, 13, 3), (fp.bbar_of_gamma, 13.0, 5, 2)])
+    def test_sweeps_and_solves_per_root(self, root, arg, sweeps, solves,
+                                        monkeypatch):
+        # from the previous solve each took 13, 22, 16 and 7 sweeps over
+        # the same solves
+        fp.default_grid()
+        calls, solves_run = count_sweeps(monkeypatch), []
+        solve = fp.picard_solve
+
+        def counting(*args, **kwargs):
+            solves_run.append(solve(*args, **kwargs))
+            return solves_run[-1]
+
+        monkeypatch.setattr(fp, "picard_solve", counting)
+        root(arg)
+        assert len(calls) <= sweeps
+        assert len(solves_run) == solves
+
+    def test_first_order_fields(self):
+        # W*(0.2 t, t) leaves the first-order prediction by O(t^2): the
+        # error quarters as t halves; at x = 0 the fields are -dF/deps and
+        # -dF/deta, F = -W(0)
+        grid = fp.default_grid()
+        errs = []
+        for t in (0.01, 0.005):
+            st = fp.picard_solve(0.2 * t, t)
+            pred = 0.2 * t * grid.d_eps + t * grid.d_eta
+            errs.append(np.max(np.abs(np.array((st.W, st.dW)) - pred),
+                               axis=1))
+        assert np.all((3.8 < errs[0] / errs[1]) & (errs[0] / errs[1] < 4.2))
+        assert grid.d_eps[0, 0] == pytest.approx(-DF_DEPS, rel=1e-5)
+        assert grid.d_eta[0, 0] == pytest.approx(-DF_DETA, rel=1e-12)
+
+    def test_each_start_lies_closer(self, caplog):
+        # the debug line ends in the first sweep's sup-difference, which
+        # falls from solve to solve: 4.0e-4, 5.9e-6, 2.0e-9 and 5.3e-14
+        caplog.set_level(logging.DEBUG, logger="gelshoot.fixedpoint")
+        fp.eps_of_eta(0.048)
+        firsts = [float(r.getMessage().split()[-1]) for r in caplog.records
+                  if r.getMessage().startswith("root iterate ")]
+        assert len(firsts) == 4
+        assert firsts[0] > firsts[1] > firsts[2] > firsts[3]
+
+
 class TestBbar:
+    @pytest.mark.parametrize("gamma", [8.608518746421021, 8.661624032159475,
+                                       9.561252869475442])
+    def test_profile_positive_at_the_tail(self, gamma):
+        # h(40) = e^-40 + W(40) is 3.1e-18, 3.1e-18 and 3.6e-18 here, against
+        # e^-40 = 4.2e-18: a sweep whose tail errs by 4e-18 makes it negative
+        crit = fp.bbar_of_gamma(gamma)
+        assert np.all(crit.h > 0.0)
+
     def test_gamma_13(self):
         crit = fp.bbar_of_gamma(13.0)
         assert crit.bbar == pytest.approx(1.0003, abs=2e-4)
