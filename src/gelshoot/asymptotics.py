@@ -29,9 +29,11 @@ GAMMA1_B1_LIMIT = (1.0 - LN2) / LN2
 
 _TWO_LN2 = 2.0 * LN2
 _TWO_LN2_LO = 4.638093627692599e-17  # 2 ln 2 - _TWO_LN2
-# (x/(1 - e^-x) - 1 - x/2)/x^2 in powers of x^2 (Bernoulli numbers): its
-# first omitted term is below 5e-17 of the whole at x < 0.1
-_X_OVER_EXPM1 = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+# B_2k/(2k)!, k = 1..10: t/(e^t - 1) = 1 - t/2 + sum_k B_2k t^2k/(2k)!
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600,
+              -3617 / 10670622842880000, 43867 / 5109094217170944000,
+              -174611 / 802857662698291200000)
 
 
 def alpha_root(b: float) -> float:
@@ -54,8 +56,8 @@ def alpha_root(b: float) -> float:
             return b * al / (2.0 * -math.expm1(-x)) - 1.0
         # as b -> 2 ln 2 the left side cancels against 1 (the form above is
         # 2.8e-12 off in alpha at b = 1.3862): split off (b - 2 ln 2)/(2 ln 2)
-        # and add b/(2 ln 2) (x/(1 - e^-x) - 1), summed by its series
-        s = x * (0.5 + x * horner(_X_OVER_EXPM1, x * x))
+        # and add b/(2 ln 2) (x/(1 - e^-x) - 1), by _BERNOULLI at t = -x
+        s = x * (0.5 + x * horner(_BERNOULLI, x * x))
         return ((b - _TWO_LN2) - _TWO_LN2_LO + b * s) / _TWO_LN2
 
     hi = min(2.0 / b * (1.0 + 2.0 ** -50), math.nextafter(math.inf, 0.0))
@@ -257,11 +259,6 @@ class LaplaceQuantities:
     U: float
 
 
-# B_2k/(2k)!, k = 1..10: t/(e^t - 1) = 1 - t/2 + sum_k B_2k t^2k/(2k)!
-_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
-              -691 / 1307674368000, 1 / 74724249600,
-              -3617 / 10670622842880000, 43867 / 5109094217170944000,
-              -174611 / 802857662698291200000)
 # (k-1)/k^2 for k >= 2 and 1/k^2 for k >= 1: the series of W and Li2
 _W_SERIES = tuple((k - 1) / k ** 2 for k in range(2, 62))
 _LI2_SERIES = tuple(1 / k ** 2 for k in range(1, 61))

@@ -75,17 +75,19 @@ def emit_json(path, payload, provenance):
     _write(path, text + "\n")
 
 
-def parse_grid(spec: str) -> np.ndarray:
-    """lo:hi:n with linear spacing and at least one point."""
-    import numpy as np
+def parse_grid(spec: str) -> list:
+    """lo:hi:n with linear spacing and at least one point, by
+    numpy.linspace's formula i ((hi - lo)/(n - 1)) + lo with hi last."""
     try:
         lo, hi, n = spec.split(":")
-        if int(n) >= 1:
-            return np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as err:
         raise DomainError(f"bad grid spec {spec!r}; expected lo:hi:n") \
             from err
-    raise DomainError(f"grid {spec!r} has no points; n must be at least 1")
+    if n < 1:
+        raise DomainError(f"grid {spec!r} has no points; n must be at least 1")
+    step = (hi - lo) / max(n - 1, 1)
+    return [i * step + lo for i in range(n - 1)] + [hi if n > 1 else lo]
 
 
 def parse_floats(spec: str) -> list:
@@ -122,8 +124,8 @@ def load_config(path: str) -> dict:
 # modules each function imports numpy itself, so a process loads only what
 # its subcommand needs: importing scipy takes far longer than the work of
 # the cheap subcommands, and numpy would nearly double the cold time of
-# --version, params, b-star, tails, laplace, classify, winding, profile and
-# bracket-bbar, which load none.
+# --version, params, b-star, tails, laplace, classify, scan-b, winding,
+# stability-scan, profile and bracket-bbar, which load none.
 
 
 def cmd_params(a):
@@ -161,8 +163,8 @@ def cmd_classify(a):
 
 def cmd_scan_b(a):
     from . import shooting
-    grid = parse_grid(a.grid)
-    rows = shooting.scan_b(a.gamma, grid, y_max=a.y_max, tol=a.tol)
+    rows = shooting.scan_b(a.gamma, parse_grid(a.grid), y_max=a.y_max,
+                           tol=a.tol)
     write_csv(a.out, ["gamma", "b", "class", "y_event", "extra"],
               ((r["gamma"], r["b"], r["class"], r["y_event"],
                 json.dumps(r["extra"]).replace(",", ";")) for r in rows),
@@ -190,12 +192,9 @@ def cmd_stability_scan(a):
 
 
 def cmd_greens_q(a):
-    import numpy as np
-
     from . import greens
-    grid = parse_grid(a.grid) if a.grid else np.linspace(0.0, 20.0, 201)
-    rows = [(x, greens.q_eval(float(x)), greens.q_tail_bound(float(x)))
-            for x in grid]
+    rows = [(x, greens.q_eval(x), greens.q_tail_bound(x))
+            for x in parse_grid(a.grid or "0:20:201")]
     write_csv(a.out, ["xi", "Q", "tail_bound"], rows, a.echo)
 
 

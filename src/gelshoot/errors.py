@@ -53,7 +53,7 @@ class StepBudgetError(GelshootError):
 
 
 class SampleBudgetError(GelshootError):
-    """A curve's predicted sample count exceeds the sample budget."""
+    """A curve needs more samples than the sample budget allows."""
 
 
 class SeriesOverflowError(GelshootError):

@@ -112,11 +112,11 @@ class ChainSolution:
         return np.asarray(self.dense(t))
 
 
-def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
-                 cap: float = VALUE_CAP) -> ChainSolution:
+def evolve_chain(chain: DyadicChain, t_end: float,
+                 tol: float = 1e-10) -> ChainSolution:
     """Advance a chain to t_end with adaptive explicit stepping.
 
-    Stops early (BlowUpError) if any site exceeds the cap; the partial
+    Stops early (BlowUpError) if any site exceeds VALUE_CAP; the partial
     solution rides on the exception.  The 65 uniform snapshots come from
     the dense interpolant; accepted-step states are kept alongside
     (nonnegativity holds at accepted steps).
@@ -130,7 +130,7 @@ def evolve_chain(chain: DyadicChain, t_end: float, tol: float = 1e-10,
     from scipy.integrate import solve_ivp
 
     def hit_cap(t, f):
-        return cap - float(np.max(f))
+        return VALUE_CAP - float(np.max(f))
 
     hit_cap.terminal = True
     hit_cap.direction = -1.0

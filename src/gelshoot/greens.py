@@ -34,6 +34,7 @@ _NQ = 20
 
 @lru_cache(maxsize=None)
 def q_coefficients(n_max: int = _NQ) -> np.ndarray:
+    """a_0, ..., a_n_max: the one table of Q's coefficients."""
     a = np.empty(n_max + 1)
     a[0] = 1.0
     prod = 1.0
@@ -41,6 +42,16 @@ def q_coefficients(n_max: int = _NQ) -> np.ndarray:
         prod *= 2.0 ** n - 1.0
         a[n] = 4.0 ** n / prod
     return a
+
+
+def _q_sum(xi, N: int, shift: float):
+    """sum_{n<=N} (-1)^n a_n e^(xi (shift - 2^n)) for a scalar or an array."""
+    xi_arr = np.asarray(xi, dtype=float)
+    n = np.arange(N + 1)
+    signed = np.where(n % 2 == 0, 1.0, -1.0) * q_coefficients(N)
+    terms = signed * np.exp(np.outer(xi_arr.ravel(), shift - 2.0 ** n))
+    out = terms.sum(axis=1).reshape(xi_arr.shape)
+    return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
 
 
 def q_eval(xi, N: int = _NQ):
@@ -52,50 +63,31 @@ def q_eval(xi, N: int = _NQ):
     """
     if N < 1:
         raise DomainError("need at least one series term")
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr < 0.0):
+    if np.any(np.asarray(xi, dtype=float) < 0.0):
         raise DomainError("Q is evaluated for xi >= 0")
-    a = q_coefficients(max(N, 2))
-    n = np.arange(min(N, len(a) - 1) + 1)
-    signs = np.where(n % 2 == 0, 1.0, -1.0)
-    terms = signs * a[n] * np.exp(-np.outer(xi_arr.ravel(), 2.0 ** n))
-    out = terms.sum(axis=1).reshape(xi_arr.shape)
-    return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
+    return _q_sum(xi, N, 0.0)
 
 
 def q_tail_bound(xi: float, N: int = _NQ) -> float:
     """Magnitude of the first omitted term, valid as a bound for N >= 2."""
-    a = q_coefficients(max(N + 1, 2))
-    n = min(N + 1, len(a) - 1)
-    return float(a[n] * math.exp(-(2.0 ** n) * xi))
+    a = q_coefficients(N + 1)[N + 1]
+    return float(a * math.exp(-(2.0 ** (N + 1)) * xi))
 
 
 def exq_eval(xi) -> np.ndarray:
     """e^xi Q(xi), summed without the overall exponential (stable for large xi)."""
-    xi_arr = np.asarray(xi, dtype=float)
-    a = q_coefficients()
-    n = np.arange(len(a))
-    signs = np.where(n % 2 == 0, 1.0, -1.0)
-    expo = np.outer(xi_arr.ravel(), 1.0 - 2.0 ** n)   # <= 0
-    out = (signs * a[n] * np.exp(expo)).sum(axis=1).reshape(xi_arr.shape)
-    return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
+    return _q_sum(xi, _NQ, 1.0)
 
 
 def c0_moment() -> float:
     """First moment of Q: integral of eta Q(eta) over (0, inf), by series.
 
-    Term-wise integration gives 1 + sum_{n>=1} (-1)^n / prod_{j<=n}(2^j - 1);
-    the n = 0 and n = 1 terms cancel exactly.
+    Term-wise integration gives sum_n (-1)^n a_n / 4^n = 1 + sum_{n>=1}
+    (-1)^n / prod_{j<=n}(2^j - 1); the n = 0 and n = 1 terms cancel exactly.
     """
-    total = 1.0
-    prod = 1.0
-    term = 1.0
-    n = 1
-    while abs(term) > 1e-18 and n < 40:
-        prod *= 2.0 ** n - 1.0
-        term = (-1.0) ** n / prod
-        total += term
-        n += 1
+    total = 0.0
+    for n, a in enumerate(q_coefficients().tolist()):
+        total += (-1) ** n * a / 4 ** n
     return total
 
 
@@ -109,12 +101,10 @@ def c0_moment_quad() -> float:
 
 
 def eta_derivative_moment() -> float:
-    """Integral of e^(-xi) Q(xi) over (0, inf), by term-wise series."""
-    total = 0.5
-    prod = 1.0
-    for n in range(1, 40):
-        prod *= 2.0 ** n - 1.0
-        total += (-1.0) ** n * 4.0 ** n / ((1.0 + 2.0 ** n) * prod)
+    """Integral of e^(-xi) Q(xi) over (0, inf): sum (-1)^n a_n / (1 + 2^n)."""
+    total = 0.0
+    for n, a in enumerate(q_coefficients().tolist()):
+        total += (-1) ** n * a / (1 + 2 ** n)
     return total
 
 

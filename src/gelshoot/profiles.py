@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DomainError, NoSignChangeError, SeriesOverflowError
@@ -271,16 +272,12 @@ def series_switchover(series: PowerSeries) -> float:
                 + a[n - 2] * y ** (n - 2)) < 1e-14
 
     # the passing points are a prefix of a rising grid and a suffix of one
-    # that falls (0.95 hi < 1e-8): the last of them is the answer
+    # that falls (0.95 hi < 1e-8): the last of them is the answer, and
+    # grid(0) when none passes
     if ok(399):
         return grid(399)
-    if not ok(0):
-        return grid(0)
-    lo, bad = 0, 399
-    while bad - lo > 1:
-        mid = (lo + bad) // 2
-        lo, bad = (mid, bad) if ok(mid) else (lo, mid)
-    return grid(lo)
+    first_bad = bisect_left(range(399), True, key=lambda i: not ok(i))
+    return grid(max(first_bad - 1, 0))
 
 
 # ---------------------------------------------------------------------------

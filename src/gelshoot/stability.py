@@ -89,16 +89,17 @@ ORIGIN_FLOOR = 1e-8          # a sample this near 0 declines the count
 # the half-disk's radius R: a root with Re lam >= 0 has |lam| =
 # |st - e^(-dt lam)| <= 1 + st < 2, and |F| >= R - 1 - st > 2 on the arc
 DISK_RADIUS = 4.0
-SAMPLE_BUDGET = 250_000      # about 1.1 us a sample: 0.4 s cold at most
+SAMPLE_BUDGET = 250_000      # about 1.2 us a sample: 0.3 s in process
 
 
-def _certified(f, lo: float, hi: float, speed: float):
+def _certified(f, lo: float, hi: float, speed: float, budget: int):
     """Abscissas s and samples z = f(s) on [lo, hi], |f'| <= speed, taken
     by a walk: each step is h = 0.999 |z_k| / speed, so speed*h <
     max(|z_k|, |z_k+1|) and the piece lies in a disk about an end that
     excludes 0; its argument increment is then the principal angle.  A
     sample within ORIGIN_FLOOR of 0 raises, which bounds a step below by
-    0.999*ORIGIN_FLOOR/speed."""
+    0.999*ORIGIN_FLOOR/speed; a walk that needs more than budget samples
+    raises too, naming f and how far it got."""
     s, z = [lo], [f(lo)]
     t, w, c = lo, z[0], 0.999 / speed
     while t < hi:
@@ -107,6 +108,10 @@ def _certified(f, lo: float, hi: float, speed: float):
             raise OriginOnCurveError(
                 f"curve passes within {a:.2e} of the origin, below the "
                 f"floor {ORIGIN_FLOOR:.0e}")
+        if len(s) >= budget:
+            raise SampleBudgetError(
+                f"the {f.__name__} walk spends the sample budget "
+                f"{SAMPLE_BUDGET} at {(t - lo) / (hi - lo):.3f} of its range")
         u = min(t + c * a, hi)
         while not speed * (u - t) < a:   # t + h rounded up
             u = 0.5 * (t + u)
@@ -124,30 +129,32 @@ def winding_number(params: ModelParams) -> WindingResult:
     the origin equals the number of roots with positive real part, which is
     even by conjugate symmetry.  The reported winding is the pair count: 0
     exactly when b > b_star.  _certified samples both parts, as |dF(it)/dt|
-    <= 1 + dt and |dF/dphi| <= R (1 + dt) on the arc: the count is exact,
-    or OriginOnCurveError, or SampleBudgetError before any sampling, or
-    WindingCountError for a count that is not an even integer.
+    <= 1 + dt and |dF/dphi| <= R (1 + dt) on the arc, within SAMPLE_BUDGET
+    samples in all: the count is exact, or OriginOnCurveError, or
+    SampleBudgetError, or WindingCountError for no even integer count.
     """
     import logging
 
     cp = CharProblem.from_params(params)
     st, dt, R = cp.sigma_tilde, cp.d_tilde, DISK_RADIUS
-    # |F| >= R - 1 - st on the arc, so the arc's walk takes about n_arc
-    # steps at most; the axis takes about 4 (1 + dt) ln(1 + R/2) samples
-    # (dt up to 1e5)
-    n_arc = math.pi * R * (1.0 + dt) / (R - 1.0 - st) + 2.0
-    predicted = 4.0 * (1.0 + dt) * math.log1p(R / 2.0) + n_arc
-    if not predicted <= SAMPLE_BUDGET:
+    # |F(it)| <= 1 + R + st caps each axis step at (1 + R + st)/(1 + dt),
+    # so the axis alone takes more samples than this (dt up to 1.7e5 passes)
+    floor = 2.0 * R * (1.0 + dt) / (1.0 + R + st)
+    if not floor <= SAMPLE_BUDGET:
         raise SampleBudgetError(
-            f"about {predicted:.3g} curve samples at d_tilde = {dt:.3g}, "
+            f"at least {floor:.3g} axis samples at d_tilde = {dt:.3g}, "
             f"over the sample budget {SAMPLE_BUDGET}")
+
+    def axis(t):
+        return _axis_image(st, dt, t)
 
     def arc(phi):
         lam = cmath.rect(R, phi)
         return cmath.exp(-dt * lam) + lam - st
 
-    _, z1 = _certified(lambda t: _axis_image(st, dt, t), -R, R, 1.0 + dt)
-    _, z2 = _certified(arc, -math.pi / 2.0, math.pi / 2.0, R * (1.0 + dt))
+    _, z1 = _certified(axis, -R, R, 1.0 + dt, SAMPLE_BUDGET)
+    _, z2 = _certified(arc, -math.pi / 2.0, math.pi / 2.0, R * (1.0 + dt),
+                       SAMPLE_BUDGET - len(z1))
     closed = z1[::-1] + z2   # down the axis, then the arc
     min_distance = min(map(abs, closed))
     logging.getLogger(__name__).debug(

@@ -199,9 +199,10 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert json.loads(err)["type"] == "OriginOnCurveError"
 
-    @pytest.mark.parametrize("b", ["1e-300", "1e-12"])
+    @pytest.mark.parametrize("b", ["1e-300", "1e-12", "9e-5"])
     def test_winding_over_the_sample_budget_is_numerical(self, b, capsys):
-        # d_tilde = 2.8e300 and 2.8e12: refused before any sampling
+        # d_tilde = 2.8e300 and 2.8e12: refused before any sampling; 3.1e4:
+        # the arc walk spends what the axis left of the budget
         start = time.perf_counter()
         code, out, err = run(capsys, "winding", "--gamma", "2", "--b", b)
         assert time.perf_counter() - start < 1.0
@@ -446,8 +447,9 @@ FUZZ_EXIT = {
     # bound of 1e-14 times the whole span and ended in StepUnderflowError
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "4e12"): 0,
     ("classify", "--gamma", "2", "--b", "10", "--y-max", "1e13"): 0,
-    # the winding count needs about 16 d_tilde curve samples: these are
-    # refused on that prediction, where sampling would not finish
+    # the winding axis alone needs at least 2R (1 + d_tilde)/(1 + R + st)
+    # curve samples: these are refused on that floor, where sampling would
+    # not finish
     ("winding", "--gamma", "2", "--b", "1e-300"): 2,
     ("winding", "--gamma", "2", "--b", "1e-12"): 2,
     # 31 pairs: a fixed sampling once declined it, with a chord-sag
@@ -551,6 +553,15 @@ class TestGridParsing:
         g = parse_grid("1:3:5")
         assert list(g) == [1.0, 1.5, 2.0, 2.5, 3.0]
 
+    @pytest.mark.parametrize("spec", ["2.05:10:8", "1:6:11", "1.5:9:5",
+                                      "0.3:7.7:23", "0:13.7:201",
+                                      "0:20:201", "5:3:4", "-3.7:0.1:1",
+                                      "2:2:7", "1e-3:1e3:1000"])
+    def test_numpy_linspace_bit_for_bit(self, spec):
+        lo, hi, n = spec.split(":")
+        ref = np.linspace(float(lo), float(hi), int(n)).tolist()
+        assert [v.hex() for v in parse_grid(spec)] == [v.hex() for v in ref]
+
     def test_bad_spec(self):
         with pytest.raises(DomainError):
             parse_grid("1:3")
@@ -610,14 +621,16 @@ SCIPY_FREE = ["params", "b-star", "classify", "winding", "tails", "greens-q",
               "gamma1"]
 # the command lines that load no numpy, run first so that no earlier one
 # has loaded it: the scalar subcommands, then the shooting and winding ones,
-# classify in each of its four classes
+# classify in each of its four classes and the two scans on their default
+# grids
 SCALAR = ["--version", "params", "b-star", "tails", "laplace"]
 CLASSES = {"Oscillating": ["classify"],
            "ConvergesToConstant": ["classify", "--gamma", "2", "--b", "10"],
            "Undetermined": ["classify", "--gamma", "2", "--b", "1000"],
            "SignChange": ["classify", "--gamma", "2", "--b", "2.1"]}
 SHOOTING = [*CLASSES.values(), ["winding", "--gamma", "2", "--b", "3"],
-            ["bracket-bbar", "--gamma", "2", "--tol-b", "1e-3"], ["profile"]]
+            ["bracket-bbar", "--gamma", "2", "--tol-b", "1e-3"], ["profile"],
+            ["scan-b"], ["stability-scan"]]
 NUMPY_FREE = [[name] for name in SCALAR] + SHOOTING
 # the independent quadrature route for c0 and the ODE solver
 SCIPY_ROUTES = [["greens-verify", "--t-max", "10"],

@@ -72,12 +72,13 @@ class TestPositivityAndGrowth:
 
 
 class TestBlowUpHandling:
-    def test_cap_event_raises_with_partial_solution(self):
+    def test_cap_event_raises_with_partial_solution(self, monkeypatch):
         # a strong fixed feeder drives the bottom site toward an
         # equilibrium above the cap
+        monkeypatch.setattr(gs, "VALUE_CAP", 1.5)
         chain = gs.make_chain(1.0, 2.0, 0, lambda x: 0.01, feeder=10.0)
         with pytest.raises(BlowUpError) as info:
-            gs.evolve_chain(chain, 10.0, cap=1.5)
+            gs.evolve_chain(chain, 10.0)
         sol = info.value.solution
         assert sol.blew_up
         assert float(sol.f_steps[:, -1].max()) >= 1.5 * 0.999

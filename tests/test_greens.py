@@ -1,6 +1,8 @@
+import ast
 import logging
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,119 @@ class TestC0:
         assert abs(gr.eta_derivative_moment() - partial) < 1.01 * next_term
         assert gr.eta_derivative_moment() == pytest.approx(-0.0605621,
                                                            abs=1e-6)
+
+
+def reference_q_coefficients(n_max):
+    """The coefficient loop of q_coefficients, frozen."""
+    a = np.empty(n_max + 1)
+    a[0] = 1.0
+    prod = 1.0
+    for n in range(1, n_max + 1):
+        prod *= 2.0 ** n - 1.0
+        a[n] = 4.0 ** n / prod
+    return a
+
+
+def reference_q_eval(xi, N):
+    """q_eval as it summed before the one shared sum, frozen."""
+    xi_arr = np.asarray(xi, dtype=float)
+    a = reference_q_coefficients(max(N, 2))
+    n = np.arange(min(N, len(a) - 1) + 1)
+    signs = np.where(n % 2 == 0, 1.0, -1.0)
+    terms = signs * a[n] * np.exp(-np.outer(xi_arr.ravel(), 2.0 ** n))
+    out = terms.sum(axis=1).reshape(xi_arr.shape)
+    return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
+
+
+def reference_q_tail_bound(xi, N):
+    a = reference_q_coefficients(max(N + 1, 2))
+    n = min(N + 1, len(a) - 1)
+    return float(a[n] * math.exp(-(2.0 ** n) * xi))
+
+
+def reference_exq_eval(xi):
+    xi_arr = np.asarray(xi, dtype=float)
+    a = reference_q_coefficients(20)
+    n = np.arange(len(a))
+    signs = np.where(n % 2 == 0, 1.0, -1.0)
+    expo = np.outer(xi_arr.ravel(), 1.0 - 2.0 ** n)
+    out = (signs * a[n] * np.exp(expo)).sum(axis=1).reshape(xi_arr.shape)
+    return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
+
+
+def reference_c0_moment():
+    total = 1.0
+    prod = 1.0
+    term = 1.0
+    n = 1
+    while abs(term) > 1e-18 and n < 40:
+        prod *= 2.0 ** n - 1.0
+        term = (-1.0) ** n / prod
+        total += term
+        n += 1
+    return total
+
+
+def reference_eta_derivative_moment():
+    total = 0.5
+    prod = 1.0
+    for n in range(1, 40):
+        prod *= 2.0 ** n - 1.0
+        total += (-1.0) ** n * 4.0 ** n / ((1.0 + 2.0 ** n) * prod)
+    return total
+
+
+XS = np.concatenate([np.linspace(0.0, 30.0, 301), [1e-300, 1e-8, 700.0]])
+
+
+class TestOneQTable:
+    """The Q functions read one coefficient table and share one sum, byte
+    for byte the loops each of them ran before."""
+
+    @pytest.mark.parametrize("N", range(1, 21))
+    def test_q_and_its_tail_bound(self, N):
+        assert same_bytes(gr.q_eval(XS, N), reference_q_eval(XS, N))
+        for x in XS.tolist():
+            q, tail = gr.q_eval(x, N), gr.q_tail_bound(x, N)
+            assert type(q) is float and type(tail) is float
+            assert same_bytes(q, reference_q_eval(x, N))
+            assert same_bytes(tail, reference_q_tail_bound(x, N))
+
+    def test_exq_on_the_gauss_points_of_the_default_grid(self):
+        g = fp.default_grid().g
+        assert same_bytes(gr.exq_eval(g), reference_exq_eval(g))
+        assert same_bytes(gr.exq_eval(XS), reference_exq_eval(XS))
+        for x in XS.tolist():
+            v = gr.exq_eval(x)
+            assert type(v) is float and same_bytes(v, reference_exq_eval(x))
+
+    def test_moments(self):
+        # repr, so an equal numpy float would show here as in bench digests
+        c0, d_eta = gr.c0_moment(), gr.eta_derivative_moment()
+        assert type(c0) is float and type(d_eta) is float
+        assert repr(c0) == repr(reference_c0_moment())
+        assert repr(d_eta) == repr(reference_eta_derivative_moment())
+
+    def test_only_the_table_forms_the_product(self):
+        # a factor 2^j - 1 appears only in q_coefficients
+        found = set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.BinOp) \
+                        and isinstance(child.op, ast.Sub) \
+                        and isinstance(child.left, ast.BinOp) \
+                        and isinstance(child.left.op, ast.Pow) \
+                        and ast.unparse(child.left.left) in ("2", "2.0") \
+                        and ast.unparse(child.right) in ("1", "1.0"):
+                    found.add(scope)
+                visit(child, scope)
+
+        visit(ast.parse(Path(gr.__file__).read_text()), "greens")
+        assert found == {"q_coefficients"}
 
 
 class TestOdeRoute:

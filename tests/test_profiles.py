@@ -399,7 +399,14 @@ MIDPOINTS = {"0.5 * (lo + hi)", "0.5 * (hi + lo)", "(lo + hi) * 0.5",
 
 
 def _is_midpoint(node) -> bool:
-    return isinstance(node, ast.BinOp) and ast.unparse(node) in MIDPOINTS
+    # an index midpoint (a + b) // 2 halves an integer bracket of any names
+    if not isinstance(node, ast.BinOp):
+        return False
+    return ast.unparse(node) in MIDPOINTS or (
+        isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Add)
+        and ast.unparse(node.right) == "2")
 
 
 def _halving_loops() -> set:
@@ -427,13 +434,15 @@ class TestOneHalvingLoop:
     def test_only_bisect_halves_a_bracket(self):
         # bisect is the one bracketing loop: its secant steps serve the eps
         # root (eps_of_eta and bbar_of_gamma), t* and alpha, and its
-        # halving the classifier and winding brackets
+        # halving the classifier and winding brackets; the series
+        # switchover's index search is the stdlib bisect_left
         assert _halving_loops() == {"profiles.bisect"}
 
     @pytest.mark.parametrize("text, found", [
         ("0.5*(lo+hi)", True), ("0.5 * lo + 0.5 * hi", True),
         ("(lo + hi) / 2", True), ("0.5 * (x + y)", False),
-        ("0.5 * (self.x[1:] + self.x[:-1])", False)])
+        ("0.5 * (self.x[1:] + self.x[:-1])", False),
+        ("(lo + bad) // 2", True), ("(n + 1) // 3", False)])
     def test_the_scan_sees_the_midpoint(self, text, found):
         node = ast.parse(text, mode="eval").body
         assert _is_midpoint(node) == found

@@ -469,7 +469,7 @@ class TestRetiredKnobs:
                         for d in node.decorator_list):
                     count += sum(isinstance(s, ast.AnnAssign)
                                  and s.value is not None for s in node.body)
-        assert count <= 54
+        assert count <= 53
 
 
 # second copies and unreachable paths, each deleted in favour of the one
@@ -502,6 +502,7 @@ DELETED = [
     ("fixedpoint", "zero_state"),
     ("fixedpoint", "apply_T"),
     ("fixedpoint.FixedPointState", "interp"),
+    ("asymptotics", "_X_OVER_EXPM1"),
 ]
 
 

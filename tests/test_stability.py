@@ -204,12 +204,31 @@ class TestCertifiedCount:
         assert w.root_count == 2 * pairs
 
     @pytest.mark.parametrize("gamma,b", [(2.0, 1e-300), (2.0, 1e-12),
-                                         (2.0, 1e-4), (1.0000001, 0.02)])
+                                         (1.0000001, 0.02)])
     def test_sample_budget_refuses_before_sampling(self, gamma, b):
         start = time.perf_counter()
         with pytest.raises(SampleBudgetError, match="sample budget 250000"):
             st.winding_number(make_params(gamma, b))
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("gamma,b,pairs", [(2.0, 1e-4, 2919),
+                                               (2.0, 9.8e-5, 2979)])
+    def test_walks_under_the_budget_count(self, gamma, b, pairs):
+        # an up-front prediction 13-18% above the walk once refused these:
+        # at b = 1e-4 it predicted 277,000 samples, and the walk takes
+        # 242,326 against the budget of 250,000
+        w = st.winding_number(make_params(gamma, b))
+        assert w.winding == pairs == crossing_count(gamma, b)
+
+    @pytest.mark.parametrize("gamma,b", [(2.0, 9e-5), (30.0, 4e-5)])
+    def test_walk_that_spends_the_budget_is_refused(self, gamma, b):
+        # the axis floor lets these sample; the arc spends what is left
+        start = time.perf_counter()
+        with pytest.raises(SampleBudgetError,
+                           match="the arc walk spends the sample budget "
+                                 r"250000 at 0\.[0-9]{3} of its range"):
+            st.winding_number(make_params(gamma, b))
+        assert time.perf_counter() - start < 1.0
 
     def test_largest_count_within_budget_ends_fast(self):
         # d_tilde = 1.5e4: about 0.24M samples against the budget's 0.25M
@@ -247,8 +266,9 @@ class TestCertifiedCount:
         # about an end that excludes 0, from end to end of its range
         walks, walk = [], st._certified
 
-        def spy(f, lo, hi, speed):
-            s, z = walk(f, lo, hi, speed)
+        def spy(f, lo, hi, speed, budget):
+            s, z = walk(f, lo, hi, speed, budget)
+            assert len(s) <= budget
             walks.append((lo, hi, speed, s, z))
             return s, z
 
