@@ -52,11 +52,12 @@ def alpha_root(b: float) -> float:
 
     def g(al: float) -> float:
         x = al * LN2
-        if x >= 0.1:
+        if x >= 1.0:
             return b * al / (2.0 * -math.expm1(-x)) - 1.0
         # as b -> 2 ln 2 the left side cancels against 1 (the form above is
-        # 2.8e-12 off in alpha at b = 1.3862): split off (b - 2 ln 2)/(2 ln 2)
-        # and add b/(2 ln 2) (x/(1 - e^-x) - 1), by _BERNOULLI at t = -x
+        # 4.2e-15 off in alpha at b = 1.318, 2.8e-12 at 1.3862): split off
+        # (b - 2 ln 2)/(2 ln 2) and add b/(2 ln 2) (x/(1 - e^-x) - 1), by
+        # _BERNOULLI at t = -x, which rounds exactly below x = 1 as in _q
         s = x * (0.5 + x * horner(_BERNOULLI, x * x))
         return ((b - _TWO_LN2) - _TWO_LN2_LO + b * s) / _TWO_LN2
 

@@ -87,6 +87,12 @@ class _PointPlan:
         return plan[1:]
 
 
+# residue terms of Gtilde in each 100-row block of K: gtilde_exact's
+# truncation on the block (the next term is under 1e-18 of its largest
+# |Gtilde|); more terms add only round-off from the alternating weights
+KERNEL_TERMS = (12, 12, 12, 12, 12, 12, 14)
+
+
 class FixedPointGrid:
     """Graded quadrature grid on [0, X_MAX] with precomputed Green kernels."""
 
@@ -103,19 +109,12 @@ class FixedPointGrid:
         # fully below x_j, by blocks of 100 rows up to their last row's panels
         t0 = time.perf_counter()
         self.K = np.zeros((len(self.x), len(self.g)))
-        self.blocks = []
-        for r0 in range(0, len(self.x), 100):
-            r1 = min(r0 + 100, len(self.x))
-            xb, gb = self.x[r0:r1, None], self.g[None, :3 * (r1 - 1)]
-            Kb = self.K[r0:r1, :gb.size]
-            np.minimum(np.subtract(gb, xb, out=Kb), 0.0, out=Kb)
-            np.exp(Kb, out=Kb)
-            Kb *= greens.gtilde_exact(xb, gb)
-            Kb *= self.gw[:gb.size]
-            Kb[np.arange(gb.size) // 3 >= np.arange(r0, r1)[:, None]] = 0.0
-            self.blocks.append(Kb)
-        log.debug("kernel built in %.3f s from %d entries",
-                  time.perf_counter() - t0, sum(b.size for b in self.blocks))
+        self.blocks = [self.K[r0:r0 + 100, :3 * min(r0 + 99, N_NODES - 1)]
+                       for r0 in range(0, N_NODES, 100)]
+        madds = self._fill_kernel()
+        log.debug("kernel built in %.3f s from %d entries in %d multiply-adds"
+                  " with %s residue terms", time.perf_counter() - t0,
+                  sum(b.size for b in self.blocks), madds, KERNEL_TERMS)
         self.exq_w = self.exq_g * self.gw
         self.at_g = _PointPlan(self.x, self.g)
         self.at_x = _PointPlan(self.x, self.x)
@@ -126,6 +125,52 @@ class FixedPointGrid:
         self.d_eps, self.d_eta = (
             np.array(self.apply(zero, zero, eps, eta)[:2]) / FIRST_ORDER_STEP
             for eps, eta in ((FIRST_ORDER_STEP, 0.0), (0.0, FIRST_ORDER_STEP)))
+
+    def _fill_kernel(self) -> int:
+        """Write e^(g - x) Gtilde(x, g) gw into the blocks of K; returns the
+        multiply-adds of the products.
+
+        The n-th residue term closes left where 2^n g <= x, exactly where
+        g <= x/2^n; times e^(g - x) it is then the sum over i + k = n,
+        i >= 1, of c_n w_i E_i(x) e^(g(1 - 2^k)), E_i(x) = e^(-x(1 - 2^-i)).
+        Where it closes right it is -c_n w_0 e^(g(1 - 2^n)), free of x.  So
+        where nu terms close left an entry is sum_{i <= nu} E_i(x) D_i(g),
+        with E_0 = 1 against the right-closing terms.  In a row nu is
+        constant on runs of columns cut at x/2^n: a block takes one product
+        per nu over its rows' runs and keeps each row's own run."""
+        n = np.arange(max(KERNEL_TERMS) + 1.0)
+        P = np.exp(np.multiply.outer(1.0 - 2.0 ** n, self.g)) * self.gw
+        E = np.exp(np.multiply.outer(self.x, 2.0 ** -n - 1.0))
+        cw = [greens.term_coefficient(m) * greens._residue_weights(m)[1]
+              for m in range(n.size)]
+        # cut[j, v]: row j's columns where at least v terms close left, as
+        # int16, which makes the masks below cheaper
+        cut = np.searchsorted(self.g, np.multiply.outer(self.x, 0.5 ** n),
+                              side="right").astype(np.int16)
+        cut[:, 0] = 3 * np.arange(N_NODES)
+        cols, madds = np.arange(self.g.size, dtype=np.int16), 0
+        for N in sorted(set(KERNEL_TERMS)):
+            # the right-closing terms past nu, summed from the smallest
+            right = np.cumsum([-w[0] * p for w, p in zip(cw[N:0:-1],
+                                                         P[N:0:-1])],
+                              axis=0)[::-1]
+            D = np.zeros((N + 1, self.g.size))
+            for nu in range(N + 1):
+                D[0] = right[nu] if nu < N else 0.0
+                if nu:  # D_i gains its k = nu - i term
+                    D[1:nu + 1] += cw[nu][1:, None] * P[nu - 1::-1]
+                for r0, Kb, terms in zip(range(0, N_NODES, 100), self.blocks,
+                                         KERNEL_TERMS):
+                    rows = slice(r0, r0 + len(Kb))
+                    lo = cut[rows, nu + 1:nu + 2] if nu < N else 0
+                    hi = cut[rows, nu:nu + 1]
+                    a, b = int(np.min(lo)), int(hi[-1, 0])
+                    if terms != N or a >= b:
+                        continue
+                    np.copyto(Kb[:, a:b], E[rows, :nu + 1] @ D[:nu + 1, a:b],
+                              where=(cols[a:b] >= lo) & (cols[a:b] < hi))
+                    madds += len(Kb) * (nu + 1) * (b - a)
+        return madds
 
     # -- operator -----------------------------------------------------------
 

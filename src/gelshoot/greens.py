@@ -278,28 +278,6 @@ def _residue_term(n: int, a, ex, exi):
     return np.where(a < 0.0, -w[0] * ex[..., 0] * exi[..., n], left)
 
 
-def _residue_block(n: int, coef: float, x, xi, ex, exi, term) -> int:
-    """coef times the n-th contour integral on a column x against a row xi,
-    written into term; returns the width past which the term is exactly 0.
-    coef, a power of two, scales the factors exactly.  The left branch is
-    one full-width matrix product (a narrower one changes the BLAS kernel
-    and the last bits).  The rank-1 right branch overwrites the columns
-    with 2^n xi > max x and, in the band between min x and max x, the
-    entries with 2^n xi > x, which is a < 0 exactly."""
-    cw = coef * _residue_weights(n)[1]
-    np.matmul(ex[:, 0, 1:n + 1] * cw[1:], exi[0, :, n - 1::-1].T, out=term)
-    p, col, row = 2.0 ** n * xi[0], -cw[0] * ex[:, :, 0], exi[0, :, n]
-    x_lo, x_hi = np.min(x), np.max(x)
-    if x_lo <= x_hi and np.all(p[1:] >= p[:-1]):
-        lo, hi = np.searchsorted(p, [x_lo, x_hi], side="right")
-        end = hi + np.count_nonzero(row[hi:])  # e^(-2^n xi) is 0 past it
-    else:  # a NaN x or an unsorted xi: test every entry
-        lo, hi, end = 0, p.size, p.size
-    np.copyto(term[:, lo:hi], col * row[lo:hi], where=p[lo:hi] > x)
-    np.multiply(col, row[hi:end], out=term[:, hi:end])
-    return end
-
-
 def contour_term_residues(n: int, a) -> np.ndarray:
     """Exact value of the n-th contour integral at offset a = x - 2^n xi."""
     a = np.asarray(a, dtype=float)
@@ -309,29 +287,18 @@ def contour_term_residues(n: int, a) -> np.ndarray:
 
 def gtilde_exact(x, xi):
     """Gtilde by the residue closed form, at most 24 terms; vectorized over
-    x and xi.  On a column of x against a row of xi every term is written
-    into one reused buffer and added into the total in place."""
+    x and xi."""
     x_arr = np.asarray(x, dtype=float)
     xi_arr = np.asarray(xi, dtype=float)
     ex, exi = _residue_factors(x_arr, xi_arr)
     total = np.zeros(np.broadcast_shapes(x_arr.shape, xi_arr.shape))
-    outer = x_arr.ndim == xi_arr.ndim == 2 \
-        and x_arr.shape[1] == xi_arr.shape[0] == 1
-    term = np.empty_like(total) if outer else None
-    x_hi = np.max(x_arr, initial=-np.inf)
-    xi_lo = np.min(xi_arr, initial=np.inf)
     for n in range(1, 25):
         coef = term_coefficient(n)
-        # a column against a row holds every pair: max a is at the ends
-        a = x_hi - 2.0 ** n * xi_lo if outer else x_arr - 2.0 ** n * xi_arr
+        a = x_arr - 2.0 ** n * xi_arr
         if n > 2 and abs(coef) * math.exp(float(np.max(a, initial=-np.inf))) \
                 < 1e-18 * (1.0 + max(np.max(total), -np.min(total))):
             break
-        if outer:
-            end = _residue_block(n, coef, x_arr, xi_arr, ex, exi, term)
-            total[:, :end] += term[:, :end]
-        else:
-            total += coef * _residue_term(n, a, ex, exi)
+        total += coef * _residue_term(n, a, ex, exi)
         terms = n
     import logging
     logging.getLogger(__name__).debug(

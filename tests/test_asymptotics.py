@@ -43,14 +43,29 @@ class TestAlphaRoot:
     def test_mpmath_root_near_two_ln2(self, b):
         # b alpha/(2 (1 - 2^-alpha)) - 1 cancels as b -> 2 ln 2, where the
         # direct form was off by 4.2e-17, 7.5e-15, 6.9e-13 and 2.8e-12 at
-        # 1.2, 1.38, 1.386 and 1.3862; alpha ln 2 lies either side of the
-        # split's 0.1 at 1.3 and 1.32
+        # 1.2, 1.38, 1.386 and 1.3862
         with mp.workdps(50):
             bm = mp.mpf(b)
             x0 = 4 * (2 * mp.log(2) - bm) / (bm * mp.log(2))  # alpha ~ x0
             ref = mp.findroot(lambda a: bm * a / (2 * (1 - mp.power(2, -a)))
                               - 1, (x0 / 2, 2 * x0), solver="anderson")
             assert abs(asy.alpha_root(b) / ref - 1) <= 1e-14
+
+    def test_mpmath_scan_up_to_two_ln2(self):
+        # alpha ln 2 falls from 0.13 to 0 on [1.30, 2 ln 2); with the split
+        # form only below alpha ln 2 = 0.1 the direct form was off by
+        # 4.2e-15 at b = 1.3179779918999772 and 2.1e-15 at 1.3190843
+        bs = np.linspace(1.30, 2.0 * LN2, 161)[:-1].tolist() \
+            + [1.3179779918999772, 1.3190843, 1.386294361]
+        worst = 0.0
+        for b in bs:
+            with mp.workdps(50):
+                bm = mp.mpf(b)
+                ref = mp.findroot(
+                    lambda a: bm * a / (2 * (1 - mp.power(2, -a))) - 1,
+                    mp.mpf(asy.alpha_root(b)))
+                worst = max(worst, abs(asy.alpha_root(b) / ref - 1))
+        assert worst <= 1e-15
 
     def test_domain(self):
         with pytest.raises(DomainError):

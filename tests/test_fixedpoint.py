@@ -269,8 +269,11 @@ class TestBlockedKernel:
         fp.FixedPointGrid()
         [msg] = [r.getMessage() for r in caplog.records
                  if r.name == "gelshoot.fixedpoint"]
+        # the fill that ran every residue term on a whole block took
+        # 71018100 multiply-adds
         assert msg.startswith("kernel built in ")
-        assert msg.endswith(" s from 837900 entries")
+        assert msg.endswith(" s from 837900 entries in 15604000 multiply-adds"
+                            " with (12, 12, 12, 12, 12, 12, 14) residue terms")
 
 
 class TestSweepPlanWork:
@@ -791,6 +794,18 @@ class TestOneGrid:
         finally:
             tracemalloc.stop()
         assert peak - grid.K.nbytes <= 6 * 2 ** 20
+
+    def test_fill_memory_beyond_the_kernel(self):
+        # refilling K in place: the fill's tables and one block's product
+        # take 1.4 MiB, where the term loop over whole blocks took 4.1 MiB
+        grid = fp.FixedPointGrid()
+        tracemalloc.start()
+        try:
+            grid._fill_kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * 2 ** 20
 
     def test_no_function_takes_a_grid_knob(self):
         for name, obj in vars(fp).items():

@@ -1,4 +1,5 @@
 import ast
+import functools
 import logging
 import math
 import warnings
@@ -262,22 +263,33 @@ class TestResidueRoute:
         assert val == pytest.approx(1.208766, abs=1e-5)
 
 
-def gtilde_mpmath(x, xi, dps=60, terms=40):
+@functools.lru_cache(maxsize=None)
+def residue_weights_mpmath(n, dps):
+    """The poles 2^-j and partial-fraction weights of the n-th term."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        c = [mp.mpf(2) ** -j for j in range(n + 1)]
+        return c, [1 / mp.fprod(c[j] - c[k] for k in range(n + 1) if k != j)
+                   for j in range(n + 1)]
+
+
+def gtilde_mpmath(x, xi, dps=60, terms=40, scale=None):
     """The residue sum for Gtilde, term by term in mpmath: the n-th term is
-    (-1)^n 2^(2n) / 2^(n(n+1)/2) times the contour integral's residues."""
+    (-1)^n 2^(2n) / 2^(n(n+1)/2) times the contour integral's residues.
+    With scale = gw it returns the kernel entry e^(xi - x) Gtilde gw."""
     import mpmath as mp
     with mp.workdps(dps):
         x, xi = mp.mpf(x), mp.mpf(xi)
         total = mp.mpf(0)
         for n in range(1, terms + 1):
-            c = [mp.mpf(2) ** -j for j in range(n + 1)]
-            w = [1 / mp.fprod(c[j] - c[k] for k in range(n + 1) if k != j)
-                 for j in range(n + 1)]
+            c, w = residue_weights_mpmath(n, dps)
             a = x - 2 ** n * xi
             res = -w[0] * mp.exp(a) if a < 0 else \
                 mp.fsum(w[j] * mp.exp(a * c[j]) for j in range(1, n + 1))
             total += (-1) ** n * mp.mpf(4) ** n \
                 / mp.mpf(2) ** (n * (n + 1) // 2) * res
+        if scale is not None:
+            total *= mp.exp(xi - x) * mp.mpf(scale)
         return float(total)
 
 
@@ -298,18 +310,17 @@ class TestResidueRouteAccuracy:
         assert np.all(np.abs(block - ref) <= bound)
 
 
-def reference_residue_term(n, a, ex, exi):
-    """The n-th contour integral as the term loop built it before each term
-    was written into one buffer: a matrix product on a column of x against
-    a row of xi, einsum otherwise, both branches everywhere."""
+def reference_residue_term(n, a, ex, exi, outer=False):
+    """The n-th contour integral with both branches everywhere: the left
+    branch by einsum, or on a column of x against a row of xi (outer) by
+    one matrix product, as the kernel fill once took it."""
     _, w = gr._residue_weights(n)
     u, v = ex[..., 1:n + 1] * w[1:], exi[..., n - 1::-1]
-    outer = u.ndim == v.ndim == 3 and u.shape[1] == v.shape[0] == 1
     left = u[:, 0] @ v[0].T if outer else np.einsum("...j,...j->...", u, v)
     return np.where(a < 0.0, -w[0] * ex[..., 0] * exi[..., n], left)
 
 
-def reference_gtilde(x, xi):
+def reference_gtilde(x, xi, outer=False):
     """gtilde_exact's term loop with a new array for every pass."""
     x_arr = np.asarray(x, dtype=float)
     xi_arr = np.asarray(xi, dtype=float)
@@ -321,8 +332,23 @@ def reference_gtilde(x, xi):
         if abs(coef) * math.exp(float(np.max(a, initial=-np.inf))) \
                 < 1e-18 * (1.0 + float(np.max(np.abs(total)))) and n > 2:
             break
-        total = total + coef * reference_residue_term(n, a, ex, exi)
+        total = total + coef * reference_residue_term(n, a, ex, exi, outer)
     return float(total) if total.ndim == 0 else total
+
+
+def frozen_kernel(grid):
+    """The volume kernel as FixedPointGrid filled it before each entry took
+    its own residue branches: every 100-row block through the whole term
+    loop, each left branch one product of the block's x against its g."""
+    K = np.zeros_like(grid.K)
+    for r0 in range(0, len(grid.x), 100):
+        r1 = min(r0 + 100, len(grid.x))
+        xb, gb = grid.x[r0:r1, None], grid.g[None, :3 * (r1 - 1)]
+        Kb = K[r0:r1, :gb.size]
+        Kb[...] = np.exp(np.minimum(gb - xb, 0.0)) \
+            * reference_gtilde(xb, gb, outer=True) * grid.gw[:gb.size]
+        Kb[np.arange(gb.size) // 3 >= np.arange(r0, r1)[:, None]] = 0.0
+    return K
 
 
 def same_bytes(new, ref):
@@ -332,20 +358,6 @@ def same_bytes(new, ref):
 
 class TestResidueBufferBitwise:
     """gtilde_exact reorders no arithmetic: byte for byte the loop above."""
-
-    def test_every_block_of_the_default_grid_and_k(self):
-        grid = fp.default_grid()
-        K = np.zeros_like(grid.K)
-        for r0 in range(0, len(grid.x), 100):
-            r1 = min(r0 + 100, len(grid.x))
-            xb, gb = grid.x[r0:r1, None], grid.g[None, :3 * (r1 - 1)]
-            ref = reference_gtilde(xb, gb)
-            assert same_bytes(gr.gtilde_exact(xb, gb), ref), r0
-            Kb = K[r0:r1, :gb.size]
-            Kb[...] = np.exp(np.minimum(gb - xb, 0.0)) * ref \
-                * grid.gw[:gb.size]
-            Kb[np.arange(gb.size) // 3 >= np.arange(r0, r1)[:, None]] = 0.0
-        assert same_bytes(fp.FixedPointGrid().K, K)
 
     def test_scalar_pairs_and_the_same_pairs_as_arrays(self):
         rng = np.random.default_rng(24)
@@ -376,11 +388,69 @@ class TestResidueBufferBitwise:
         assert same_bytes(gr.gtilde_exact(xs, 1.0), reference_gtilde(xs, 1.0))
 
     def test_terms_logged_per_block(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="gelshoot.greens"):
+        # the kernel fill takes gtilde_exact's truncation on each block,
+        # where gtilde_exact is byte for byte the loop above
+        grid = fp.default_grid()
+        with caplog.at_level(logging.DEBUG, logger="gelshoot"):
             fp.FixedPointGrid()
-        terms = [int(r.getMessage().split()[1]) for r in caplog.records
-                 if r.getMessage().startswith("gtilde_exact:")]
-        assert terms == [12] * 6 + [14]
+            for r0 in range(0, len(grid.x), 100):
+                r1 = min(r0 + 100, len(grid.x))
+                xb, gb = grid.x[r0:r1, None], grid.g[None, :3 * (r1 - 1)]
+                assert same_bytes(gr.gtilde_exact(xb, gb),
+                                  reference_gtilde(xb, gb)), r0
+        msgs = [r.getMessage() for r in caplog.records]
+        [built] = [m for m in msgs if m.startswith("kernel built")]
+        assert built.endswith(" with (12, 12, 12, 12, 12, 12, 14) residue "
+                              "terms")
+        terms = [int(m.split()[1]) for m in msgs
+                 if m.startswith("gtilde_exact:")]
+        assert tuple(terms) == fp.KERNEL_TERMS == (12,) * 6 + (14,)
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    """The default grid, its K and the frozen fill's K."""
+    grid = fp.default_grid()
+    return grid, grid.K, frozen_kernel(grid)
+
+
+class TestKernelFill:
+    """K from each entry's own residue branches, against the frozen fill
+    and against mpmath."""
+
+    def test_kernel_and_volume_against_the_frozen_fill(self, kernels):
+        # measured: 3.0e-16 absolute, 8.3e-13 of the row's max|K|, and
+        # volume within 3.2e-15 of max|volume|
+        grid, K, ref = kernels
+        assert np.array_equal(K == 0.0, ref == 0.0)
+        diff = np.abs(K - ref)
+        assert np.max(diff) <= 1e-15
+        assert np.all(diff <= 2e-12 * np.max(np.abs(ref), axis=1)[:, None])
+        for eps, eta in [(0.01, 0.01), (0.02, 0.005), (-0.01, 0.03),
+                         (0.000205, 0.0009765625)]:
+            st = fp.picard_solve(eps, eta)
+            Rg = grid.r_terms(st.W, st.dW, grid.at_g, eps, eta)
+            vol = grid.volume(Rg)
+            assert np.max(np.abs(vol - ref @ Rg)) \
+                <= 1e-13 * np.max(np.abs(vol))
+
+    def test_sampled_entries_against_mpmath(self, kernels):
+        # 300 kept entries at random and the 60 where the two fills differ
+        # most; the frozen fill is off by 2.5e-16 and 4.7e-13 of the row's
+        # max|K| on them, this one by 2.2e-16 and 5.1e-13
+        grid, K, ref = kernels
+        kept = np.argwhere(np.arange(len(grid.g))[None, :] // 3
+                           < np.arange(len(grid.x))[:, None])
+        rng = np.random.default_rng(30)
+        picks = kept[rng.choice(len(kept), 300, replace=False)].tolist()
+        worst = np.argsort(np.abs(K - ref), axis=None)[-60:]
+        picks += np.column_stack(np.unravel_index(worst, K.shape)).tolist()
+        row_max = np.max(np.abs(K), axis=1)
+        for j, m in picks:
+            exact = gtilde_mpmath(grid.x[j], grid.g[m], terms=30,
+                                  scale=grid.gw[m])
+            err = abs(K[j, m] - exact)
+            assert err <= 1e-15 and err <= 1e-12 * row_max[j], (j, m)
 
 
 class TestQuadratureRoute:

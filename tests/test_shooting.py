@@ -503,6 +503,7 @@ DELETED = [
     ("fixedpoint", "apply_T"),
     ("fixedpoint.FixedPointState", "interp"),
     ("asymptotics", "_X_OVER_EXPM1"),
+    ("greens", "_residue_block"),
 ]
 
 
