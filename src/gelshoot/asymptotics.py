@@ -136,6 +136,8 @@ def gamma1_trajectory(profile: Gamma1Profile, x_max: float,
     steps grow with x and large spans stay cheap.
     """
     from . import delaycore as dc
+    if not x_max > 0.0:
+        raise DomainError(f"x_max = {x_max!r} must be positive")
     x0 = profile.switchover()
     z0 = math.log(x0)
     hist = dc.FunctionHistory(lambda z: profile.eval(math.exp(z)),

@@ -21,8 +21,8 @@ Gauss rules.  The kernels and the interpolation weights depend only on
 the grid (the delayed ones also on eps), so they are built once and a
 Picard sweep reduces to one matrix-vector product plus gathers.  The
 range is fixed because the residue route for Gtilde is accurate only up
-to x = 40: at small xi, cancellation in its partial-fraction weights
-costs a relative error of 6.5e-3 at x = 60 and the sign at x = 80.
+to x = 40: at small xi the partial sums of Q that it adds cancel, to a
+relative error of 1.1e-4 at (x, xi) = (60, 1e-4) and 6.0 at (80, 1e-3).
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class FixedPointGrid:
         n = np.arange(max(KERNEL_TERMS) + 1.0)
         P = np.exp(np.multiply.outer(1.0 - 2.0 ** n, self.g)) * self.gw
         E = np.exp(np.multiply.outer(self.x, 2.0 ** -n - 1.0))
-        cw = [greens.term_coefficient(m) * greens._residue_weights(m)[1]
+        cw = [greens.term_coefficient(m) * greens._residue_weights(m)
               for m in range(n.size)]
         # cut[j, v]: row j's columns where at least v terms close left, as
         # int16, which makes the masks below cheaper
@@ -160,7 +160,7 @@ class FixedPointGrid:
                 if nu:  # D_i gains its k = nu - i term
                     D[1:nu + 1] += cw[nu][1:, None] * P[nu - 1::-1]
                 for r0, Kb, terms in zip(range(0, N_NODES, 100), self.blocks,
-                                         KERNEL_TERMS):
+                                         KERNEL_TERMS, strict=True):
                     rows = slice(r0, r0 + len(Kb))
                     lo = cut[rows, nu + 1:nu + 2] if nu < N else 0
                     hi = cut[rows, nu:nu + 1]

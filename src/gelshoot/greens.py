@@ -151,8 +151,8 @@ class GreensEval:
     def __post_init__(self):
         if not 0.5 < self.L_tilde < 1.0:
             raise DomainError("L_tilde must lie strictly inside (1/2, 1)")
-        if not 0.0 < self.T_max < math.inf:
-            raise DomainError("T_max must be positive and finite")
+        if not 1.0 <= self.T_max < math.inf:  # the tail bound needs t >= 1
+            raise DomainError("T_max must be at least 1 and finite")
         if not self.tail_target > 0.0:
             raise DomainError("tail_target must be positive")
 
@@ -160,9 +160,6 @@ class GreensEval:
 def term_coefficient(n: int) -> float:
     """Signed prefactor (-1)^n 2^(2n) / 2^(n(n+1)/2) of the n-th term."""
     return (-1.0) ** n * 2.0 ** (2 * n) / 2.0 ** (n * (n + 1) / 2)
-
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
 def _term_tail_estimate(n: int, a: float, L: float, T: float) -> float:
@@ -203,8 +200,9 @@ def contour_term_quadrature(n: int, x: float, xi: float,
 
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    tm = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wm = (half[:, None] * _GL_W[None, :]).ravel()
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    tm = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    wm = (half[:, None] * gl_w[None, :]).ravel()
     poles = L - 2.0 ** (-np.arange(n + 1.0))  # L - 2^(-j), j = 0..n
     zden = np.ones_like(tm, dtype=complex)
     for p in poles:
@@ -250,14 +248,12 @@ def gtilde_quadrature(x: float, xi: float,
 
 
 @lru_cache(maxsize=64)
-def _residue_weights(n: int):
-    """Partial-fraction weights w_j = 1 / prod_{k != j} (2^-j - 2^-k)."""
-    c = 2.0 ** (-np.arange(n + 1.0))
-    w = np.empty(n + 1)
-    for j in range(n + 1):
-        diff = c[j] - np.delete(c, j)
-        w[j] = 1.0 / np.prod(diff)
-    return c, w
+def _residue_weights(n: int) -> np.ndarray:
+    """Partial-fraction weights w_i = 1 / prod_{k != i} (2^-i - 2^-k) of the
+    n-th term from Q's table: c_n w_i = (-1)^(n-i) a_i a_(n-i) 2^(i(i-1)/2)."""
+    a, i = q_coefficients(24), np.arange(n + 1)
+    return (-1.0) ** (n - i) * a[i] * a[n - i] * 2.0 ** (i * (i - 1) // 2) \
+        / term_coefficient(n)
 
 
 def _residue_factors(x, xi):
@@ -272,7 +268,7 @@ def _residue_term(n: int, a, ex, exi):
     e^(a 2^-j) = e^(x 2^-j) e^(-2^(n-j) xi).  Closing the contour left (a > 0)
     collects the poles 2^-j, j >= 1; closing right (a < 0) only the pole at
     1.  Both branches agree at a = 0 because the weights sum to zero."""
-    _, w = _residue_weights(n)
+    w = _residue_weights(n)
     left = np.einsum("...j,...j->...", ex[..., 1:n + 1] * w[1:],
                      exi[..., n - 1::-1])
     return np.where(a < 0.0, -w[0] * ex[..., 0] * exi[..., n], left)

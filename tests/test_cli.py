@@ -416,6 +416,11 @@ FUZZ = [
     ("winding", "--gamma", "2", "--b", "1e-12"),
     ("winding", "--gamma", "1.2", "--b", "0.02"),
     ("winding", "--gamma", "2", "--b", "1e12"),
+    # math.log of a y_max that is not positive, and T^(n+1) of the contour
+    # tail bound underflowing to 0 at t_max = 1e-300
+    ("gamma1", "--y-max", "0"),
+    ("gamma1", "--y-max", "-1"),
+    ("greens-verify", "--t-max", "1e-300"),
 ]
 # a result (exit 0) or a typed numerical error (exit 2)
 FUZZ_EXIT = {
@@ -642,7 +647,8 @@ import contextlib, io, json, sys
 def loaded():
     return {"scipy": sorted(m for m in sys.modules
                             if m.split(".")[0] == "scipy"),
-            "numpy": "numpy" in sys.modules}
+            "numpy": "numpy" in sys.modules,
+            "polynomial": "numpy.polynomial" in sys.modules}
 
 from gelshoot import cli
 
@@ -742,6 +748,12 @@ class TestImportBudget:
         assert entry["code"] == 0
         assert entry["stdout"]
         assert entry["scipy"] == []
+
+    @pytest.mark.parametrize("name", ["fixedpoint", "eps-of-eta", "bbar"])
+    def test_grid_subcommand_loads_no_numpy_polynomial(self, name,
+                                                       cold_report):
+        # only the contour quadrature needs its Gauss-Legendre nodes
+        assert cold_report[name]["polynomial"] is False
 
     @pytest.mark.parametrize("argv", SCIPY_ROUTES, ids=" ".join)
     def test_scipy_routes_load_scipy(self, argv, cold_report):

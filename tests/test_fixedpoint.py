@@ -783,9 +783,8 @@ class TestOneGrid:
         assert fp.default_grid() is builds[0]
 
     def test_build_memory_beyond_the_kernel(self):
-        # the residue terms share one block-sized buffer and each block is
-        # formed in place in K: 4.1 MiB beyond K, 10.3 MiB when every term
-        # and every factor of a block had an array of its own
+        # the fill's tables and one block's product with its mask at a
+        # time: 1.49 MiB beyond K
         fp.default_grid()
         tracemalloc.start()
         try:
@@ -793,11 +792,11 @@ class TestOneGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - grid.K.nbytes <= 6 * 2 ** 20
+        assert peak - grid.K.nbytes <= 2 * 2 ** 20
 
     def test_fill_memory_beyond_the_kernel(self):
         # refilling K in place: the fill's tables and one block's product
-        # take 1.4 MiB, where the term loop over whole blocks took 4.1 MiB
+        # take 1.42 MiB
         grid = fp.FixedPointGrid()
         tracemalloc.start()
         try:
@@ -805,7 +804,13 @@ class TestOneGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.1 * 2 ** 20
+        assert peak <= 2 * 2 ** 20
+
+    def test_a_block_without_its_term_count_is_refused(self, monkeypatch):
+        # a block past KERNEL_TERMS would otherwise stay zero without a word
+        monkeypatch.setattr(fp, "KERNEL_TERMS", (12,) * 6)
+        with pytest.raises(ValueError):
+            fp.FixedPointGrid()
 
     def test_no_function_takes_a_grid_knob(self):
         for name, obj in vars(fp).items():

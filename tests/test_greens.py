@@ -172,8 +172,10 @@ class TestOneQTable:
         assert repr(d_eta) == repr(reference_eta_derivative_moment())
 
     def test_only_the_table_forms_the_product(self):
-        # a factor 2^j - 1 appears only in q_coefficients
-        found = set()
+        # a factor 2^j - 1 appears only in q_coefficients, no weight is a
+        # product over pole differences, and only the contour quadrature
+        # loads numpy.polynomial, for its Gauss-Legendre nodes
+        found, np_attrs = set(), {}
 
         def visit(node, scope):
             for child in ast.iter_child_nodes(node):
@@ -187,10 +189,34 @@ class TestOneQTable:
                         and ast.unparse(child.left.left) in ("2", "2.0") \
                         and ast.unparse(child.right) in ("1", "1.0"):
                     found.add(scope)
+                if isinstance(child, ast.Attribute) \
+                        and isinstance(child.value, ast.Name) \
+                        and child.value.id == "np":
+                    np_attrs.setdefault(child.attr, set()).add(scope)
                 visit(child, scope)
 
         visit(ast.parse(Path(gr.__file__).read_text()), "greens")
         assert found == {"q_coefficients"}
+        assert "delete" not in np_attrs and "prod" not in np_attrs
+        assert np_attrs["polynomial"] == {"contour_term_quadrature"}
+
+    def test_residue_weights_from_the_table(self):
+        # c_n w against 60-digit partial fractions: 2.4e-16 relative at
+        # worst for n <= 24
+        for n in range(25):
+            c_n = gr.term_coefficient(n)
+            _, ref = residue_weights_mpmath(n, 60)
+            cw = c_n * gr._residue_weights(n)
+            for got, w in zip(cw.tolist(), ref):
+                assert abs(got - c_n * w) <= 1e-15 * abs(c_n * w), n
+        # two high-precision routes to Gtilde that share no weights
+        for x, xi in [(2.0, 1.0), (5.0, 0.3), (40.0, 1e-4),
+                      (1.0 + 1e-12, 1.0), (80.0, 1e-3)]:
+            ref = gtilde_mpmath(x, xi)
+            assert gtilde_steps_mpmath(x, xi) == pytest.approx(ref,
+                                                               rel=1e-15)
+        # at (80, 1e-3), where gtilde_exact returns 397.19
+        assert ref == pytest.approx(-79.38035176207164, rel=1e-15)
 
 
 class TestOdeRoute:
@@ -250,7 +276,7 @@ class TestResidueRoute:
 
     def test_weights_sum_to_zero(self):
         for n in range(1, 8):
-            _, w = gr._residue_weights(n)
+            w = gr._residue_weights(n)
             assert np.sum(w) == pytest.approx(0.0, abs=1e-8 * np.max(
                 np.abs(w)))
 
@@ -293,10 +319,41 @@ def gtilde_mpmath(x, xi, dps=60, terms=40, scale=None):
         return float(total)
 
 
+def gtilde_steps_mpmath(x, xi, dps=80):
+    """Gtilde by the method of steps, from the partial sums Q_m of Q's
+    series and alpha_i = 2^i / prod_{j<=i} (1 - 2^-j):
+
+        Gtilde = -e^x (Q - Q_nu)(xi) + sum_{i=1..nu} alpha_i e^(x/2^i)
+                 Q_(nu-i)(xi),    nu = floor(log2(x/xi)),
+
+    which uses no partial-fraction weight."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        x, xi = mp.mpf(x), mp.mpf(xi)
+        nu = 0
+        while 2 ** (nu + 1) * xi <= x:
+            nu += 1
+        terms, a = [], mp.mpf(1)
+        for n in range(nu + 80):
+            if n:
+                a *= mp.mpf(4) / (2 ** n - 1)
+            terms.append((-1) ** n * a * mp.exp(-(2 ** n) * xi))
+
+        def q_partial(m):
+            return mp.fsum(terms[:m + 1])
+
+        total, alpha = -mp.exp(x) * mp.fsum(terms[nu + 1:]), mp.mpf(1)
+        for i in range(1, nu + 1):
+            alpha *= 2 / (1 - mp.mpf(2) ** -i)
+            total += alpha * mp.exp(x / 2 ** i) * q_partial(nu - i)
+        return float(total)
+
+
 class TestResidueRouteAccuracy:
-    # on the fixed-point kernel's domain, xi < x <= 40; cancellation in the
-    # partial-fraction weights costs most at x = 40 and small xi (5.0e-8
-    # there; the unfactored exponentials gave 7.35e-7 at xi = 1e-3)
+    # on the fixed-point kernel's domain, xi < x <= 40; the partial sums of
+    # Q that the residue terms add up cancel most at x = 40 and small xi
+    # (5.0e-8 there; the unfactored exponentials gave 7.35e-7 at
+    # xi = 1e-3)
     @pytest.mark.parametrize("x", [0.5, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0])
     def test_against_mpmath(self, x):
         xis = [1e-4, 1e-3, 1e-2, 0.1, 0.45 * x]
@@ -310,11 +367,23 @@ class TestResidueRouteAccuracy:
         assert np.all(np.abs(block - ref) <= bound)
 
 
+@functools.lru_cache(maxsize=None)
+def frozen_residue_weights(n):
+    """The partial-fraction weights as they were once computed, from the
+    pole differences one by one."""
+    c = 2.0 ** (-np.arange(n + 1.0))
+    w = np.empty(n + 1)
+    for j in range(n + 1):
+        w[j] = 1.0 / np.prod(c[j] - np.delete(c, j))
+    return w
+
+
 def reference_residue_term(n, a, ex, exi, outer=False):
     """The n-th contour integral with both branches everywhere: the left
     branch by einsum, or on a column of x against a row of xi (outer) by
-    one matrix product, as the kernel fill once took it."""
-    _, w = gr._residue_weights(n)
+    one matrix product with the frozen weights, as the kernel fill once
+    took it."""
+    w = frozen_residue_weights(n) if outer else gr._residue_weights(n)
     u, v = ex[..., 1:n + 1] * w[1:], exi[..., n - 1::-1]
     left = u[:, 0] @ v[0].T if outer else np.einsum("...j,...j->...", u, v)
     return np.where(a < 0.0, -w[0] * ex[..., 0] * exi[..., n], left)
@@ -419,8 +488,8 @@ class TestKernelFill:
     and against mpmath."""
 
     def test_kernel_and_volume_against_the_frozen_fill(self, kernels):
-        # measured: 3.0e-16 absolute, 8.3e-13 of the row's max|K|, and
-        # volume within 3.2e-15 of max|volume|
+        # measured: 4.1e-16 absolute, 9.1e-13 of the row's max|K|, and
+        # volume within 6.7e-15 of max|volume|
         grid, K, ref = kernels
         assert np.array_equal(K == 0.0, ref == 0.0)
         diff = np.abs(K - ref)
@@ -436,8 +505,8 @@ class TestKernelFill:
 
     def test_sampled_entries_against_mpmath(self, kernels):
         # 300 kept entries at random and the 60 where the two fills differ
-        # most; the frozen fill is off by 2.5e-16 and 4.7e-13 of the row's
-        # max|K| on them, this one by 2.2e-16 and 5.1e-13
+        # most; the frozen fill is off by 2.5e-16 and 4.6e-13 of the row's
+        # max|K| on them, this one by 2.9e-16 and 6.7e-13
         grid, K, ref = kernels
         kept = np.argwhere(np.arange(len(grid.g))[None, :] // 3
                            < np.arange(len(grid.x))[:, None])
@@ -485,7 +554,7 @@ class TestQuadratureRoute:
 
     @pytest.mark.parametrize("kw", [
         {"T_max": 0.0}, {"T_max": -5.0}, {"T_max": math.nan},
-        {"T_max": math.inf}, {"tail_target": 0.0},
+        {"T_max": math.inf}, {"T_max": 0.5}, {"tail_target": 0.0},
         {"tail_target": -1e-8}, {"tail_target": math.nan}],
         ids=lambda kw: "=".join(map(str, *kw.items())))
     def test_truncation_range_constrained(self, kw):
