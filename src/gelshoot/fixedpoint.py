@@ -16,7 +16,7 @@ infinity; driving F to zero in eps at fixed eta selects the decaying
 profile, and the pair (eps, eta) maps back to the critical shooting
 parameter b.
 
-All integrals run on one fixed graded grid on [0, X_MAX] with per-panel
+All integrals run on one octave-aligned grid on [0, X_MAX] with per-panel
 Gauss rules.  The kernels and the interpolation weights depend only on
 the grid (the delayed ones also on eps), so they are built once and a
 Picard sweep reduces to one matrix-vector product plus gathers.  The
@@ -42,7 +42,7 @@ from .errors import DomainError, GelshootError, NonContractionError, \
 from .profiles import LN2, bisect, check_gamma
 
 X_MAX = 40.0
-N_NODES = 700
+PER_OCTAVE = 18  # nodes per octave of the grid, which spans 19 octaves
 MAX_SWEEPS = 80  # picard_solve's sweep budget
 F_TOL = 1e-9  # |F| stop of the eps root at eta = ETA_MAX, for eps and bbar
 F_FLOOR = 1e-16  # below eta ~ 1e-9 the computed F scatters by 2-4e-17
@@ -90,15 +90,18 @@ class _PointPlan:
 # residue terms of Gtilde in each 100-row block of K: gtilde_exact's
 # truncation on the block (the next term is under 1e-18 of its largest
 # |Gtilde|); more terms add only round-off from the alternating weights
-KERNEL_TERMS = (12, 12, 12, 12, 12, 12, 14)
+KERNEL_TERMS = (12, 12, 12, 14)
 
 
 class FixedPointGrid:
-    """Graded quadrature grid on [0, X_MAX] with precomputed Green kernels."""
+    """Octave-aligned quadrature grid on [0, X_MAX] with precomputed Green
+    kernels: 0 and X_MAX 2^(-k/PER_OCTAVE), k = 0..19 PER_OCTAVE."""
 
     def __init__(self):
-        self.x = np.concatenate([[0.0],
-                                 np.geomspace(1e-4, X_MAX, N_NODES - 1)])
+        # one octave scaled by exact powers of two: x/2 is bitwise a node
+        octave = X_MAX * 2.0 ** (np.arange(1 - PER_OCTAVE, 1) / PER_OCTAVE)
+        steps = np.ldexp(octave, np.arange(-19, 1)[:, None]).ravel()
+        self.x = np.append(0.0, steps[PER_OCTAVE - 1:])
         mid = 0.5 * (self.x[1:] + self.x[:-1])
         half = 0.5 * (self.x[1:] - self.x[:-1])
         self.g = (mid[:, None] + half[:, None] * _GL3_X[None, :]).ravel()
@@ -109,8 +112,8 @@ class FixedPointGrid:
         # fully below x_j, by blocks of 100 rows up to their last row's panels
         t0 = time.perf_counter()
         self.K = np.zeros((len(self.x), len(self.g)))
-        self.blocks = [self.K[r0:r0 + 100, :3 * min(r0 + 99, N_NODES - 1)]
-                       for r0 in range(0, N_NODES, 100)]
+        self.blocks = [self.K[r0:r0 + 100, :3 * (r0 + 99)]
+                       for r0 in range(0, len(self.x), 100)]
         madds = self._fill_kernel()
         log.debug("kernel built in %.3f s from %d entries in %d multiply-adds"
                   " with %s residue terms", time.perf_counter() - t0,
@@ -147,7 +150,7 @@ class FixedPointGrid:
         # int16, which makes the masks below cheaper
         cut = np.searchsorted(self.g, np.multiply.outer(self.x, 0.5 ** n),
                               side="right").astype(np.int16)
-        cut[:, 0] = 3 * np.arange(N_NODES)
+        cut[:, 0] = 3 * np.arange(len(cut))
         cols, madds = np.arange(self.g.size, dtype=np.int16), 0
         for N in sorted(set(KERNEL_TERMS)):
             # the right-closing terms past nu, summed from the smallest
@@ -159,7 +162,7 @@ class FixedPointGrid:
                 D[0] = right[nu] if nu < N else 0.0
                 if nu:  # D_i gains its k = nu - i term
                     D[1:nu + 1] += cw[nu][1:, None] * P[nu - 1::-1]
-                for r0, Kb, terms in zip(range(0, N_NODES, 100), self.blocks,
+                for r0, Kb, terms in zip(range(0, len(cut), 100), self.blocks,
                                          KERNEL_TERMS, strict=True):
                     rows = slice(r0, r0 + len(Kb))
                     lo = cut[rows, nu + 1:nu + 2] if nu < N else 0
@@ -208,7 +211,7 @@ class FixedPointGrid:
 
 @functools.cache
 def default_grid() -> FixedPointGrid:
-    """The process's one grid; its kernels take about 12 MB."""
+    """The process's one grid; its kernels take about 3 MB."""
     return FixedPointGrid()
 
 

@@ -61,6 +61,10 @@ def make_chain(xi0: float, gamma: float, K: int, init,
     """
     if K < 0:
         raise DomainError(f"site count K = {K} must not be negative")
+    # chain_rhs refuses a top site xi0 2^K = inf; refuse it before the sites
+    if K >= 1024 and xi0 >= 1.0 and not gamma <= -1.0:
+        raise DomainError(f"chain rates (xi0*2^k)^(gamma+1) are not finite "
+                          f"at gamma={gamma!r} with {K + 1} sites")
     sites = xi0 * 2.0 ** np.arange(K + 1)
     if callable(init):
         f0 = np.array([float(init(x)) for x in sites])

@@ -169,6 +169,12 @@ def _term_tail_estimate(n: int, a: float, L: float, T: float) -> float:
                      1.0 / (n * T ** n))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre_8():
+    """8-point Gauss-Legendre nodes and weights on [-1, 1], built once."""
+    return np.polynomial.legendre.leggauss(8)
+
+
 def contour_term_quadrature(n: int, x: float, xi: float,
                             cfg: GreensEval = GreensEval()):
     """Numerical value of (1/2pi) int e^((x - 2^n xi)(L + it)) / prod dt.
@@ -200,7 +206,7 @@ def contour_term_quadrature(n: int, x: float, xi: float,
 
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    gl_x, gl_w = _gauss_legendre_8()
     tm = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     wm = (half[:, None] * gl_w[None, :]).ravel()
     poles = L - 2.0 ** (-np.arange(n + 1.0))  # L - 2^(-j), j = 0..n

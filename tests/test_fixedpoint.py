@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import logging
 import math
@@ -251,7 +252,18 @@ class TestBlockedKernel:
             covered[r0:r0 + b.shape[0], :b.shape[1]] = True
             r0 += b.shape[0]
         assert r0 == len(grid.x) and np.all(covered[below])
-        assert sum(b.size for b in grid.blocks) == 837900
+        assert sum(b.size for b in grid.blocks) == 224376
+
+    def test_nodes_are_octave_aligned(self):
+        # x/2 of every node above the lowest octave is bitwise a node, so
+        # the kernel's jumps at g = x/2^n fall on panel edges, never on a
+        # Gauss point
+        grid, m = fp.default_grid(), fp.PER_OCTAVE
+        assert len(grid.x) == 19 * m + 2 == 344
+        assert grid.x[0] == 0.0 and grid.x[-1] == fp.X_MAX
+        assert np.all(np.diff(grid.x) > 0.0)
+        assert _bytes(grid.x[m + 1:] / 2.0) == _bytes(grid.x[1:-m])
+        assert not np.isin(grid.g, grid.x).any()
 
     @pytest.mark.parametrize("eps, eta", SWEEP_PARAMS)
     def test_blocked_product_matches_dense(self, eps, eta):
@@ -269,11 +281,9 @@ class TestBlockedKernel:
         fp.FixedPointGrid()
         [msg] = [r.getMessage() for r in caplog.records
                  if r.name == "gelshoot.fixedpoint"]
-        # the fill that ran every residue term on a whole block took
-        # 71018100 multiply-adds
         assert msg.startswith("kernel built in ")
-        assert msg.endswith(" s from 837900 entries in 15604000 multiply-adds"
-                            " with (12, 12, 12, 12, 12, 12, 14) residue terms")
+        assert msg.endswith(" s from 224376 entries in 5690640 multiply-adds"
+                            " with (12, 12, 12, 14) residue terms")
 
 
 class TestSweepPlanWork:
@@ -472,15 +482,26 @@ def iterates(caplog):
 OUTSIDE = r"lies outside \[1.78e-15, 0.05\]"
 
 
-# bbar_of_gamma(gamma) with F_TOL = 1e-13 (a stop of max(1e-13 eta/0.05,
-# 1e-16)): (bbar, eps).  The bracketed secant that the eps root replaced,
-# run to an absolute |F| < 1e-14, gives bbar within 2e-14 of these.
-BBAR_TIGHT = {
-    8.0: (1.0095311981581314, 0.006565609277572939),
-    10.0: (1.0023684209671428, 0.0016391272535004298),
-    13.0: (1.0002955324926264, 0.00020480796310513744),
-    25.0: (1.000000072133388, 4.9999051984663654e-08),
-}
+# bbar_of_gamma(gamma) on an octave grid with 74 nodes per octave (1408
+# nodes, K 47.5 MB) and F_TOL = 1e-13, a stop of max(1e-13 eta/0.05, 1e-16).
+# Built at run time; these are its values when first computed, a cross-check
+# on the run-time build.  Its terms (12,) * 12 + (13, 14, 14) are
+# gtilde_exact's truncation on its 15 blocks, read from its debug lines.
+BBAR_FINE = {8.0: 1.009531194685814, 10.0: 1.002368420764767,
+             13.0: 1.0002955324896199, 25.0: 1.000000072133388}
+
+
+@pytest.fixture(scope="module")
+def bbar_fine():
+    """gamma -> (bbar, eps) on the fine grid; the default grid's cache is
+    left as it was."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fp, "PER_OCTAVE", 74)
+        mp.setattr(fp, "KERNEL_TERMS", (12,) * 12 + (13, 14, 14))
+        mp.setattr(fp, "F_TOL", 1e-13)
+        mp.setattr(fp, "default_grid", functools.cache(fp.FixedPointGrid))
+        return {gamma: (crit.bbar, crit.eps) for gamma in BBAR_FINE
+                for crit in [fp.bbar_of_gamma(gamma)]}
 
 
 class TestOneEpsRoot:
@@ -490,9 +511,12 @@ class TestOneEpsRoot:
         ref_eps, _ = reference_eps_of_eta(eta, 1e-14)
         assert abs(eps - ref_eps) <= 1e-5 * ref_eps
 
-    @pytest.mark.parametrize("gamma", sorted(BBAR_TIGHT))
-    def test_bbar_matches_a_tight_root(self, gamma):
-        bbar, eps = BBAR_TIGHT[gamma]
+    @pytest.mark.parametrize("gamma", sorted(BBAR_FINE))
+    def test_bbar_matches_a_tight_root(self, gamma, bbar_fine):
+        # the 700-node geomspace grid was 3.5e-9, 2.0e-10 and 3.0e-12 off
+        # at gamma = 8, 10 and 13; this one reads 5.9e-11, 9.2e-13, 2.3e-11
+        bbar, eps = bbar_fine[gamma]
+        assert abs(bbar - BBAR_FINE[gamma]) <= 1e-12
         crit = fp.bbar_of_gamma(gamma)
         assert abs(crit.bbar - bbar) <= 1e-10
         assert abs(crit.eps - eps) <= 1e-5 * eps
@@ -784,7 +808,7 @@ class TestOneGrid:
 
     def test_build_memory_beyond_the_kernel(self):
         # the fill's tables and one block's product with its mask at a
-        # time: 1.49 MiB beyond K
+        # time: 0.78 MiB beyond K
         fp.default_grid()
         tracemalloc.start()
         try:
@@ -796,7 +820,7 @@ class TestOneGrid:
 
     def test_fill_memory_beyond_the_kernel(self):
         # refilling K in place: the fill's tables and one block's product
-        # take 1.42 MiB
+        # take 0.74 MiB
         grid = fp.FixedPointGrid()
         tracemalloc.start()
         try:
@@ -808,7 +832,8 @@ class TestOneGrid:
 
     def test_a_block_without_its_term_count_is_refused(self, monkeypatch):
         # a block past KERNEL_TERMS would otherwise stay zero without a word
-        monkeypatch.setattr(fp, "KERNEL_TERMS", (12,) * 6)
+        blocks = fp.default_grid().blocks
+        monkeypatch.setattr(fp, "KERNEL_TERMS", (12,) * (len(blocks) - 1))
         with pytest.raises(ValueError):
             fp.FixedPointGrid()
 

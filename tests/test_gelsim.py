@@ -169,3 +169,12 @@ class TestChainRates:
             gs.chain_rhs(chain)
         with pytest.raises(DomainError):
             gs.evolve_chain(chain, 1.0)
+
+    def test_an_infinite_top_site_is_refused_before_the_arrays(self):
+        # simulate --sites 1000000000 was once killed building its sites
+        # before chain_rhs could refuse them
+        with pytest.raises(DomainError, match="with 1000000000000001 sites"):
+            gs.make_chain(1.0, 2.0, 10 ** 15, "exp")
+        chain = gs.make_chain(1.0, 2.0, 1023, "exp")  # xi0 2^1023 is finite
+        with pytest.raises(DomainError, match="with 1024 sites"):
+            gs.chain_rhs(chain)

@@ -173,8 +173,8 @@ class TestOneQTable:
 
     def test_only_the_table_forms_the_product(self):
         # a factor 2^j - 1 appears only in q_coefficients, no weight is a
-        # product over pole differences, and only the contour quadrature
-        # loads numpy.polynomial, for its Gauss-Legendre nodes
+        # product over pole differences, and numpy.polynomial is loaded only
+        # for the contour quadrature's Gauss-Legendre rule, built once
         found, np_attrs = set(), {}
 
         def visit(node, scope):
@@ -198,7 +198,7 @@ class TestOneQTable:
         visit(ast.parse(Path(gr.__file__).read_text()), "greens")
         assert found == {"q_coefficients"}
         assert "delete" not in np_attrs and "prod" not in np_attrs
-        assert np_attrs["polynomial"] == {"contour_term_quadrature"}
+        assert np_attrs["polynomial"] == {"_gauss_legendre_8"}
 
     def test_residue_weights_from_the_table(self):
         # c_n w against 60-digit partial fractions: 2.4e-16 relative at
@@ -469,11 +469,10 @@ class TestResidueBufferBitwise:
                                   reference_gtilde(xb, gb)), r0
         msgs = [r.getMessage() for r in caplog.records]
         [built] = [m for m in msgs if m.startswith("kernel built")]
-        assert built.endswith(" with (12, 12, 12, 12, 12, 12, 14) residue "
-                              "terms")
+        assert built.endswith(" with (12, 12, 12, 14) residue terms")
         terms = [int(m.split()[1]) for m in msgs
                  if m.startswith("gtilde_exact:")]
-        assert tuple(terms) == fp.KERNEL_TERMS == (12,) * 6 + (14,)
+        assert tuple(terms) == fp.KERNEL_TERMS == (12, 12, 12, 14)
 
 
 @pytest.fixture(scope="module")
@@ -488,8 +487,8 @@ class TestKernelFill:
     and against mpmath."""
 
     def test_kernel_and_volume_against_the_frozen_fill(self, kernels):
-        # measured: 4.1e-16 absolute, 9.1e-13 of the row's max|K|, and
-        # volume within 6.7e-15 of max|volume|
+        # measured: 3.0e-16 absolute, 3.0e-13 of the row's max|K|, and
+        # volume within 6.0e-15 of max|volume|
         grid, K, ref = kernels
         assert np.array_equal(K == 0.0, ref == 0.0)
         diff = np.abs(K - ref)
@@ -505,8 +504,8 @@ class TestKernelFill:
 
     def test_sampled_entries_against_mpmath(self, kernels):
         # 300 kept entries at random and the 60 where the two fills differ
-        # most; the frozen fill is off by 2.5e-16 and 4.6e-13 of the row's
-        # max|K| on them, this one by 2.9e-16 and 6.7e-13
+        # most; the frozen fill is off by 2.3e-16 and 1.4e-13 of the row's
+        # max|K| on them, this one by 1.5e-16 and 1.6e-13
         grid, K, ref = kernels
         kept = np.argwhere(np.arange(len(grid.g))[None, :] // 3
                            < np.arange(len(grid.x))[:, None])
