@@ -34,9 +34,9 @@ T_SCALE = 10.0
 DEFAULT_TOL = 1e-10
 VALUE_CAP = 1e12
 # solves of a step on its own panel: at most MAX_PASSES, until u2 moves
-# by at most PASS_TOL * tol * (1 + |u2|)
+# by at most PASS_TOL * tol * (1 + |u2|), the scale of the step's error test
 MAX_PASSES = 4
-PASS_TOL = 0.1
+PASS_TOL = 1.0
 # attempted steps of one run: accepted, rejected or fallen back
 MAX_STEPS = 10 ** 6
 
@@ -247,25 +247,23 @@ class DenseTrajectory(History):
 
     def eval(self, t: float) -> float:
         ts = self.ts
+        # an interior panel, ts[i] <= t < ts[i + 1], returns before any edge
+        # test; NaN bisects to the last node and takes the edge tests
+        i = bisect.bisect_right(ts, t) - 1
+        if 0 <= i < len(ts) - 1:
+            us, t0 = self.us, ts[i]
+            if t == t0:
+                return us[i]
+            dus = self.dus
+            a0, b0, a1, b1 = _basis(t0, ts[i + 1] - t0, t)
+            return a0 * us[i] + b0 * dus[i] + a1 * us[i + 1] + b1 * dus[i + 1]
         if t < ts[0]:
             if t < self.history.lo - _EDGE_TOL:
                 raise OutOfRangeError(f"{t} below history start")
             return self.history.eval(t)
-        # written so that NaN takes the beyond-last-node branch and raises
-        if not t <= ts[-1]:
-            if not t <= ts[-1] + _EDGE_TOL * max(abs(ts[-1]), 1.0):
-                raise OutOfRangeError(f"{t} beyond last node {ts[-1]}")
-            return self.us[-1]
-        i = bisect.bisect_right(ts, t) - 1
-        us = self.us
-        if i >= len(ts) - 1:
-            return us[-1]
-        t0 = ts[i]
-        if t == t0:
-            return us[i]
-        dus = self.dus
-        a0, b0, a1, b1 = _basis(t0, ts[i + 1] - t0, t)
-        return a0 * us[i] + b0 * dus[i] + a1 * us[i + 1] + b1 * dus[i + 1]
+        if not t <= ts[-1] + _EDGE_TOL * max(abs(ts[-1]), 1.0):
+            raise OutOfRangeError(f"{t} beyond last node {ts[-1]}")
+        return self.us[-1]
 
     def deriv(self, t: float) -> float:
         ts, us, dus = self.ts, self.us, self.dus
@@ -375,10 +373,6 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             dm, de = traj_eval(tau(tm)), traj_eval(tau(te))
             dq, d3 = traj_eval(tau(tq)), traj_eval(tau(t3))
             de2 = de if te2 == te else traj_eval(tau(te2))
-            k2 = f(tm, u + hh * du, dm)
-            k3 = f(tm, u + hh * k2, dm)
-            k4 = f(te, u + h * k3, de)
-            u_full = u + h * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             k2 = f(tq, u + qh * du, dq)
             k3 = f(tq, u + qh * k2, dq)
             k4 = f(tm, u + hh * k3, dm)
@@ -396,7 +390,11 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             reach = 0.5 * (1.0 + h / cap)
             h = cap
             continue
-        est = abs(u2 - u_full)
+        # the full step of the estimate, once, on the last pass's lookups
+        k2 = f(tm, u + hh * du, dm)
+        k3 = f(tm, u + hh * k2, dm)
+        k4 = f(te, u + h * k3, de)
+        est = abs(u2 - (u + h * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0))
         scale = tol * (1.0 + abs(u2))
         if est <= scale or h <= 1e-13 * max(1.0, abs(t)):
             t = te

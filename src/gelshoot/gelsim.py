@@ -23,6 +23,7 @@ from .errors import BlowUpError, DomainError, SolverFailureError
 from .profiles import ModelParams
 
 VALUE_CAP = 1e12
+MAX_CHAINS = 300  # per gelation_scan; a default chain takes 9-15 ms
 
 
 @dataclass(frozen=True)
@@ -268,8 +269,8 @@ def gelation_scan(gamma: float, init="exp", n_chains: int = 64,
     between consecutive rescaled profiles; a decreasing sequence indicates
     approach to a self-similar shape.
     """
-    if n_chains < 1:
-        raise DomainError(f"n_chains = {n_chains} must be positive")
+    if not 1 <= n_chains <= MAX_CHAINS:
+        raise DomainError(f"n_chains = {n_chains} not in [1, {MAX_CHAINS}]")
     seeds = np.geomspace(1.0, 2.0, n_chains, endpoint=False)
     a0 = (gamma + 3.0) / 2.0
     b0 = 2.0 / (gamma - 1.0) if gamma != 1.0 else math.inf

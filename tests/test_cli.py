@@ -402,6 +402,10 @@ FUZZ = [
     # (xi0 2^K)^(gamma+1) overflows: refused before the 1e9-site arrays that
     # once exhausted memory
     ("simulate", "--sites", "1000000000"),
+    # more chains than gelsim.MAX_CHAINS: 10^5 chains still ran at 30 s, and
+    # 10^9 were killed, most likely out of memory
+    ("simulate", "--scan", "100000"),
+    ("simulate", "--scan", "1000000000"),
     # eta (at eps = 0) below 2^-49, where 1 + eps cannot hold eps: these
     # once returned eps/eta far from 0.2097, the midpoint of a flat F, or a
     # NoSignChangeError

@@ -3,6 +3,7 @@ import bisect
 import dataclasses
 import inspect
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -266,9 +267,11 @@ class TestWorkCounts:
     @pytest.mark.parametrize("make_run", [_h_run_3_200, _phi_run_short_shift])
     def test_f_evals_with_own_panel_steps(self, make_run, passes,
                                           monkeypatch):
-        # a step that reads its own panel adds 11 per extra pass (the
-        # provisional node's derivative and a re-solve); a fallback to the
-        # delay cap adds the 10 of its last unconverged solve
+        # a step that reads its own panel adds 8 per extra pass (the
+        # provisional node's derivative and a re-solve of the two half
+        # steps; the full step of the estimate is taken once, after the
+        # last pass); a fallback to the delay cap adds the 7 of its first,
+        # unconverged half-step solve
         monkeypatch.setattr(dc, "MAX_PASSES", passes)
         calls = []
         rhs, init, span, kw = make_run()
@@ -282,7 +285,7 @@ class TestWorkCounts:
         accepted = len(traj.ts) - 1
         assert traj.n_overlap > 0 and traj.n_passes > 0
         assert len(calls) == 1 + 11 * accepted + 10 * traj.n_rejected \
-            + 11 * traj.n_passes + 10 * traj.n_fallback
+            + 8 * traj.n_passes + 7 * traj.n_fallback
         if passes == 2:
             assert traj.n_fallback > 0
 
@@ -298,7 +301,7 @@ class TestWorkCounts:
             run = dc.integrate(dc.phi_equation(p), hist, (0.0, 200.0),
                                tol=1e-9)
             return run, 1 + 11 * (len(run.ts) - 1) + 10 * run.n_rejected \
-                + 11 * run.n_passes + 10 * run.n_fallback
+                + 8 * run.n_passes + 7 * run.n_fallback
 
         run, work = f_evals()
         assert 1 <= run.n_fallback <= 2 and run.n_overlap > 500
@@ -503,6 +506,29 @@ class TestOwnPanelAccuracy:
             assert coarse >= 1.5 * fine
 
 
+# points whose delay ratio 2^(-1/b) is near 1: nearly every step of their
+# H runs reads its own panel
+OWN_PANEL_PRECISION_POINTS = [(2.0, 300.0), (2.0, 1e4), (3.5, 300.0),
+                              (3.5, 1e4)]
+
+
+class TestOwnPanelPrecision:
+    @pytest.mark.parametrize("gamma,b", OWN_PANEL_PRECISION_POINTS)
+    def test_within_a_fraction_of_tol_of_a_tight_run(self, gamma, b):
+        # against tol 1e-12 the worst of the three abscissae reads 0.26-0.50
+        # of tol (1 + |H|) here, 0.38-0.51 with PASS_TOL = 0.1, up to 0.73
+        # with PASS_TOL = 3 and up to 1.79 with PASS_TOL = 10; the reference
+        # runs at 1e-11, which takes 0.2-0.3 s against 1.5-2 s at 1e-12
+        p = make_params(gamma, b)
+        tol = 1e-9
+        run = sh.h_profile(p, 500.0, tol=tol)
+        ref = sh.h_profile(p, 500.0, tol=1e-11)
+        assert run.n_overlap > 300
+        for y in (20.0, 100.0, 499.0):
+            h = run.eval(y)
+            assert abs(h - ref.eval(y)) <= 0.6 * tol * (1.0 + abs(h))
+
+
 # large-b shoot-map points and their classes, as the delay-capped steps
 # classified them
 LARGE_B_KINDS = [
@@ -619,6 +645,65 @@ class TestOneTrajectoryLookup:
             traj.eval(pts[-1])
         with pytest.raises(OutOfRangeError):
             traj.eval_many(np.array(pts))
+
+
+def frozen_eval(traj, t):
+    """DenseTrajectory.eval as it was before the interior-first lookup."""
+    ts = traj.ts
+    if t < ts[0]:
+        if t < traj.history.lo - dc._EDGE_TOL:
+            raise OutOfRangeError(f"{t} below history start")
+        return traj.history.eval(t)
+    if not t <= ts[-1]:
+        if not t <= ts[-1] + dc._EDGE_TOL * max(abs(ts[-1]), 1.0):
+            raise OutOfRangeError(f"{t} beyond last node {ts[-1]}")
+        return traj.us[-1]
+    i = bisect.bisect_right(ts, t) - 1
+    us = traj.us
+    if i >= len(ts) - 1:
+        return us[-1]
+    t0 = ts[i]
+    if t == t0:
+        return us[i]
+    dus = traj.dus
+    a0, b0, a1, b1 = dc._basis(t0, ts[i + 1] - t0, t)
+    return a0 * us[i] + b0 * dus[i] + a1 * us[i + 1] + b1 * dus[i + 1]
+
+
+def _lookup(fn, traj, t):
+    try:
+        return struct.pack("<d", fn(traj, t))
+    except Exception as err:
+        return type(err)
+
+
+def _lookup_points(traj):
+    ts = traj.ts
+    top = ts[-1] + 0.5 * dc._EDGE_TOL * max(abs(ts[-1]), 1.0)
+    pts = [math.nan, traj.history.lo - 1e-6, 0.5 * (traj.history.lo + ts[0]),
+           ts[0], ts[-1], top, ts[-1] + 1e-6, -math.inf, math.inf]
+    if len(ts) > 1:
+        pts += [ts[1], 0.5 * (ts[0] + ts[1]), 0.5 * (ts[-2] + ts[-1]),
+                *np.linspace(ts[0], ts[-1], 101).tolist()]
+    return pts
+
+
+class TestInteriorFirstLookup:
+    # eval bisects first and returns from an interior panel before any
+    # edge test: every value and every error must be the old one
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_same_bytes_or_error_as_the_edge_first_lookup(self, stop):
+        p = make_params(2.0, 10.0)
+        s = local_series(p, 40)
+        y0 = series_switchover(s)
+        traj = dc.integrate(dc.h_equation(p), dc.SeriesHistory(s, y0),
+                            (y0, 50.0), tol=1e-9,
+                            stop_condition=(lambda y, u: True) if stop
+                            else None)
+        assert (len(traj.ts) == 1) == stop
+        for t in _lookup_points(traj):
+            assert _lookup(dc.DenseTrajectory.eval, traj, t) \
+                == _lookup(frozen_eval, traj, t), t
 
 
 def _scopes(match) -> set:

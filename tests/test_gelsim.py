@@ -152,6 +152,18 @@ class TestGelationScan:
         med = np.median(metrics, axis=0)
         assert med[0] > med[1] > med[2]
 
+    @pytest.mark.parametrize("n", [0, gs.MAX_CHAINS + 1, 10 ** 9])
+    def test_a_chain_count_out_of_bounds_is_refused_first(self, n,
+                                                          monkeypatch):
+        # refused before the seeds are laid out: 10^9 chains once ran until
+        # the process was killed
+        def no_seeds(*args, **kwargs):
+            raise AssertionError("seeds laid out before the count check")
+
+        monkeypatch.setattr(gs.np, "geomspace", no_seeds)
+        with pytest.raises(DomainError, match="n_chains"):
+            gs.gelation_scan(2.0, n_chains=n)
+
     def test_seed_domain(self):
         with pytest.raises(DomainError):
             gs.make_chain(2.5, 2.0, 4, "exp")
