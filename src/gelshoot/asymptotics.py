@@ -113,7 +113,7 @@ def gamma1_series(b: float, a1: float, N: int) -> Gamma1Profile:
     a1 < 0 gives the decreasing branch; a1 = 0 collapses the series to the
     constant profile.
     """
-    if a1 > 0.0:
+    if not a1 <= 0.0:   # NaN fails too
         raise DomainError("a1 must be nonpositive; the profile decreases")
     if N < 2:
         raise DomainError("need N >= 2")

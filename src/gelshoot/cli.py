@@ -75,17 +75,27 @@ def emit_json(path, payload, provenance):
     _write(path, text + "\n")
 
 
+# points of a lo:hi:n grid; a 10^9-point list once ended in MemoryError
+MAX_GRID_POINTS = 10 ** 5
+
+
 def parse_grid(spec: str) -> list:
-    """lo:hi:n with linear spacing and at least one point, by
-    numpy.linspace's formula i ((hi - lo)/(n - 1)) + lo with hi last."""
+    """lo:hi:n with a finite hi - lo and 1 to MAX_GRID_POINTS linearly
+    spaced points, by numpy.linspace's formula i ((hi - lo)/(n - 1)) + lo
+    with hi last."""
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as err:
         raise DomainError(f"bad grid spec {spec!r}; expected lo:hi:n") \
             from err
+    if not math.isfinite(hi - lo):   # an infinite step puts NaN in the grid
+        raise DomainError(f"grid {spec!r} needs finite ends and width")
     if n < 1:
         raise DomainError(f"grid {spec!r} has no points; n must be at least 1")
+    if n > MAX_GRID_POINTS:
+        raise DomainError(f"grid {spec!r} has more than {MAX_GRID_POINTS} "
+                          "points")
     step = (hi - lo) / max(n - 1, 1)
     return [i * step + lo for i in range(n - 1)] + [hi if n > 1 else lo]
 

@@ -34,9 +34,8 @@ T_SCALE = 10.0
 DEFAULT_TOL = 1e-10
 VALUE_CAP = 1e12
 # solves of a step on its own panel: at most MAX_PASSES, until u2 moves
-# by at most PASS_TOL * tol * (1 + |u2|), the scale of the step's error test
+# by at most tol * (1 + |u2|), the scale of the step's error test
 MAX_PASSES = 4
-PASS_TOL = 1.0
 # attempted steps of one run: accepted, rejected or fallen back
 MAX_STEPS = 10 ** 6
 
@@ -151,6 +150,8 @@ class SeriesHistory(History):
 
 
 class FunctionHistory(History):
+    """Initial segment fn on [lo, hi]; a constant one is a constant fn."""
+
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float):
         self.fn = fn
         self.lo = lo
@@ -158,16 +159,6 @@ class FunctionHistory(History):
 
     def eval(self, t: float) -> float:
         return float(self.fn(t))
-
-
-class ConstantHistory(History):
-    def __init__(self, value: float, lo: float, hi: float):
-        self.value = float(value)
-        self.lo = lo
-        self.hi = hi
-
-    def eval(self, t: float) -> float:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +322,19 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         return traj
     order_cap, delay_cap = _order_cap(tol), rhs.step_cap
     # the first step keeps to the delay cap, so every own-panel step has a
-    # last panel to predict from; a zero cap means a proportional delay from
-    # the origin, which must start from a local series at t > 0
+    # last panel to predict from; the underflow test refuses a zero cap, a
+    # proportional delay from the origin (start from a series at t > 0)
     h = min(order_cap(t), t1 - t, 0.05 / (1.0 + abs(du)),
             delay_cap(t) * (1.0 - 1e-12))
-    if h <= 0.0:
-        raise StepUnderflowError(t, h)
     reach = math.inf  # step bound in delay caps after a step did not settle
     for _ in range(MAX_STEPS):
         if not t < t_stop:
             break
         cap = delay_cap(t) * (1.0 - 1e-12)
         h = min(h, order_cap(t), t1 - t, reach * cap)
-        # h < 1e-14 max(1, |t|), relative to t like the force-accept test
-        # below (a bound on the whole span rejects the ordinary first steps
-        # of a long run), spelled without a max() call on every step
+        # h < 1e-14 max(1, |t|), relative to t (a bound on the whole span
+        # rejects the ordinary first steps of a long run), spelled without a
+        # max() call on every step
         if h < 1e-14 or h < 1e-14 * abs(t):
             raise StepUnderflowError(t, h)
         # step doubling: one RK4 step of h against two of h/2, all three
@@ -365,6 +354,7 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             ts_append(te)
             us_append(a0 * up + b0 * dp + a1 * u + b1 * du)
             dus_append(_slope(tp, t - tp, te, up, dp, u, du))
+        settled = False  # and so when MAX_PASSES allows no pass
         for n in range(MAX_PASSES if own else 1):
             if n:
                 traj.n_passes += 1
@@ -382,10 +372,13 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
             k3 = f(t3, u_half + qh * k2, d3)
             k4 = f(te2, u_half + hh * k3, de2)
             u2 = u_half + hh * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if not own or abs(u2 - us[-1]) <= PASS_TOL * tol * (1.0 + abs(u2)):
+            scale = tol * (1.0 + abs(u2))
+            settled = not own or abs(u2 - us[-1]) <= scale
+            if settled:
                 break
-        else:   # no convergence: retry at the delay cap
+        if own:
             del ts[-1], us[-1], dus[-1]
+        if not settled:   # no convergence: retry at the delay cap
             traj.n_fallback += 1
             reach = 0.5 * (1.0 + h / cap)
             h = cap
@@ -395,14 +388,11 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         k3 = f(tm, u + hh * k2, dm)
         k4 = f(te, u + h * k3, de)
         est = abs(u2 - (u + h * (du + 2.0 * k2 + 2.0 * k3 + k4) / 6.0))
-        scale = tol * (1.0 + abs(u2))
-        if est <= scale or h <= 1e-13 * max(1.0, abs(t)):
+        if est <= scale:
             t = te
             u = u2
             du = f(t, u, de)  # the last pass's lookup at tau(te), same nodes
-            if own:
-                traj.n_overlap += 1
-                del ts[-1], us[-1], dus[-1]
+            traj.n_overlap += own
             ts_append(t)
             us_append(u)
             dus_append(du)
@@ -411,15 +401,10 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
                 return traj
             if abs(u) > VALUE_CAP:
                 raise BlowUpError(t, traj)
-            if est > 0.0:
-                h *= min(5.0, max(0.2, 0.9 * (scale / est) ** 0.2))
-            else:
-                h *= 5.0
         else:
-            if own:
-                del ts[-1], us[-1], dus[-1]
             traj.n_rejected += 1
-            h *= max(0.2, 0.9 * (scale / est) ** 0.2)
+        # one law for both outcomes; a NaN estimate, a reject, takes 0.2
+        h *= min(5.0, max(0.2, 0.9 * (scale / est) ** 0.2)) if est else 5.0
     if t < t_stop:
         raise StepBudgetError(rhs.name, t, t1, traj)
     return traj

@@ -12,8 +12,8 @@ checked against each other:
 
   * g_by_ode        direct integration of the delay equation (reference),
   * e^x Q + quadrature of the contour terms (verification),
-  * e^x Q + residue closed form of the contour terms (fast, used by the
-    fixed-point solver).
+  * e^x Q + residue closed form of the contour terms (fast; the
+    fixed-point kernel fills its entries from the same residue weights).
 """
 
 from __future__ import annotations
@@ -63,13 +63,15 @@ def q_eval(xi, N: int = _NQ):
     """
     if N < 1:
         raise DomainError("need at least one series term")
-    if np.any(np.asarray(xi, dtype=float) < 0.0):
+    if not np.all(np.asarray(xi, dtype=float) >= 0.0):  # NaN fails too
         raise DomainError("Q is evaluated for xi >= 0")
     return _q_sum(xi, N, 0.0)
 
 
 def q_tail_bound(xi: float, N: int = _NQ) -> float:
     """Magnitude of the first omitted term, valid as a bound for N >= 2."""
+    if math.isnan(xi):
+        raise DomainError("Q's tail bound needs a number xi")
     a = q_coefficients(N + 1)[N + 1]
     return float(a * math.exp(-(2.0 ** (N + 1)) * xi))
 
@@ -126,7 +128,7 @@ def g_by_ode(x: float, xi: float, tol: float = 1e-10) -> float:
     # a unit point source released at xi: the run starts at value 1 while
     # every delayed lookup below xi sees the zero history
     traj = dc.integrate(dc.linear_g_equation(),
-                        dc.ConstantHistory(0.0, -math.inf, xi),
+                        dc.FunctionHistory(lambda s: 0.0, -math.inf, xi),
                         (xi, x), tol=tol, u0=1.0)
     return traj.eval(x)
 

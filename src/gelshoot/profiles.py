@@ -104,7 +104,7 @@ class PowerSeries:
     """Truncated power series at the origin, lowest order first."""
 
     coefficients: tuple
-    validity_radius_estimate: float = math.inf
+    validity_radius_estimate: float
 
     @property
     def order(self) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gelshoot
-from gelshoot import delaycore, fixedpoint
+from gelshoot import cli, delaycore, fixedpoint
 from gelshoot.cli import build_parser, main, parse_grid
 from gelshoot.errors import DomainError
 from gelshoot.profiles import GAMMA_MAX, make_params
@@ -428,6 +428,19 @@ FUZZ = [
     ("gamma1", "--y-max", "0"),
     ("gamma1", "--y-max", "-1"),
     ("greens-verify", "--t-max", "1e-300"),
+    # an infinite grid step, 0 inf = NaN: these once printed NaN rows with
+    # exit 0
+    ("greens-q", "--grid", "nan:1:3"),
+    ("greens-q", "--grid", "0:inf:3"),
+    ("greens-q", "--grid=-1e308:1e308:3"),
+    # 10^9 grid points: under a 1 GiB address-space limit each once ended
+    # in a MemoryError traceback while the list was built
+    ("greens-q", "--grid", "0:20:1000000000"),
+    ("stability-scan", "--gamma", "2", "--grid", "1:6:1000000000"),
+    ("scan-b", "--gamma", "2", "--grid", "2:10:1000000000"),
+    # NaN passed a test a1 > 0 and ended in SeriesOverflowError, exit 2
+    ("gamma1", "--a1", "nan"),
+    ("gamma1", "--b", "1", "--a1", "nan"),
 ]
 # a result (exit 0) or a typed numerical error (exit 2)
 FUZZ_EXIT = {
@@ -581,6 +594,18 @@ class TestGridParsing:
     @pytest.mark.parametrize("spec", ["1:3:0", "1:3:-2"])
     def test_no_points(self, spec):
         with pytest.raises(DomainError, match="no points"):
+            parse_grid(spec)
+
+    def test_point_bound(self):
+        assert len(parse_grid(f"0:1:{cli.MAX_GRID_POINTS}")) \
+            == cli.MAX_GRID_POINTS
+        with pytest.raises(DomainError, match="more than"):
+            parse_grid(f"0:1:{cli.MAX_GRID_POINTS + 1}")
+
+    @pytest.mark.parametrize("spec", ["nan:1:3", "0:inf:3", "-inf:0:1",
+                                      "-1e308:1e308:3"])
+    def test_non_finite_width(self, spec):
+        with pytest.raises(DomainError, match="finite"):
             parse_grid(spec)
 
     def test_reversed_grid_scans_downward(self, capsys):

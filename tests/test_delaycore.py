@@ -44,9 +44,9 @@ class TestClosedFormCases:
 
     def test_point_source_grows_exponentially_before_the_fold(self):
         xi = 1.0
-        traj = dc.integrate(dc.linear_g_equation(),
-                            dc.ConstantHistory(0.0, -math.inf, xi),
-                            (xi, 2.0 * xi), tol=1e-10, u0=1.0)
+        zero = dc.FunctionHistory(lambda t: 0.0, -math.inf, xi)
+        traj = dc.integrate(dc.linear_g_equation(), zero, (xi, 2.0 * xi),
+                            tol=1e-10, u0=1.0)
         xs = np.linspace(xi, 2.0 * xi, 300)
         err = np.max(np.abs(traj.eval_many(xs) - np.exp(xs - xi)))
         assert err < 1e-8
@@ -71,8 +71,8 @@ class TestOrder:
         xs = np.linspace(xi, 2.0 * xi, 300)
         errs = []
         for tol in (1e-10, 5e-11):
-            traj = dc.integrate(dc.linear_g_equation(),
-                                dc.ConstantHistory(0.0, -math.inf, xi),
+            zero = dc.FunctionHistory(lambda t: 0.0, -math.inf, xi)
+            traj = dc.integrate(dc.linear_g_equation(), zero,
                                 (xi, 2.0 * xi), tol=tol, u0=1.0)
             errs.append(np.max(np.abs(traj.eval_many(xs) - np.exp(xs - xi))))
         assert errs[0] / errs[1] >= 8.0
@@ -93,7 +93,7 @@ class TestDenseOutput:
         assert traj.eval(1.5) == pytest.approx(math.exp(-1.5), abs=1e-9)
 
     def test_constant_everywhere(self):
-        hist = dc.ConstantHistory(0.25, -1.0, 0.0)
+        hist = dc.FunctionHistory(lambda t: 0.25, -1.0, 0.0)
         rhs = dc.DelayRHS("still", lambda t, u, ud: 0.0,
                           lambda t: t - 0.5, lambda t: 0.5)
         traj = dc.integrate(rhs, hist, (0.0, 3.0), tol=1e-9)
@@ -183,7 +183,7 @@ class TestFailureModes:
         # u' = u^2 from u(0) = 1 diverges at t = 1
         rhs = dc.DelayRHS("riccati", lambda t, u, ud: u * u,
                           lambda t: 0.0, lambda t: 1.0)
-        hist = dc.ConstantHistory(1.0, 0.0, 0.0)
+        hist = dc.FunctionHistory(lambda t: 1.0, 0.0, 0.0)
         with pytest.raises(BlowUpError) as info:
             dc.integrate(rhs, hist, (0.0, 2.0), tol=1e-9)
         assert info.value.location == pytest.approx(1.0, abs=1e-4)
@@ -191,11 +191,34 @@ class TestFailureModes:
         assert abs(info.value.trajectory.us[-1]) > dc.VALUE_CAP
 
     def test_step_underflow_near_singularity(self):
+        # no step is accepted on a failed error test, however short: the
+        # steps shrink towards t = 1 until the underflow test ends the run
         rhs = dc.DelayRHS("singular", lambda t, u, ud: 1.0 / (1.0 - t),
                           lambda t: 0.0, lambda t: 1.0)
-        hist = dc.ConstantHistory(0.0, 0.0, 0.0)
-        with pytest.raises((StepUnderflowError, BlowUpError)):
+        hist = dc.FunctionHistory(lambda t: 0.0, 0.0, 0.0)
+        with pytest.raises(StepUnderflowError) as info:
             dc.integrate(rhs, hist, (0.0, 1.0), tol=1e-10, u0=0.0)
+        assert 0.99 < info.value.location < 1.0
+
+    def test_zero_delay_cap_is_a_step_underflow(self):
+        # a proportional delay from the origin has no step that looks up
+        # only known values: the loop's underflow test refuses h = 0
+        hist = dc.FunctionHistory(lambda t: 1.0, 0.0, 0.0)
+        with pytest.raises(StepUnderflowError) as info:
+            dc.integrate(dc.linear_g_equation(), hist, (0.0, 1.0))
+        assert (info.value.location, info.value.step) == (0.0, 0.0)
+
+    def test_nan_estimate_shrinks_the_step(self):
+        # a right-hand side that turns NaN fails every error test; the
+        # rejected steps shrink to the underflow bound rather than growing
+        # through the step budget
+        rhs = dc.DelayRHS("nan-past-half",
+                          lambda t, u, ud: math.nan if t > 0.5 else 1.0,
+                          lambda t: 0.0, lambda t: 1.0)
+        hist = dc.FunctionHistory(lambda t: 0.0, 0.0, 0.0)
+        with pytest.raises(StepUnderflowError) as info:
+            dc.integrate(rhs, hist, (0.0, 1.0), tol=1e-10, u0=0.0)
+        assert info.value.location == pytest.approx(0.5, abs=1e-12)
 
     def test_bad_span_rejected(self):
         hist, y0 = exp_history()
@@ -212,7 +235,7 @@ class TestFailureModes:
     def test_span_below_end_tolerance_rejected(self):
         # a span within the end-point tolerance used to return its start
         # node alone
-        hist = dc.ConstantHistory(1.0, 0.0, 1.0)
+        hist = dc.FunctionHistory(lambda t: 1.0, 0.0, 1.0)
         with pytest.raises(DomainError, match="end-point tolerance"):
             dc.integrate(dc.linear_g_equation(), hist, (1.0, 1.0 + 1e-13))
 
@@ -435,7 +458,8 @@ def _phi_run():
 
 
 def _linear_g_run():
-    return (dc.linear_g_equation(), dc.ConstantHistory(0.0, -math.inf, 1.0),
+    return (dc.linear_g_equation(),
+            dc.FunctionHistory(lambda t: 0.0, -math.inf, 1.0),
             (1.0, 12.0), {"u0": 1.0})
 
 
@@ -598,7 +622,8 @@ class TestSharedHermiteBasis:
     @pytest.mark.parametrize("make_run", [
         _h_run, _phi_run, _linear_g_run,
         lambda: (dc.phi_equation(make_params(2.0, 3.0)),
-                 dc.ConstantHistory(0.25, -1.0, 0.0), (0.0, 6.0), {})],
+                 dc.FunctionHistory(lambda t: 0.25, -1.0, 0.0), (0.0, 6.0),
+                 {})],
         ids=["series", "function", "zero-constant", "constant"])
     def test_vector_lookup_equals_scalar_lookup_on_every_history(
             self, make_run):
@@ -760,6 +785,39 @@ class TestOneStepBudget:
         assert _scopes(lambda n: isinstance(n, ast.Assign) and any(
             getattr(t, "id", None) == "MAX_STEPS" for t in n.targets)) \
             == {"delaycore"}
+
+
+class TestOneStepRule:
+    # integrate states each rule of its step once: one error scale, one
+    # accept test, one step-size update and one underflow test
+    tree = ast.parse(inspect.getsource(dc.integrate))
+
+    def _nodes(self, match):
+        return [n for n in ast.walk(self.tree) if match(n)]
+
+    def test_one_scale_and_one_step_size_update(self):
+        assert [ast.unparse(n.value) for n in self._nodes(
+            lambda n: isinstance(n, ast.Assign)
+            and [getattr(t, "id", None) for t in n.targets] == ["scale"])] \
+            == ["tol * (1.0 + abs(u2))"]
+        assert len(self._nodes(lambda n: isinstance(n, ast.AugAssign)
+                               and getattr(n.target, "id", None) == "h")) == 1
+
+    def test_accept_test_compares_est_with_scale_alone(self):
+        uses_est = self._nodes(lambda n: isinstance(n, ast.Compare) and any(
+            getattr(c, "id", None) == "est"
+            for c in [n.left, *n.comparators]))
+        assert [ast.unparse(n) for n in uses_est] == ["est <= scale"]
+        assert [ast.unparse(n.test) for n in self._nodes(
+            lambda n: isinstance(n, ast.If) and any(
+                getattr(m, "id", None) == "est" for m in ast.walk(n.test)))] \
+            == ["est <= scale"]
+
+    def test_step_underflow_is_raised_once(self):
+        assert len(self._nodes(
+            lambda n: isinstance(n, ast.Raise)
+            and getattr(getattr(n.exc, "func", None), "id", None)
+            == "StepUnderflowError")) == 1
 
 
 # every right-hand side builder; gamma in (1, GAMMA_MAX), b > 0, eps in (-1, 1)

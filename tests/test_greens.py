@@ -56,6 +56,14 @@ class TestQ:
         with pytest.raises(DomainError):
             gr.q_eval(1.0, N=0)
 
+    def test_nan_xi_refused(self):
+        # NaN passes a test xi < 0; Q and its tail bound were NaN for it
+        for xi in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError):
+                gr.q_eval(xi)
+        with pytest.raises(DomainError):
+            gr.q_tail_bound(math.nan)
+
 
 class TestC0:
     def test_series_value(self):

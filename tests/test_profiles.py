@@ -132,12 +132,12 @@ class TestSeriesEval:
         assert series_eval(s, 0.5) == 1.0
 
     def test_frozen_quadratic(self):
-        s = PowerSeries(np.array([1.0, -0.4142136, 0.0783722]))
+        s = PowerSeries(np.array([1.0, -0.4142136, 0.0783722]), 1.0)
         # 1 - 0.04142136 + 0.000783722
         assert series_eval(s, 0.1) == pytest.approx(0.959362362, abs=1e-9)
 
     def test_at_origin_gives_a0(self):
-        s = PowerSeries(np.array([0.73, 4.0, -2.0]))
+        s = PowerSeries(np.array([0.73, 4.0, -2.0]), 1.0)
         assert series_eval(s, 0.0) == 0.73
 
     def test_vector_eval_matches_scalar(self):

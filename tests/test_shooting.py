@@ -469,7 +469,7 @@ class TestRetiredKnobs:
                         for d in node.decorator_list):
                     count += sum(isinstance(s, ast.AnnAssign)
                                  and s.value is not None for s in node.body)
-        assert count <= 53
+        assert count <= 52
 
 
 # second copies and unreachable paths, each deleted in favour of the one
@@ -504,6 +504,8 @@ DELETED = [
     ("fixedpoint.FixedPointState", "interp"),
     ("asymptotics", "_X_OVER_EXPM1"),
     ("greens", "_residue_block"),
+    ("delaycore", "ConstantHistory"),
+    ("delaycore", "PASS_TOL"),
 ]
 
 
