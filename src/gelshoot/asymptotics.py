@@ -80,9 +80,7 @@ class Gamma1Profile:
 
     b: float
     alpha: float
-    a1: float
     coefficients: np.ndarray       # a_0 = 1, a_1, ..., a_N
-    truncation: int
 
     def eval(self, x):
         import numpy as np
@@ -93,17 +91,16 @@ class Gamma1Profile:
     def switchover(self) -> float:
         """Largest x where the last retained series term stays below 1e-14,
         at most 2."""
-        aN = abs(self.coefficients[-1])
+        N = len(self.coefficients) - 1
+        aN = abs(self.coefficients[N])
         if aN == 0.0:
             return 1.0
-        log_x = (math.log(1e-14) - math.log(aN)) \
-            / (self.truncation * self.alpha)
+        log_x = (math.log(1e-14) - math.log(aN)) / (N * self.alpha)
         x = math.exp(min(log_x, LN2))
         if not x > 0.0:
             raise SeriesOverflowError(
                 f"gamma1 series at b={self.b!r}, alpha={self.alpha:.3g}, "
-                f"a_N={aN:.3g} (switchover x underflows)",
-                self.truncation)
+                f"a_N={aN:.3g} (switchover x underflows)", N)
         return x
 
 
@@ -125,7 +122,7 @@ def gamma1_series(b: float, a1: float, N: int) -> Gamma1Profile:
     for n in range(2, N + 1):
         denom = n * b * al / (1.0 - 2.0 ** (-n * al)) - 2.0
         a[n] = float(np.dot(a[1:n], a[n - 1:0:-1])) / denom
-    return Gamma1Profile(b=b, alpha=al, a1=a1, coefficients=a, truncation=N)
+    return Gamma1Profile(b=b, alpha=al, coefficients=a)
 
 
 def gamma1_trajectory(profile: Gamma1Profile, x_max: float,

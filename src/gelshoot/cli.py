@@ -129,7 +129,7 @@ def load_config(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (payload kind, data) and may write files.
+# subcommand handlers; each writes its own output and returns None.
 # A handler imports the library modules it calls, and outside the array
 # modules each function imports numpy itself, so a process loads only what
 # its subcommand needs: importing scipy takes far longer than the work of
@@ -304,17 +304,6 @@ def cmd_tails(a):
 
 def cmd_simulate(a):
     from . import gelsim
-    if a.scan:
-        diag = gelsim.gelation_scan(a.gamma, init=a.init, n_chains=a.scan,
-                                    K=a.sites, horizon=a.t_end, tol=a.tol)
-        emit_json(a.out, {
-            "gamma": diag.gamma,
-            "seeds": diag.seeds.tolist(),
-            "t_hat": diag.t_hat,
-            "collapse_metric": diag.collapse_metric,
-            "horizon": diag.horizon,
-        }, a.echo)
-        return
     chain = gelsim.make_chain(a.xi0, a.gamma, a.sites, a.init)
     try:
         sol = gelsim.evolve_chain(chain, a.t_end, tol=a.tol)
@@ -323,6 +312,19 @@ def cmd_simulate(a):
     rows = [(t, xi, sol.f[k, j]) for j, t in enumerate(sol.t)
             for k, xi in enumerate(chain.sites)]
     write_csv(a.out, ["t", "xi", "f"], rows, a.echo)
+
+
+def cmd_gelation_scan(a):
+    from . import gelsim
+    diag = gelsim.gelation_scan(a.gamma, init=a.init, n_chains=a.chains,
+                                K=a.sites, horizon=a.t_end, tol=a.tol)
+    emit_json(a.out, {
+        "gamma": diag.gamma,
+        "seeds": diag.seeds.tolist(),
+        "t_hat": diag.t_hat,
+        "collapse_metric": diag.collapse_metric,
+        "horizon": diag.horizon,
+    }, a.echo)
 
 
 def cmd_fig2(a):
@@ -400,9 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("psi-asym", cmd_psi_asym, eta=1.0, eps_list="0.1,0.05,0.02")
     add("laplace", cmd_laplace, eta=1.0)
     add("tails", cmd_tails, eps=0.1, eta=1.0)
-    # --scan n runs a gelation scan over n seeds and emits diagnostics JSON
     add("simulate", cmd_simulate, gamma=2.0, tol=1e-10, xi0=1.0, sites=10,
-        init="exp", t_end=5.0, scan=0)
+        init="exp", t_end=5.0)
+    add("gelation-scan", cmd_gelation_scan, gamma=2.0, tol=1e-10, sites=10,
+        init="exp", t_end=5.0, chains=64)
     add("fig2", cmd_fig2, gamma=2.0, b_list="3.0,2.3,0.25")
     add("fig3", cmd_fig3, gamma=2.0, b=2.3, tol=1e-9, y_max=200.0)
     return top

@@ -106,8 +106,6 @@ class FixedPointGrid:
         half = 0.5 * (self.x[1:] - self.x[:-1])
         self.g = (mid[:, None] + half[:, None] * _GL3_X[None, :]).ravel()
         self.gw = (half[:, None] * _GL3_W[None, :]).ravel()
-        # suffix kernel of the Q route: e^s Q(s) at the Gauss points
-        self.exq_g = greens.exq_eval(self.g)
         # volume kernel K[j, m] = e^(g_m - x_j) Gtilde(x_j, g_m) on the panels
         # fully below x_j, by blocks of 100 rows up to their last row's panels
         t0 = time.perf_counter()
@@ -118,7 +116,8 @@ class FixedPointGrid:
         log.debug("kernel built in %.3f s from %d entries in %d multiply-adds"
                   " with %s residue terms", time.perf_counter() - t0,
                   sum(b.size for b in self.blocks), madds, KERNEL_TERMS)
-        self.exq_w = self.exq_g * self.gw
+        # suffix kernel of the Q route: e^s Q(s) at the Gauss points, weighted
+        self.exq_w = greens.exq_eval(self.g) * self.gw
         self.at_g = _PointPlan(self.x, self.g)
         self.at_x = _PointPlan(self.x, self.x)
         # first-order fields (W, dW) of dW*/d eps and dW*/d eta at (0, 0):

@@ -14,15 +14,15 @@ joint evolution is bitwise identical to separate evolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .delaycore import VALUE_CAP
 from .errors import BlowUpError, DomainError, SolverFailureError
 from .profiles import ModelParams
 
-VALUE_CAP = 1e12
 MAX_CHAINS = 300  # per gelation_scan; a default chain takes 9-15 ms
 
 
@@ -31,23 +31,18 @@ class DyadicChain:
     """Densities on one dyadic chain of sites xi0 * 2^k, k = 0..K.
 
     feeder is the fixed density below the bottom site: zero for a truncated
-    chain (the default), or the stationary extension when checking the
-    stationary power law on a finite chain.
+    chain, or the stationary extension when checking the stationary power
+    law on a finite chain.
     """
 
     xi0: float
     gamma: float
     f: np.ndarray
-    t: float = 0.0
-    feeder: float = 0.0
+    feeder: float
 
     def __post_init__(self):
         if not 1.0 <= self.xi0 < 2.0:
             raise DomainError("seed must lie in [1, 2)")
-
-    @property
-    def K(self) -> int:
-        return len(self.f) - 1
 
     @property
     def sites(self) -> np.ndarray:
@@ -105,29 +100,24 @@ def chain_rhs(chain: DyadicChain) -> Callable:
 
 @dataclass(frozen=True)
 class ChainSolution:
-    chain: DyadicChain
     t: np.ndarray               # uniform snapshot times
     f: np.ndarray               # snapshot states, shape (K+1, len(t))
     t_steps: np.ndarray         # the solver's accepted step abscissae
     f_steps: np.ndarray         # states at accepted steps
-    blew_up: bool
     dense: object               # the solver's dense interpolant
-
-    def state_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.dense(t))
 
 
 def evolve_chain(chain: DyadicChain, t_end: float,
                  tol: float = 1e-10) -> ChainSolution:
-    """Advance a chain to t_end with adaptive explicit stepping.
+    """Advance a chain from t = 0 to t_end with adaptive explicit stepping.
 
     Stops early (BlowUpError) if any site exceeds VALUE_CAP; the partial
     solution rides on the exception.  The 65 uniform snapshots come from
     the dense interpolant; accepted-step states are kept alongside
     (nonnegativity holds at accepted steps).
     """
-    if not chain.t < t_end < math.inf:
-        raise DomainError("t_end must be finite and exceed the chain time")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if not np.all(np.isfinite(chain.f)):
@@ -143,21 +133,17 @@ def evolve_chain(chain: DyadicChain, t_end: float,
     # trial stages may overflow before the cap event sees an accepted step;
     # such a run ends in SolverFailureError below, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(chain_rhs(chain), (chain.t, t_end), chain.f,
+        sol = solve_ivp(chain_rhs(chain), (0.0, t_end), chain.f,
                         method="DOP853", rtol=tol,
                         atol=min(tol * 1e-2, 1e-14), events=hit_cap,
                         dense_output=True)
     if not sol.success and sol.status != 1:
         raise SolverFailureError(float(sol.t[-1]), sol.message)
-    blew = sol.status == 1
     t_last = float(sol.t[-1])
-    snap_t = np.linspace(chain.t, t_last, 65)
-    snap_f = sol.sol(snap_t)
-    out = ChainSolution(
-        chain=replace(chain, f=sol.y[:, -1], t=t_last),
-        t=snap_t, f=snap_f, t_steps=sol.t, f_steps=sol.y, blew_up=blew,
-        dense=sol.sol)
-    if blew:
+    snap_t = np.linspace(0.0, t_last, 65)
+    out = ChainSolution(t=snap_t, f=sol.sol(snap_t), t_steps=sol.t,
+                        f_steps=sol.y, dense=sol.sol)
+    if sol.status == 1:
         raise BlowUpError(t_last, solution=out)
     return out
 
@@ -172,8 +158,8 @@ def evolve_chains(chains, t_end: float, **kwargs) -> list:
 
 
 def chain_rhs_residual(chain: DyadicChain) -> float:
-    """Max |df/dt| of the current state; zero for stationary profiles."""
-    return float(np.max(np.abs(chain_rhs(chain)(chain.t, chain.f))))
+    """Max |df/dt| of the chain's state; zero for stationary profiles."""
+    return float(np.max(np.abs(chain_rhs(chain)(0.0, chain.f))))
 
 
 def single_site_closed_form(xi0: float, gamma: float, c: float,
@@ -299,7 +285,7 @@ def gelation_scan(gamma: float, init="exp", n_chains: int = 64,
             def rescaled(tj):
                 tau = t_hat - tj
                 xs = tau ** b0 * sites
-                Fs = sol.state_at(tj) / tau ** (a0 * b0)
+                Fs = sol.dense(tj) / tau ** (a0 * b0)
                 return np.log(xs), Fs * xs ** a0
 
             # distance of each ladder snapshot to the final one; a

@@ -49,7 +49,9 @@ def _q_sum(xi, N: int, shift: float):
     xi_arr = np.asarray(xi, dtype=float)
     n = np.arange(N + 1)
     signed = np.where(n % 2 == 0, 1.0, -1.0) * q_coefficients(N)
-    terms = signed * np.exp(np.outer(xi_arr.ravel(), shift - 2.0 ** n))
+    # xi (shift - 2^n) overflows to -inf from xi ~ 1e302 on; e^-inf = 0
+    with np.errstate(over="ignore"):
+        terms = signed * np.exp(np.outer(xi_arr.ravel(), shift - 2.0 ** n))
     out = terms.sum(axis=1).reshape(xi_arr.shape)
     return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
 
@@ -137,22 +139,22 @@ def g_by_ode(x: float, xi: float, tol: float = 1e-10) -> float:
 # route 2: contour quadrature of the Gtilde terms
 
 
+# the vertical-contour abscissa Re z, strictly inside (1/2, 1)
+L_TILDE = 0.75
+
+
 @dataclass(frozen=True)
 class GreensEval:
     """Evaluation configuration for the decomposition routes.
 
-    L_tilde is the vertical-contour abscissa, strictly inside (1/2, 1);
     T_max caps the truncated integration range in the imaginary direction;
     tail_target is the omitted tail each contour term may leave.
     """
 
-    L_tilde: float = 0.75
     T_max: float = 200.0
     tail_target: float = 1e-8
 
     def __post_init__(self):
-        if not 0.5 < self.L_tilde < 1.0:
-            raise DomainError("L_tilde must lie strictly inside (1/2, 1)")
         if not 1.0 <= self.T_max < math.inf:  # the tail bound needs t >= 1
             raise DomainError("T_max must be at least 1 and finite")
         if not self.tail_target > 0.0:
@@ -186,7 +188,7 @@ def contour_term_quadrature(n: int, x: float, xi: float,
     cfg.T_max.  Returns (value, tail_estimate).
     """
     a = x - 2.0 ** n * xi
-    L = cfg.L_tilde
+    L = L_TILDE
     T = 10.0
     while T < cfg.T_max and _term_tail_estimate(n, a, L, T) >= cfg.tail_target:
         T *= 1.5
@@ -237,7 +239,7 @@ def gtilde_quadrature(x: float, xi: float,
         coef = term_coefficient(n)
         a = x - 2.0 ** n * xi
         # crude whole-term bound: |coef| e^(a L) * O(1/n)
-        if abs(coef) * math.exp(min(a * cfg.L_tilde, 500.0)) * 8.0 \
+        if abs(coef) * math.exp(min(a * L_TILDE, 500.0)) * 8.0 \
                 < 1e-16 * (1.0 + abs(total)) and n > 1:
             break
         val, tail = contour_term_quadrature(n, x, xi, cfg)
@@ -326,14 +328,14 @@ def bounds_audit() -> dict:
     """Fit the smallest constants in the decay and Lipschitz bounds.
 
     Fits C0 with |Q(xi)| <= C0 e^(-xi), the growth exponent of Gtilde in
-    x - xi against the admissible rate 1 - beta = L_tilde (the default
-    contour abscissa), and the Lipschitz constant of xi -> e^xi Q(xi)
+    x - xi against the admissible rate 1 - beta = L_TILDE (the contour
+    abscissa), and the Lipschitz constant of xi -> e^xi Q(xi)
     relative to e^(-xi).
     """
     xi_grid = np.linspace(0.0, 20.0, 201)
     xi_pairs = [(t, t + h) for t in np.linspace(0.2, 6.0, 30)
                 for h in (1e-3, 0.1)]
-    L = GreensEval.L_tilde
+    L = L_TILDE
     c0_q = float(np.max(np.abs(q_eval(xi_grid)) * np.exp(xi_grid)))
 
     # Lipschitz of e^xi Q(xi), measured against e^(-xi_lo)

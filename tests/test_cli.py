@@ -262,6 +262,15 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr)["type"] == "SolverFailureError"
 
+    def test_q_past_the_overflow_of_its_exponents_is_silent(self):
+        # xi (shift - 2^n) overflows to -inf from xi ~ 1e302 on; e^-inf = 0
+        proc = subprocess.run([sys.executable, "-m", "gelshoot.cli",
+                               "greens-q", "--grid", "0:1e303:2"],
+                              env=child_env(), capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "1e+303,0,0"
+
     @pytest.mark.parametrize("argv", [("classify", "--gamma", "abc"),
                                       ("classify", "--nope", "1"),
                                       ("scan-b", "--jobs", "2"),
@@ -336,7 +345,7 @@ FUZZ = [
     ("fig2", "--b-list", "3,x"),
     ("b-star", "--digits", "-1"),
     ("simulate", "--sites", "-1"),
-    ("simulate", "--scan", "-1"),
+    ("gelation-scan", "--chains", "-1"),
     ("laplace", "--eta", "inf"),
     ("laplace", "--eta", "1e308"),
     ("tails", "--eta", "0"),
@@ -349,7 +358,7 @@ FUZZ = [
     ("simulate", "--tol", "nan"),
     ("simulate", "--tol", "-1"),
     ("simulate", "--tol", "inf"),
-    ("simulate", "--scan", "2", "--tol", "0"),
+    ("gelation-scan", "--chains", "2", "--tol", "0"),
     ("greens-verify", "--t-max", "0"),
     ("greens-verify", "--t-max", "-5"),
     ("greens-verify", "--t-max", "nan"),
@@ -398,14 +407,24 @@ FUZZ = [
     ("simulate", "--gamma", "inf", "--sites", "10", "--t-end", "1"),
     ("simulate", "--gamma", "1e308", "--sites", "10", "--t-end", "1"),
     ("simulate", "--gamma", "200", "--sites", "10", "--t-end", "1"),
-    ("simulate", "--scan", "2", "--gamma", "nan"),
+    ("gelation-scan", "--chains", "2", "--gamma", "nan"),
     # (xi0 2^K)^(gamma+1) overflows: refused before the 1e9-site arrays that
     # once exhausted memory
     ("simulate", "--sites", "1000000000"),
     # more chains than gelsim.MAX_CHAINS: 10^5 chains still ran at 30 s, and
     # 10^9 were killed, most likely out of memory
+    ("gelation-scan", "--chains", "100000"),
+    ("gelation-scan", "--chains", "1000000000"),
+    # simulate runs one chain and takes no --scan, the old spelling of
+    # gelation-scan --chains, which in turn reads no seed: each flag shaped
+    # no result yet showed in the config line
+    ("simulate", "--scan", "2"),
+    ("simulate", "--scan", "-1"),
+    ("simulate", "--scan", "2", "--tol", "0"),
+    ("simulate", "--scan", "2", "--gamma", "nan"),
     ("simulate", "--scan", "100000"),
     ("simulate", "--scan", "1000000000"),
+    ("gelation-scan", "--xi0", "1.5"),
     # eta (at eps = 0) below 2^-49, where 1 + eps cannot hold eps: these
     # once returned eps/eta far from 0.2097, the midpoint of a flat F, or a
     # NoSignChangeError
@@ -522,6 +541,14 @@ class TestRemainingSubcommands:
             code, out, err = run(capsys, *argv)
             assert code == 0, f"{argv} failed: {err}"
             assert out
+
+    def test_gelation_scan_lists_only_what_it_read(self, capsys):
+        code, out, _ = run(capsys, "gelation-scan", "--chains", "2",
+                           "--sites", "4", "--t-end", "1")
+        doc = json.loads(out)
+        assert code == 0 and len(doc["result"]["seeds"]) == 2
+        assert doc["provenance"]["config"] == \
+            "chains=2 gamma=2.0 init=exp sites=4 t_end=1.0 tol=1e-10"
 
     def test_eps_of_eta_reports_the_tested_f(self, capsys):
         # the F that the stop tested: the returned state's F_value, that of

@@ -80,7 +80,6 @@ class TestBlowUpHandling:
         with pytest.raises(BlowUpError) as info:
             gs.evolve_chain(chain, 10.0)
         sol = info.value.solution
-        assert sol.blew_up
         assert float(sol.f_steps[:, -1].max()) >= 1.5 * 0.999
 
     def test_estimator_finite_only_for_growing_sites(self):

@@ -553,12 +553,6 @@ class TestQuadratureRoute:
         with pytest.warns(TruncationWarning):
             gr.gtilde_quadrature(2.0, 1.0, cfg)
 
-    def test_contour_position_constrained(self):
-        with pytest.raises(DomainError):
-            gr.GreensEval(L_tilde=0.5)
-        with pytest.raises(DomainError):
-            gr.GreensEval(L_tilde=1.0)
-
     @pytest.mark.parametrize("kw", [
         {"T_max": 0.0}, {"T_max": -5.0}, {"T_max": math.nan},
         {"T_max": math.inf}, {"T_max": 0.5}, {"tail_target": 0.0},

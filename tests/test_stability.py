@@ -446,6 +446,52 @@ class TestEmpiricalStability:
                                    lambda z: 0.2 * math.cos(z))
 
 
+def frozen_numpy_probe(params, perturbation):
+    """The probe as it was on numpy arrays, before it ran on floats."""
+    from gelshoot import delaycore as dc
+    pinf, d = params.phi_inf, params.d
+    zs = np.linspace(-d, 0.0, 64)
+    sup0 = float(np.max(np.abs([perturbation(z) for z in zs])))
+    if sup0 > 0.1 * pinf + 1e-15:
+        raise DomainError("perturbation exceeds a tenth of the constant")
+    escape = max(100.0 * sup0, 2.0 * pinf)
+    hist = dc.FunctionHistory(lambda z: pinf + perturbation(z), -d, 0.0)
+    traj = dc.integrate(dc.phi_equation(params), hist,
+                        (0.0, st.DECAY_HORIZON), tol=1e-9,
+                        stop_condition=lambda z, u: abs(u - pinf) > escape)
+    dev = np.abs(traj.nodes()[1] - pinf)
+    final = float(dev[-1])
+    return st.DecayReport(
+        decayed=traj.event_t is None and final < 1e-6 * max(1.0, pinf),
+        final_deviation=final, sup_deviation=float(np.max(dev)))
+
+
+class TestFloatProbe:
+    @pytest.mark.parametrize("gamma,ratio,amp", [
+        (2.0, 0.6, 0.05), (2.0, 0.9, 0.015), (2.0, 1.2, 0.05),
+        (3.5, 0.7, 0.08), (1.5, 2.5, 0.03)])
+    def test_same_bytes_as_the_numpy_probe(self, gamma, ratio, amp):
+        # the 64 points of the amplitude check are numpy.linspace's, and
+        # they set the escape level 100 sup|perturbation| when it exceeds
+        # 2 phi_inf: the points each probe asks for are compared too (at
+        # gamma = 1.5 63 (d/63) - d is 6.9e-18, not linspace's last 0)
+        params = make_params(gamma, ratio * st.b_star(gamma))
+        scale = amp * params.phi_inf
+        runs = []
+        for probe in (st.stability_empirical, frozen_numpy_probe):
+            asked = []
+
+            def perturbation(z):
+                asked.append(float(z).hex())
+                return scale * math.cos(z)
+
+            rep = probe(params, perturbation)
+            runs.append((rep.decayed, rep.final_deviation.hex(),
+                         rep.sup_deviation.hex(), asked))
+        assert runs[0] == runs[1]
+        assert len(runs[0][3]) > 64 and runs[0][3][63] == (0.0).hex()
+
+
 class TestScanExport:
     def test_rows_carry_thresholds(self):
         rows = st.stability_scan(2.0, [2.3, 3.0])
