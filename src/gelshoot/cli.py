@@ -81,8 +81,7 @@ MAX_GRID_POINTS = 10 ** 5
 
 def parse_grid(spec: str) -> list:
     """lo:hi:n with a finite hi - lo and 1 to MAX_GRID_POINTS linearly
-    spaced points, by numpy.linspace's formula i ((hi - lo)/(n - 1)) + lo
-    with hi last."""
+    spaced points (profiles.lin_grid)."""
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -96,8 +95,7 @@ def parse_grid(spec: str) -> list:
     if n > MAX_GRID_POINTS:
         raise DomainError(f"grid {spec!r} has more than {MAX_GRID_POINTS} "
                           "points")
-    step = (hi - lo) / max(n - 1, 1)
-    return [i * step + lo for i in range(n - 1)] + [hi if n > 1 else lo]
+    return profiles.lin_grid(lo, hi, n)
 
 
 def parse_floats(spec: str) -> list:
@@ -132,9 +130,10 @@ def load_config(path: str) -> dict:
 # subcommand handlers; each writes its own output and returns None.
 # A handler imports the library modules it calls, and outside the array
 # modules each function imports numpy itself, so a process loads only what
-# its subcommand needs: importing scipy takes far longer than the work of
-# the cheap subcommands, and numpy would nearly double the cold time of
-# --version, params, b-star, tails, laplace, classify, scan-b, winding,
+# its subcommand needs: scipy, which takes far longer to import than the
+# work of the cheap subcommands, loads only for the chain solver of
+# simulate and gelation-scan, and numpy would nearly double the cold time
+# of --version, params, b-star, tails, laplace, classify, scan-b, winding,
 # stability-scan, profile and bracket-bbar, which load none.
 
 

@@ -62,6 +62,7 @@ class PositivityViolationError(GelshootError):
 # ---------------------------------------------------------------------------
 # grid with precomputed kernels
 
+# literals: leggauss(3)'s 5/9 differs in its last bit, which would move K
 _GL3_X = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
@@ -102,10 +103,7 @@ class FixedPointGrid:
         octave = X_MAX * 2.0 ** (np.arange(1 - PER_OCTAVE, 1) / PER_OCTAVE)
         steps = np.ldexp(octave, np.arange(-19, 1)[:, None]).ravel()
         self.x = np.append(0.0, steps[PER_OCTAVE - 1:])
-        mid = 0.5 * (self.x[1:] + self.x[:-1])
-        half = 0.5 * (self.x[1:] - self.x[:-1])
-        self.g = (mid[:, None] + half[:, None] * _GL3_X[None, :]).ravel()
-        self.gw = (half[:, None] * _GL3_W[None, :]).ravel()
+        self.g, self.gw = greens.gauss_panels(self.x, _GL3_X, _GL3_W)
         # volume kernel K[j, m] = e^(g_m - x_j) Gtilde(x_j, g_m) on the panels
         # fully below x_j, by blocks of 100 rows up to their last row's panels
         t0 = time.perf_counter()

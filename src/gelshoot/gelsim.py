@@ -19,11 +19,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .delaycore import VALUE_CAP
+from .delaycore import VALUE_CAP, hermite_apply, hermite_weights
 from .errors import BlowUpError, DomainError, SolverFailureError
 from .profiles import ModelParams
 
 MAX_CHAINS = 300  # per gelation_scan; a default chain takes 9-15 ms
+# DOP853's rtol floor, 100 eps: below it scipy warns and runs at the floor
+TOL_MIN = 100.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,8 @@ def evolve_chain(chain: DyadicChain, t_end: float,
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError("t_end must be positive and finite")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if not TOL_MIN <= tol < 1.0:
+        raise DomainError(f"tol = {tol!r} not in [{TOL_MIN!r}, 1)")
     if not np.all(np.isfinite(chain.f)):
         raise DomainError("chain state must be finite")
     from scipy.integrate import solve_ivp
@@ -174,28 +176,24 @@ def single_site_closed_form(xi0: float, gamma: float, c: float,
 
 
 def selfsimilar_residual(x: np.ndarray, F: np.ndarray,
-                         params: ModelParams,
-                         dF: Optional[np.ndarray] = None) -> float:
+                         params: ModelParams, dF: np.ndarray) -> float:
     """Max residual of the self-similar profile equation on a grid.
 
     Checks -a b F - b x F' - (1/4)(x/2)^(gamma+1) F(x/2)^2
-    + x^(gamma+1) F(x)^2 with F(x/2) interpolated (cubic, in log x when the
-    grid allows) and F' from the supplied derivative or the interpolant.
+    + x^(gamma+1) F(x)^2 with F(x/2) from the cubic Hermite in ln x, whose
+    node slopes are x F'.
     """
-    x = np.asarray(x, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
-        raise DomainError("grid must be positive and increasing")
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(np.log(x), F)
-    if dF is None:
-        dFx = spline(np.log(x), 1) / x
-    else:
-        dFx = np.asarray(dF, dtype=float)
+    x, F, dF = (np.asarray(v, dtype=float) for v in (x, F, dF))
+    if x.ndim != 1 or len(x) < 2 or not x.shape == F.shape == dF.shape:
+        raise DomainError("need a 1-D grid of >= 2 points, one F, dF each")
+    if not np.all(np.isfinite(x) & np.isfinite(F) & np.isfinite(dF)):
+        raise DomainError("grid, F and dF must be finite")
+    if np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0) or x[-1] < 2.0 * x[0]:
+        raise DomainError("grid must be positive, increasing, an octave wide")
     inner = x / 2.0 >= x[0]
-    xs, Fs, dFs = x[inner], F[inner], dFx[inner]
-    F_half = spline(np.log(xs / 2.0))
+    xs, Fs, dFs = x[inner], F[inner], dF[inner]
+    F_half = hermite_apply(hermite_weights(np.log(x), np.log(xs / 2.0)),
+                           F, x * dF)
     g = params.gamma
     res = (-params.a * params.b * Fs - params.b * xs * dFs
            - 0.25 * (xs / 2.0) ** (g + 1.0) * F_half ** 2

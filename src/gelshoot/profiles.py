@@ -251,6 +251,16 @@ def log_grid(lo: float, hi: float, n: int):
     return point
 
 
+def lin_grid(lo: float, hi: float, n: int) -> list:
+    """n >= 1 points from lo to hi by numpy.linspace's formula, hi last:
+    i ((hi - lo)/(n - 1)) + lo, or (i/(n - 1)) (hi - lo) + lo where that
+    step underflows to 0."""
+    delta, div = hi - lo, max(n - 1, 1)
+    step = delta / div
+    return [(i * step if step else i / div * delta) + lo
+            for i in range(n - 1)] + [hi if n > 1 else lo]
+
+
 def series_switchover(series: PowerSeries) -> float:
     """Largest y at which the last few series terms stay below 1e-14.
 

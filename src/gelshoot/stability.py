@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .errors import (DomainError, NoSignChangeError, OriginOnCurveError,
                      SampleBudgetError, WindingCountError)
-from .profiles import LN2, ModelParams, bisect, check_gamma, make_params
+from .profiles import (LN2, ModelParams, bisect, check_gamma, lin_grid,
+                       make_params)
 
 
 def b_star(gamma: float) -> float:
@@ -213,14 +214,12 @@ def stability_empirical(params: ModelParams, perturbation) -> DecayReport:
     early once the deviation escapes well past the constant (deep
     instability dives to a blow-up), and the report says it did not decay.
     The perturbation must stay below 0.1 * phi_inf in magnitude at 64
-    points of [-d, 0] (numpy.linspace's, with 0 last).
+    evenly spaced points of [-d, 0].
     """
     from . import delaycore as dc
     pinf = params.phi_inf
     d = params.d
-    step = d / 63.0
-    zs = [i * step - d for i in range(63)] + [0.0]
-    sup0 = max(abs(perturbation(z)) for z in zs)
+    sup0 = max(abs(perturbation(z)) for z in lin_grid(-d, 0.0, 64))
     if sup0 > 0.1 * pinf + 1e-15:
         raise DomainError("perturbation exceeds a tenth of the constant")
 
@@ -256,4 +255,4 @@ def curve_samples(params: ModelParams) -> np.ndarray:
     import numpy as np
     cp = CharProblem.from_params(params)
     return np.array([_axis_image(cp.sigma_tilde, cp.d_tilde, t) for t in
-                     np.linspace(-DISK_RADIUS, DISK_RADIUS, 4000).tolist()])
+                     lin_grid(-DISK_RADIUS, DISK_RADIUS, 4000)])

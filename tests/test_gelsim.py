@@ -93,18 +93,21 @@ class TestBlowUpHandling:
 
 class TestSelfSimilarResidual:
     def test_stationary_power_law(self):
+        # 1.0e-13 with the Hermite in ln x (the spline read 1.1e-13)
         p = make_params(2.0, 2.0)      # the exponent pair (a0, b0)
         x = np.geomspace(0.1, 10.0, 20000)
         F = x ** -2.5
         dF = -2.5 * x ** -3.5
-        assert gs.selfsimilar_residual(x, F, p, dF=dF) < 1e-10
+        assert gs.selfsimilar_residual(x, F, p, dF=dF) < 1e-12
 
     def test_zero_profile(self):
         p = make_params(2.0, 3.0)
         x = np.geomspace(0.1, 10.0, 100)
-        assert gs.selfsimilar_residual(x, np.zeros_like(x), p) == 0.0
+        zero = np.zeros_like(x)
+        assert gs.selfsimilar_residual(x, zero, p, dF=zero) == 0.0
 
     def test_shooting_profile_cross_check(self):
+        # 2.7e-13 with the Hermite in ln x (the spline read 1.3e-12)
         from gelshoot import shooting as sh
         p = make_params(2.0, 5.0)
         tol = 1e-9
@@ -118,13 +121,55 @@ class TestSelfSimilarResidual:
         dPhi_dx = (H + y * dH) * y / (p.b * x)
         dF = dPhi_dx / x ** (p.gamma + 1.0) \
             - (p.gamma + 1.0) * Phi / x ** (p.gamma + 2.0)
-        assert gs.selfsimilar_residual(x, F, p, dF=dF) < 10.0 * tol
+        assert gs.selfsimilar_residual(x, F, p, dF=dF) < 1e-12
+
+    def test_interpolates_with_the_one_hermite(self):
+        # F(x/2) is the cubic Hermite in ln x with node slopes x F': exact
+        # for a cubic in ln x, here a grid whose halves miss every node
+        p = make_params(2.0, 3.0)
+        x = np.geomspace(1.0, 16.0, 7)
+        u = np.log(x)
+        F, dF = 1.0 + u * (0.5 - u * (0.25 - 0.1 * u)), \
+            (0.5 - u * (0.5 - 0.3 * u)) / x
+        inner = x / 2.0 >= x[0]
+        uh = np.log(x[inner] / 2.0)
+        F_half = 1.0 + uh * (0.5 - uh * (0.25 - 0.1 * uh))
+        xs, g = x[inner], p.gamma
+        expected = np.max(np.abs(
+            -p.a * p.b * F[inner] - p.b * xs * dF[inner]
+            - 0.25 * (xs / 2.0) ** (g + 1.0) * F_half ** 2
+            + xs ** (g + 1.0) * F[inner] ** 2))
+        assert gs.selfsimilar_residual(x, F, p, dF=dF) == pytest.approx(
+            expected, rel=1e-13)
 
     def test_bad_grid(self):
         p = make_params(2.0, 3.0)
+        one = np.array([1.0, 1.0])
         with pytest.raises(DomainError):
-            gs.selfsimilar_residual(np.array([-1.0, 1.0]),
-                                    np.array([1.0, 1.0]), p)
+            gs.selfsimilar_residual(np.array([-1.0, 1.0]), one, p, dF=one)
+
+    @pytest.mark.parametrize("x, F, dF", [
+        # each once ended in scipy's ValueError or an IndexError, and an
+        # infinite dF once returned an infinite residual
+        ([1.0, math.nan, 4.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+        ([1.0, 2.0, math.inf], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+        ([1.0, 2.0, 4.0], [1.0, math.nan, 1.0], [0.0, 0.0, 0.0]),
+        ([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], [0.0, -math.inf, 0.0]),
+        ([1.0, 2.0, 4.0], [1.0, 1.0], [0.0, 0.0, 0.0]),
+        ([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], [0.0, 0.0]),
+        ([[1.0, 2.0], [4.0, 8.0]], [[1.0, 1.0], [1.0, 1.0]],
+         [[0.0, 0.0], [0.0, 0.0]]),
+        ([1.0], [1.0], [0.0]),
+        ([], [], []),
+        # no x/2 on a grid narrower than an octave: once np.max's
+        # ValueError on an empty residual
+        ([1.0, 1.5, 1.9], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])],
+        ids=["nan-x", "inf-x", "nan-F", "inf-dF", "short-F", "short-dF",
+             "2-d", "one-point", "empty", "under-an-octave"])
+    def test_refused_inputs(self, x, F, dF):
+        with pytest.raises(DomainError):
+            gs.selfsimilar_residual(np.array(x), np.array(F),
+                                    make_params(2.0, 3.0), dF=np.array(dF))
 
 
 class TestGelationScan:
@@ -168,6 +213,29 @@ class TestGelationScan:
             gs.make_chain(2.5, 2.0, 4, "exp")
         with pytest.raises(DomainError):
             gs.make_chain(1.0, 2.0, 4, "unknown-init")
+
+
+class TestTolRange:
+    @pytest.mark.parametrize("tol", [
+        0.0, -1.0, math.nan, math.inf, 1.0, 1e250, 1e300, 1e-300,
+        np.nextafter(gs.TOL_MIN, 0.0)])
+    def test_tol_outside_the_solver_range_is_refused(self, tol,
+                                                     monkeypatch):
+        # refused before the rates are built: 1e300 once ended in a NaN
+        # event traceback, 1e-300 in scipy's warning and a run at its floor
+        monkeypatch.setattr(gs, "chain_rhs", None)
+        chain = gs.make_chain(1.0, 2.0, 3, "exp")
+        with pytest.raises(DomainError, match=r"not in \[2\.22"):
+            gs.evolve_chain(chain, 1.0, tol=tol)
+
+    def test_the_floor_is_dop853s(self):
+        # scipy warns below 100 eps and runs at it; at the floor it is quiet
+        assert gs.TOL_MIN == 100.0 * np.finfo(float).eps
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gs.evolve_chain(gs.make_chain(1.0, 2.0, 3, "exp"), 0.1,
+                            tol=gs.TOL_MIN)
 
 
 class TestChainRates:

@@ -65,18 +65,31 @@ class TestQ:
             gr.q_tail_bound(math.nan)
 
 
+def c0_mpmath():
+    """1 + sum_n (-1)^n / prod_{j<=n} (2^j - 1) to 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        total, prod = mpmath.mpf(1), mpmath.mpf(1)
+        for n in range(1, 40):  # the term at n = 40 is below 1e-240
+            prod *= 2 ** n - 1
+            total += mpmath.mpf(-1) ** n / prod
+        return total
+
+
 class TestC0:
     def test_series_value(self):
+        ref = c0_mpmath()
+        assert abs(gr.c0_moment() - ref) <= 1e-15 * ref
         assert gr.c0_moment() == pytest.approx(C0_ORACLE, abs=1e-9)
-        assert gr.c0_moment() == pytest.approx(0.2887881, abs=1e-6)
 
     def test_first_two_terms_cancel(self):
         # the n = 0 and n = 1 contributions are 1 and -1 exactly
         assert 1.0 - 4.0 / 4.0 == 0.0
 
     def test_quadrature_route_agrees(self):
-        assert gr.c0_moment_quad() == pytest.approx(gr.c0_moment(),
-                                                    abs=1e-9)
+        # Gauss panels on octaves: 2.4e-17 relative where quad gave 1.9e-16
+        ref = c0_mpmath()
+        assert abs(gr.c0_moment_quad() - ref) <= 1e-15 * ref
 
     def test_eta_derivative_series(self):
         # hand-summed first terms: 1/2 - 4/3 + 16/15 - 64/189 + ...
@@ -225,6 +238,57 @@ class TestOneQTable:
                                                                rel=1e-15)
         # at (80, 1e-3), where gtilde_exact returns 397.19
         assert ref == pytest.approx(-79.38035176207164, rel=1e-15)
+
+
+class TestOnePanelRule:
+    """One helper, gauss_panels, maps a Gauss rule onto panels for the
+    fixed-point grid (3 points), the contour quadrature and the c0 moment
+    (8 points each)."""
+
+    @pytest.mark.parametrize("rule", [(fp._GL3_X, fp._GL3_W),
+                                      gr._gauss_legendre_8()],
+                             ids=["GL3", "GL8"])
+    def test_rule_is_exact_on_polynomials(self, rule):
+        edges = np.array([0.0, 0.25, 1.0, 1.5, 3.0])
+        t, w = gr.gauss_panels(edges, *rule)
+        assert t.shape == w.shape == (4 * len(rule[0]),)
+        assert np.all(np.diff(t) > 0.0)
+        for k in range(2 * len(rule[0])):  # degree 2m - 1 is exact
+            assert np.sum(w * t ** k) == pytest.approx(
+                3.0 ** (k + 1) / (k + 1), rel=1e-14)
+
+    def test_gl3_literals_are_leggauss_to_one_ulp(self):
+        # leggauss(3) gives the 5/9 weights one ulp high, which would move
+        # K; the grid keeps the literals
+        x, w = np.polynomial.legendre.leggauss(3)
+        assert same_bytes(x, fp._GL3_X)
+        assert np.all(np.abs(w - fp._GL3_W) <= np.spacing(fp._GL3_W))
+        g, gw = gr.gauss_panels(fp.default_grid().x, fp._GL3_X, fp._GL3_W)
+        assert same_bytes(g, fp.default_grid().g)
+        assert same_bytes(gw, fp.default_grid().gw)
+
+    def test_only_gauss_panels_maps_panels(self):
+        # 0.5 (e[1:] +- e[:-1]), a panel's centre or half width, is formed
+        # in gauss_panels alone
+        found = set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.BinOp) \
+                        and isinstance(child.op, (ast.Add, ast.Sub)) \
+                        and {ast.unparse(side.slice) for side in
+                             (child.left, child.right)
+                             if isinstance(side, ast.Subscript)} \
+                        == {"1:", ":-1"}:
+                    found.add(scope)
+                visit(child, scope)
+
+        for path in sorted(Path(gr.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), path.stem)
+        assert found == {"greens.gauss_panels"}
 
 
 class TestOdeRoute:

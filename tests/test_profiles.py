@@ -587,3 +587,20 @@ class TestProperties:
         ref = np.geomspace(lo, lo * ratio, n)
         assert (y[0], y[-1]) == (ref[0], ref[-1]) and len(y) == n
         assert np.allclose(y, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4000])
+    @pytest.mark.parametrize("lo, hi", [
+        (-4.0, 4.0), (0.3, 7.7), (5.0, 3.0), (-2.0, 0.0), (2.0, 2.0),
+        (0.0, 5e-324)])  # a step that underflows to 0
+    def test_lin_grid_is_numpy_linspace(self, lo, hi, n):
+        # the one grid of parse_grid, stability_empirical and curve_samples
+        got = profiles.lin_grid(lo, hi, n)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    @PROPERTY
+    @given(lo=st.floats(-1e300, 1e300), hi=st.floats(-1e300, 1e300),
+           n=st.integers(1, 300))
+    def test_lin_grid_matches_numpy_bit_for_bit(self, lo, hi, n):
+        assert np.array(profiles.lin_grid(lo, hi, n)).tobytes() \
+            == np.linspace(lo, hi, n).tobytes()
