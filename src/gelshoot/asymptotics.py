@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SeriesOverflowError, TermCapError
-from .profiles import LN2, bisect_root, horner
+from .profiles import LN2, bisect_root, fsum_dot, horner
 
 GAMMA1_B1_LIMIT = (1.0 - LN2) / LN2
 
@@ -80,13 +80,10 @@ class Gamma1Profile:
 
     b: float
     alpha: float
-    coefficients: np.ndarray       # a_0 = 1, a_1, ..., a_N
+    coefficients: tuple       # a_0 = 1, a_1, ..., a_N, floats
 
     def eval(self, x):
-        import numpy as np
-        u = np.power(np.asarray(x, dtype=float), self.alpha)
-        acc = horner(self.coefficients, u)
-        return float(acc) if np.isscalar(x) else acc
+        return horner(self.coefficients, x ** self.alpha)
 
     def switchover(self) -> float:
         """Largest x where the last retained series term stays below 1e-14,
@@ -114,19 +111,16 @@ def gamma1_series(b: float, a1: float, N: int) -> Gamma1Profile:
         raise DomainError("a1 must be nonpositive; the profile decreases")
     if N < 2:
         raise DomainError("need N >= 2")
-    import numpy as np
     al = alpha_root(b)
-    a = np.zeros(N + 1)
-    a[0] = 1.0
-    a[1] = a1
+    a = [1.0, float(a1)]
     for n in range(2, N + 1):
         denom = n * b * al / (1.0 - 2.0 ** (-n * al)) - 2.0
-        a[n] = float(np.dot(a[1:n], a[n - 1:0:-1])) / denom
-    return Gamma1Profile(b=b, alpha=al, coefficients=a)
+        a.append(fsum_dot(a[1:n], a[n - 1:0:-1]) / denom)
+    return Gamma1Profile(b=b, alpha=al, coefficients=tuple(a))
 
 
 def gamma1_trajectory(profile: Gamma1Profile, x_max: float,
-                      tol: float = 1e-10) -> dc.DenseTrajectory:
+                      tol: float) -> dc.DenseTrajectory:
     """Continue the series profile by integrating in z = ln x.
 
     The log variable turns the halved argument into a constant shift, so
@@ -151,21 +145,19 @@ def gamma1_b1_limit(a1: float, x_max: float = 1e5,
     The limit is (1 - ln2)/ln2 independently of a1 < 0; the approach is a
     power law x^(-p) with p ~ 1.31, reported from a tail fit.
     """
-    import numpy as np
+    import statistics  # inside: laplace and tails would pay its 4-6 ms
     prof = gamma1_series(1.0, a1, 40)
     if abs(prof.alpha - 1.0) > 1e-12:
         raise DomainError("expected integer-exponent branch at b = 1")
     traj = gamma1_trajectory(prof, x_max, tol=tol)
-    ts, us, _ = traj.nodes()
-    limit = float(us[-1])
     # power-law tail fit of |Phi - limit| on the last two decades
-    dev = np.abs(us - GAMMA1_B1_LIMIT)
-    mask = (ts > ts[-1] - 2.0 * math.log(10.0)) & (dev > 1e-14)
-    fit_p = None
-    if mask.sum() > 10:
-        fit_p = float(-np.polyfit(ts[mask], np.log(dev[mask]), 1)[0])
-    return {"limit": limit, "a1": a1, "x_max": x_max,
-            "tail_exponent_fit": fit_p, "trajectory": traj}
+    z_tail = traj.ts[-1] - 2.0 * math.log(10.0)
+    tail = [(z, math.log(abs(u - GAMMA1_B1_LIMIT)))
+            for z, u in zip(traj.ts, traj.us)
+            if z > z_tail and abs(u - GAMMA1_B1_LIMIT) > 1e-14]
+    fit_p = -statistics.linear_regression(*zip(*tail)).slope \
+        if len(tail) > 10 else None
+    return {"limit": traj.us[-1], "tail_exponent_fit": fit_p}
 
 
 # ---------------------------------------------------------------------------
@@ -175,42 +167,43 @@ def gamma1_b1_limit(a1: float, x_max: float = 1e5,
 PSI_TERM_CAP = 100000
 
 
-def _psi_log_terms(eps: float, y: float) -> np.ndarray:
+def _psi_log_terms(eps: float, y: float) -> list:
     """Logs of the positive series terms of Psi(y), lowest order first,
     until they fall 36 below the largest; TermCapError when PSI_TERM_CAP
     terms do not get there (the terms peak near order 2y)."""
-    import numpy as np
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0,1)")
     if y < 0.0:
         raise DomainError("Psi is evaluated for y >= 0")
-    logs = [math.log(y)] if y > 0.0 else [-math.inf]
     if y == 0.0:
-        return np.array(logs)
-    log_prod = 0.0
-    log_fact = 0.0
+        return [-math.inf]
     ly = math.log(y)
-    m = logs[0]
+    log_q = math.log1p(-eps)  # (1 - eps)^n = e^(n log_q), eps < 1e-16 too
+    logs = [ly]
+    log_prod = log_fact = 0.0
+    m = ly
     for n in range(1, PSI_TERM_CAP + 1):
-        log_prod += math.log1p(-(1.0 - eps) ** n)
+        log_prod += math.log(-math.expm1(n * log_q))
         log_fact += math.log(n + 1.0)
         term = n * LN2 + log_prod - log_fact + (n + 1) * ly
         logs.append(term)
         if term > m:
             m = term
         if n > 8 and term < m - 36.0 and term < logs[-2]:
-            return np.asarray(logs)
+            return logs
     raise TermCapError(f"Psi series at eps={eps!r}, y={y!r}", PSI_TERM_CAP)
+
+
+def _log_sum(logs: list) -> tuple:
+    """The largest log m and s = fsum(e^(l - m)), so that sum e^l = e^m s."""
+    m = max(logs)
+    return m, math.fsum(math.exp(v - m) for v in logs)
 
 
 def psi_log_eval(eps: float, y: float) -> float:
     """log Psi(y), summed stably in log space (Psi's terms are positive)."""
-    import numpy as np
-    logs = _psi_log_terms(eps, y)
-    m = float(np.max(logs))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.sum(np.exp(logs - m))))
+    m, s = _log_sum(_psi_log_terms(eps, y))
+    return m if m == -math.inf else m + math.log(s)
 
 
 def psi_series_eval(eps: float, y: float) -> float:
@@ -228,15 +221,12 @@ def psi_series_eval(eps: float, y: float) -> float:
 
 def psi_derivative(eps: float, y: float) -> float:
     """Term-wise derivative of the Psi series."""
-    import numpy as np
     if y == 0.0:
         return 1.0
-    logs = _psi_log_terms(eps, y)
-    n = np.arange(len(logs))
     ly = math.log(y)
-    dlogs = logs - ly + np.log(n + 1.0)
-    m = float(np.max(dlogs))
-    return math.exp(m) * float(np.sum(np.exp(dlogs - m)))
+    m, s = _log_sum([v - ly + math.log(n + 1.0)
+                     for n, v in enumerate(_psi_log_terms(eps, y))])
+    return math.exp(m) * s
 
 
 def psi_residual(eps: float, y: float) -> float:
@@ -340,7 +330,6 @@ def critical_delta(eps: float, eta_bar: float) -> dict:
         "log_delta": log_delta,
         "matching_slope": w_prime(eta_bar),
         "y_bar": eta_bar / eps,
-        "matching_form": "1 - exp(slope * (y - y_bar))",
     }
 
 

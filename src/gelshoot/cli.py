@@ -128,13 +128,15 @@ def load_config(path: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each writes its own output and returns None.
-# A handler imports the library modules it calls, and outside the array
-# modules each function imports numpy itself, so a process loads only what
-# its subcommand needs: scipy, which takes far longer to import than the
-# work of the cheap subcommands, loads only for the chain solver of
-# simulate and gelation-scan, and numpy would nearly double the cold time
-# of --version, params, b-star, tails, laplace, classify, scan-b, winding,
-# stability-scan, profile and bracket-bbar, which load none.
+# A handler imports the library modules it calls, so a process loads only
+# what its subcommand needs.  numpy is imported at module level by the
+# array modules (fixedpoint, gelsim, greens) and elsewhere only inside
+# delaycore's array helpers, so every subcommand but greens-q,
+# greens-verify, fixedpoint, eps-of-eta, bbar, simulate and gelation-scan
+# runs on Python floats and loads none; numpy would nearly double their
+# cold time.  scipy, which takes far longer to import than the work of the
+# cheap subcommands, loads only for the chain solver of simulate and
+# gelation-scan.
 
 
 def cmd_params(a):
@@ -248,13 +250,11 @@ def cmd_eps_of_eta(a):
 
 
 def cmd_bbar(a):
-    import numpy as np
-
     from . import fixedpoint
     crit = fixedpoint.bbar_of_gamma(a.gamma)
     payload = {"gamma": a.gamma, "bbar": crit.bbar, "eps": crit.eps,
                "eta": crit.eta, "tail_rate": crit.tail_rate_fit,
-               "min_h": float(np.min(crit.h))}
+               "min_h": float(crit.h.min())}
     if a.out and a.out.endswith(".csv"):
         write_csv(a.out, ["x", "h", "W"],
                   zip(crit.state.x, crit.h, crit.state.W), a.echo)
@@ -264,21 +264,16 @@ def cmd_bbar(a):
 
 
 def cmd_gamma1(a):
-    import numpy as np
-
     from . import asymptotics
     b = profiles.LN2 if a.b is None else a.b
     if abs(b - 1.0) < 1e-12:
         out = asymptotics.gamma1_b1_limit(a.a1, x_max=a.y_max, tol=a.tol)
-        emit_json(a.out, {"b": 1.0, "a1": a.a1, "limit": out["limit"],
-                          "tail_exponent_fit": out["tail_exponent_fit"]},
-                  a.echo)
+        emit_json(a.out, {"b": 1.0, "a1": a.a1, **out}, a.echo)
         return
     prof = asymptotics.gamma1_series(b, a.a1, 40)
     traj = asymptotics.gamma1_trajectory(prof, a.y_max, tol=a.tol)
-    ts, us, dus = traj.nodes()
     write_csv(a.out, ["x", "Phi", "dPhi_dlnx"],
-              zip(np.exp(ts), us, dus), a.echo)
+              zip(map(math.exp, traj.ts), traj.us, traj.dus), a.echo)
 
 
 def cmd_psi_asym(a):
@@ -332,21 +327,17 @@ def cmd_fig2(a):
         p = make_params(a.gamma, b)
         z = stability.curve_samples(p)
         write_csv(_tagged(a.out, f"b{b:g}", ""), ["t_real", "t_imag"],
-                  zip(z.real, z.imag), a.echo)
+                  ((v.real, v.imag) for v in z), a.echo)
 
 
 def cmd_fig3(a):
-    import numpy as np
-
     from . import shooting
     p = make_params(a.gamma, a.b)
     traj = shooting.h_profile(p, a.y_max, tol=a.tol)
-    ts, us, dus = traj.nodes()
-    keep = ts > 0.0
-    ts, us = ts[keep], us[keep]
-    write_csv(_tagged(a.out, "H", ".csv"), ["y", "H"], zip(ts, us), a.echo)
+    rows = [(y, u) for y, u in zip(traj.ts, traj.us) if y > 0.0]
+    write_csv(_tagged(a.out, "H", ".csv"), ["y", "H"], rows, a.echo)
     write_csv(_tagged(a.out, "phi", ".csv"), ["z", "phi"],
-              zip(np.log(ts), ts * us), a.echo)
+              ((math.log(y), y * u) for y, u in rows), a.echo)
 
 
 # ---------------------------------------------------------------------------

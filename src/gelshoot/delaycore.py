@@ -291,7 +291,8 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     end-point tolerance and tol is positive and finite; BlowUpError when
     |u| exceeds VALUE_CAP, StepUnderflowError when the step control
     collapses, and StepBudgetError after MAX_STEPS attempted steps
-    (accepted, rejected or fallen back) short of the span's end.
+    (accepted, rejected or fallen back) short of the span's end, or, with
+    no stop_condition, before the first step if the order cap needs more.
     """
     t0, t1 = float(span[0]), float(span[1])
     t_stop = t1 - _EDGE_TOL * max(1.0, abs(t1))  # the loop's end bound
@@ -304,6 +305,18 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         raise DomainError("tol must be positive and finite")
     if init.hi < t0 - _EDGE_TOL:
         raise DomainError("initial segment does not reach the start point")
+    order_cap, delay_cap = _order_cap(tol), rhs.step_cap
+    # a run that only its end can stop is refused when the order cap alone
+    # needs more steps than the budget: c max(1, |t|/T_SCALE) does not fall
+    # on [-T_SCALE, inf), where a step gains at most c in the W below; one
+    # step less allows for a step from below -T_SCALE and for rounding
+    if stop_condition is None:
+        w0, w1 = (s if s <= T_SCALE
+                  else T_SCALE * (1.0 + math.log(s / T_SCALE))
+                  for s in (max(t0, -T_SCALE), t_stop))
+        floor = (w1 - w0) / order_cap(0.0) - 1.0
+        if floor > MAX_STEPS:
+            raise StepBudgetError(rhs.name, t0, t1, None, floor, MAX_STEPS)
 
     traj = DenseTrajectory(init)
     t = t0
@@ -320,7 +333,6 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
     if stop_condition is not None and stop_condition(t, u):
         traj.event_t = t
         return traj
-    order_cap, delay_cap = _order_cap(tol), rhs.step_cap
     # the first step keeps to the delay cap, so every own-panel step has a
     # last panel to predict from; the underflow test refuses a zero cap, a
     # proportional delay from the origin (start from a series at t > 0)
@@ -406,7 +418,7 @@ def integrate(rhs: DelayRHS, init: History, span, tol: float = DEFAULT_TOL,
         # one law for both outcomes; a NaN estimate, a reject, takes 0.2
         h *= min(5.0, max(0.2, 0.9 * (scale / est) ** 0.2)) if est else 5.0
     if t < t_stop:
-        raise StepBudgetError(rhs.name, t, t1, traj)
+        raise StepBudgetError(rhs.name, t, t1, traj, None, MAX_STEPS)
     return traj
 
 

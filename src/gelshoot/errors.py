@@ -38,16 +38,19 @@ class StepUnderflowError(GelshootError):
 
 
 class StepBudgetError(GelshootError):
-    """An integration spent its budget of attempted steps short of the end
-    of its span; carries the abscissa reached and the partial trajectory."""
+    """A run spent its budget of attempted steps short of its span's end, or
+    was refused up front; carries the t reached and any partial trajectory."""
 
-    def __init__(self, name, location, end, trajectory):
+    def __init__(self, name, location, end, trajectory, floor, budget):
         tr = trajectory
         super().__init__(
             f"{name} run: step budget spent at t = {location:.6g} of "
             f"{end:.6g} ({len(tr.ts) - 1} accepted, {tr.n_rejected} "
             f"rejected, {tr.n_passes} extra passes, {tr.n_fallback} "
-            "fallbacks)")
+            "fallbacks)" if floor is None else
+            f"{name} run: refused before the first step, as the step-size "
+            f"cap needs at least {floor:.4g} accepted steps from t = "
+            f"{location:.6g} to {end:.6g}, over the step budget of {budget}")
         self.location = location
         self.trajectory = trajectory
 

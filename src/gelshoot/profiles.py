@@ -111,6 +111,15 @@ class PowerSeries:
         return len(self.coefficients) - 1
 
 
+def fsum_dot(u, v) -> float:
+    """sum_k u_k v_k by math.fsum, correctly rounded (each series
+    recursion's convolution); NaN where a partial sum leaves the doubles."""
+    try:
+        return math.fsum(map(operator.mul, u, v))
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def _quadratic_delay_series(c0: float, c1: float, r: float, N: int,
                             where: str) -> tuple:
     """Coefficients of u' = c0 u(y)^2 - c1 u(r y)^2, u(0) = 1:
@@ -118,17 +127,13 @@ def _quadratic_delay_series(c0: float, c1: float, r: float, N: int,
         a_{n+1} = (c0 - c1 r^n) / (n+1) * sum_{k<=n} a_k a_{n-k},
 
     as Python floats, so that Horner sums on a float stay on floats; each
-    convolution is summed by math.fsum, correctly rounded.
+    convolution is summed by fsum_dot.
     Raises SeriesOverflowError at the first coefficient that is not finite.
     """
     a = [1.0]
     rn = 1.0  # r^n
     for n in range(N):
-        try:
-            conv = math.fsum(map(operator.mul, a, reversed(a)))
-        except (OverflowError, ValueError):  # a partial sum past the range
-            conv = math.nan
-        a.append((c0 - c1 * rn) * conv / (n + 1))
+        a.append((c0 - c1 * rn) * fsum_dot(a, reversed(a)) / (n + 1))
         if not math.isfinite(a[-1]):
             raise SeriesOverflowError(where, n + 1)
         rn *= r
@@ -294,49 +299,49 @@ def series_switchover(series: PowerSeries) -> float:
 # explicit reference solutions and their residuals
 
 
-def phi_equation_residual(params: ModelParams, x: np.ndarray,
-                          phi, dphi) -> float:
+def _sup(defects) -> float:
+    """max |d| over the defects, NaN when one is NaN or leaves the doubles
+    (a power that overflows, a square that underflows to a divisor 0)."""
+    try:
+        d = [abs(v) for v in defects]
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+    return math.nan if any(map(math.isnan, d)) else max(d)
+
+
+def phi_equation_residual(params: ModelParams, x: list, phi, dphi) -> float:
     """Max residual of b x Phi' = Phi - theta Phi(x/2)^2 + Phi(x)^2."""
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    lhs = params.b * x * dphi(x)
-    rhs = phi(x) - params.theta * phi(x / 2.0) ** 2 + phi(x) ** 2
-    return float(np.max(np.abs(lhs - rhs)))
+    b, th = params.b, params.theta
+    return _sup(b * s * dphi(s) - (p - th * (p2 * p2) + p * p)
+                for s, p, p2 in ((s, phi(s), phi(s / 2.0)) for s in x))
 
 
-def h_equation_residual(params: ModelParams, y: np.ndarray, h, dh) -> float:
+def h_equation_residual(params: ModelParams, y: list, h, dh) -> float:
     """Max residual of H' = -sigma H(q y)^2 + H(y)^2."""
-    import numpy as np
-    y = np.asarray(y, dtype=float)
-    lhs = dh(y)
-    rhs = -params.sigma * h(params.q * y) ** 2 + h(y) ** 2
-    return float(np.max(np.abs(lhs - rhs)))
+    sg, q = params.sigma, params.q
+    return _sup(dh(s) - (-sg * (hq * hq) + hs * hs)
+                for s, hs, hq in ((s, h(s), h(q * s)) for s in y))
 
 
 def explicit_solution_residual(params: ModelParams, which: str,
-                               grid: np.ndarray) -> float:
+                               grid) -> float:
     """Residual of a named closed-form solution on a positive grid.
 
     which: 'Phi0'   power law x^(1/b0) in the Phi equation,
            'PhiInf' the constant 1/(2^(gamma-1)-1) in the Phi equation,
            'HInf'   PhiInf/y in the H equation.
     """
-    import numpy as np
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or grid[0] <= 0.0 or \
-            np.any(np.diff(grid) <= 0.0):
+    xs = [float(s) for s in grid] if getattr(grid, "ndim", 1) == 1 else []
+    if not xs or not 0.0 < xs[0] or not all(map(operator.lt, xs, xs[1:])):
         raise DomainError("grid must be positive and strictly increasing")
     if which == "Phi0":
         e = 1.0 / params.b0
         return phi_equation_residual(
-            params, grid, lambda x: x ** e, lambda x: e * x ** (e - 1.0))
+            params, xs, lambda x: x ** e, lambda x: e * x ** (e - 1.0))
+    c = params.phi_inf
     if which == "PhiInf":
-        c = params.phi_inf
-        return phi_equation_residual(
-            params, grid, lambda x: np.full_like(x, c),
-            lambda x: np.zeros_like(x))
+        return phi_equation_residual(params, xs, lambda x: c, lambda x: 0.0)
     if which == "HInf":
-        c = params.phi_inf
         return h_equation_residual(
-            params, grid, lambda y: c / y, lambda y: -c / y ** 2)
+            params, xs, lambda y: c / y, lambda y: -c / (y * y))
     raise DomainError(f"unknown closed form {which!r}")

@@ -248,11 +248,10 @@ def stability_scan(gamma: float, b_values) -> list[dict]:
     return [one(b) for b in b_values]
 
 
-def curve_samples(params: ModelParams) -> np.ndarray:
+def curve_samples(params: ModelParams) -> list:
     """Imaginary-axis image of the characteristic function at 4000 points
     on |t| <= DISK_RADIUS, the part of the axis the winding count reads,
-    for plotting."""
-    import numpy as np
+    for plotting, as complex numbers."""
     cp = CharProblem.from_params(params)
-    return np.array([_axis_image(cp.sigma_tilde, cp.d_tilde, t) for t in
-                     lin_grid(-DISK_RADIUS, DISK_RADIUS, 4000)])
+    return [_axis_image(cp.sigma_tilde, cp.d_tilde, t) for t in
+            lin_grid(-DISK_RADIUS, DISK_RADIUS, 4000)]

@@ -132,6 +132,23 @@ class TestGamma1Series:
         assert np.all(phi_2x[resolvable]
                       <= phi_x[resolvable] ** 2 * (1.0 + 1e-6))
 
+    @pytest.mark.parametrize("b,a1", [(LN2, -1.0), (1.0, -1.0), (1.0, -0.5),
+                                      (0.9, -2.0), (1.2, -1.0), (1.3, -0.3)])
+    def test_coefficients_against_mpmath(self, b, a1):
+        # the same recursion at 50 digits and the same alpha
+        prof = asy.gamma1_series(b, a1, 40)
+        with mp.workdps(50):
+            al = mp.mpf(prof.alpha)
+            a = [mp.mpf(1), mp.mpf(a1)]
+            for n in range(2, 41):
+                denom = n * b * al / (1 - mp.power(2, -n * al)) - 2
+                a.append(mp.fsum(a[m] * a[n - m] for m in range(1, n))
+                         / denom)
+            worst = max(abs(got / ref - 1) for got, ref
+                        in zip(prof.coefficients, a) if ref != 0)
+        assert all(type(c) is float for c in prof.coefficients)
+        assert worst <= 1e-13
+
     def test_positive_a1_rejected(self):
         with pytest.raises(DomainError):
             asy.gamma1_series(LN2, 0.5, 10)
@@ -151,6 +168,8 @@ class TestGamma1UnitB:
     def test_limit_value(self):
         out = asy.gamma1_b1_limit(-1.0, x_max=2e5)
         assert out["limit"] == pytest.approx(LIMIT_B1, abs=1e-5)
+        # the fields a caller reads
+        assert set(out) == {"limit", "tail_exponent_fit"}
 
     def test_limit_independent_of_a1(self):
         limits = [asy.gamma1_b1_limit(a1, x_max=2e5)["limit"]
@@ -193,6 +212,32 @@ class TestPsiSeries:
             asy.psi_log_eval(eps, y)
         for part in (f"eps={eps!r}", f"y={y!r}", str(asy.PSI_TERM_CAP)):
             assert part in str(info.value)
+
+    @pytest.mark.parametrize("eps,y", [(1e-4, 7500.0), (0.1, 10.0),
+                                       (0.5, 3.0)])
+    def test_log_psi_against_mpmath(self, eps, y):
+        # the series summed at 60 digits; (1 - eps)^n in doubles put the
+        # first case 4.7e-13 off
+        with mp.workdps(60):
+            e, ym = mp.mpf(eps), mp.mpf(y)
+            term = total = ym
+            power = mp.mpf(1)
+            n = 0
+            while n < 3 * y + 20 or term > total * mp.mpf(10) ** -65:
+                n += 1
+                power *= 1 - e
+                term *= 2 * (1 - power) * ym / (n + 1)
+                total += term
+            ref = mp.log(total)
+        assert abs(asy.psi_log_eval(eps, y) / ref - 1) <= 1e-13
+
+    def test_eps_below_the_unit_roundoff(self):
+        # 1 - eps rounds to 1 there, and log1p(-1) once raised ValueError;
+        # Psi(y) = y (1 + eps y/2 + ...)
+        assert asy.psi_log_eval(1e-17, 2.0) == pytest.approx(
+            math.log(2.0), rel=1e-15)
+        assert asy.psi_derivative(1e-300, 2.0) == pytest.approx(1.0,
+                                                                rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -313,6 +358,7 @@ class TestCriticalDelta:
         assert out["matching_slope"] == pytest.approx(
             asy.t_star(1.3) / 1.3, rel=1e-12)
         assert out["y_bar"] == pytest.approx(1.3 / 0.05)
+        assert set(out) == {"delta", "log_delta", "matching_slope", "y_bar"}
 
 
 class TestTailExponents:

@@ -177,6 +177,13 @@ class TestConfigFile:
         assert json.loads(out)["result"] == json.loads(flags_out)["result"]
 
 
+# runs whose order cap alone needs more than MAX_STEPS accepted steps
+BUDGET_FLOOR = [("gamma1", "--tol", "1e-14"), ("gamma1", "--tol", "1e-16"),
+                ("gamma1", "--b", "1", "--tol", "1e-15"),
+                ("greens-verify", "--tol", "1e-15"),
+                ("greens-verify", "--tol", "1e-16")]
+
+
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
         code, _, err = run(capsys, "classify", "--gamma", "2", "--b", "1.5")
@@ -310,13 +317,30 @@ class TestExitCodes:
         assert "tol must be positive" in doc["message"]
 
     def test_step_budget_is_numerical(self, capsys, monkeypatch):
+        # about 2e5 steps at tol 1e-14: refused before the first step
         monkeypatch.setattr(delaycore, "MAX_STEPS", 1000)
         code, out, err = run(capsys, "greens-verify", "--tol", "1e-14")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
         doc = json.loads(err)
         assert doc["type"] == "StepBudgetError"
-        assert doc["message"].startswith("linear-G run: step budget spent")
+        assert doc["message"].startswith(
+            "linear-G run: refused before the first step")
+        assert doc["message"].endswith("over the step budget of 1000")
+
+    @pytest.mark.parametrize("argv", BUDGET_FLOOR, ids=" ".join)
+    def test_run_over_its_step_floor_is_refused_at_once(self, argv,
+                                                        capsys):
+        # each once spent 10^6 steps, 8.6-53 s, before it exited 2
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["type"] == "StepBudgetError"
+        assert "refused before the first step" in doc["message"]
+        assert doc["message"].endswith(
+            f"over the step budget of {delaycore.MAX_STEPS}")
 
     def test_tolerance_below_roundoff_is_numerical(self, capsys):
         code, out, err = run(capsys, "fixedpoint", "--tol", "1e-20")
@@ -468,6 +492,11 @@ FUZZ = [
     # NaN passed a test a1 > 0 and ended in SeriesOverflowError, exit 2
     ("gamma1", "--a1", "nan"),
     ("gamma1", "--b", "1", "--a1", "nan"),
+    # below eps = 1.1e-16, 1 - eps rounds to 1 and log1p(-1) ended in a
+    # ValueError traceback; the terms now peak past the term cap
+    ("psi-asym", "--eps-list", "1e-17"),
+    ("psi-asym", "--eps-list", "1e-300"),
+    *BUDGET_FLOOR,
 ]
 # a result (exit 0) or a typed numerical error (exit 2)
 FUZZ_EXIT = {
@@ -514,6 +543,9 @@ FUZZ_EXIT = {
     # alpha = 1.67e308: the continuation's first step, at z = ln x = 0,
     # underflows
     ("gamma1", "--b", "1.2e-308"): 2,
+    ("psi-asym", "--eps-list", "1e-17"): 2,
+    ("psi-asym", "--eps-list", "1e-300"): 2,
+    **{argv: 2 for argv in BUDGET_FLOOR},
 }
 
 
@@ -704,7 +736,10 @@ CLASSES = {"Oscillating": ["classify"],
 SHOOTING = [*CLASSES.values(), ["winding", "--gamma", "2", "--b", "3"],
             ["bracket-bbar", "--gamma", "2", "--tol-b", "1e-3"], ["profile"],
             ["scan-b"], ["stability-scan"]]
-NUMPY_FREE = [[name] for name in SCALAR] + SHOOTING
+# the series, asymptotics and figure subcommands, on Python floats
+FLOAT_ROUTES = [["psi-asym"], ["gamma1"], ["gamma1", "--b", "1"], ["fig2"],
+                ["fig3"]]
+NUMPY_FREE = [[name] for name in SCALAR] + SHOOTING + FLOAT_ROUTES
 # the chain solver
 SCIPY_ROUTES = [["simulate", "--sites", "4", "--t-end", "1"]]
 
@@ -804,6 +839,10 @@ class TestImportBudget:
                                                 capsys):
         self.check_numpy_free(argv, cold_report, capsys)
 
+    @pytest.mark.parametrize("argv", FLOAT_ROUTES, ids=" ".join)
+    def test_float_route_loads_no_numpy(self, argv, cold_report, capsys):
+        self.check_numpy_free(argv, cold_report, capsys)
+
     @pytest.mark.parametrize("kind", CLASSES)
     def test_classify_cases_cover_every_class(self, kind, cold_report):
         entry = cold_report[" ".join(CLASSES[kind])]
@@ -834,9 +873,13 @@ class TestImportBudget:
         assert importers("scipy") == {"gelsim.evolve_chain"}
 
     def test_numpy_imported_at_module_level_only_by_array_modules(self):
-        # every other module imports numpy inside the functions that use it
-        assert {s for s in importers("numpy") if "." not in s} == {
-            "fixedpoint", "gelsim", "greens"}
+        # the array modules at module level and delaycore's four array
+        # helpers; profiles, shooting, stability, asymptotics and cli run
+        # on Python floats
+        assert importers("numpy") == {
+            "fixedpoint", "gelsim", "greens", "delaycore.History.eval_many",
+            "delaycore.hermite_weights", "delaycore.DenseTrajectory.nodes",
+            "delaycore.monotonicity_and_bound_check"}
 
     def test_laplace_output_unchanged(self, cold_report, capsys):
         entry = cold_report["laplace"]

@@ -582,7 +582,7 @@ FLOAT_RUNS = {
     "h_profile(3, 200)": lambda: sh.h_profile(make_params(3.0, 200.0), 50.0),
     "limit_profile": lambda: sh.limit_profile(0.1, y_max=50.0),
     "gamma1_trajectory": lambda: asymptotics.gamma1_trajectory(
-        asymptotics.gamma1_series(1.0, -1.0, 40), 1e3),
+        asymptotics.gamma1_series(1.0, -1.0, 40), 1e3, tol=1e-10),
     "stability_empirical": lambda: stability.stability_empirical(
         make_params(2.0, 3.0), lambda z: 1e-3 * math.cos(z)),
     "g_by_ode": lambda: greens.g_by_ode(8.0, 1.0),

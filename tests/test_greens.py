@@ -313,10 +313,15 @@ class TestOdeRoute:
 
     def test_step_budget_bounds_a_run_without_series_start(self,
                                                            monkeypatch):
-        # about 2e5 steps at tol 1e-14 from the jump at xi = 1 to x = 2
+        # about 2e5 steps at tol 1e-14 from the jump at xi = 1 to x = 2; a
+        # stop condition that never holds keeps the run from being refused
+        # up front, so it spends the budget in the loop
         monkeypatch.setattr(dc, "MAX_STEPS", 1000)
         with pytest.raises(StepBudgetError) as info:
-            gr.g_by_ode(2.0, 1.0, tol=1e-14)
+            dc.integrate(dc.linear_g_equation(),
+                         dc.FunctionHistory(lambda s: 0.0, -math.inf, 1.0),
+                         (1.0, 2.0), tol=1e-14, u0=1.0,
+                         stop_condition=lambda t, u: False)
         err = info.value
         traj = err.trajectory
         assert 1.0 < err.location == traj.ts[-1] < 2.0
@@ -324,6 +329,28 @@ class TestOdeRoute:
         assert str(err).startswith(
             f"linear-G run: step budget spent at t = {err.location:.6g} of 2 "
             f"({len(traj.ts) - 1} accepted, {traj.n_rejected} rejected")
+
+    def test_run_over_its_step_floor_is_refused_up_front(self,
+                                                         monkeypatch):
+        # the order cap alone needs (2 - 1)/c - 1 = 1.58e5 steps at tol
+        # 1e-14, c = 0.02 (1e-4)^0.9
+        monkeypatch.setattr(dc, "MAX_STEPS", 1000)
+        with pytest.raises(StepBudgetError) as info:
+            gr.g_by_ode(2.0, 1.0, tol=1e-14)
+        err = info.value
+        assert err.trajectory is None and err.location == 1.0
+        c = dc.H_REF * (1e-14 / dc.TOL_REF) ** dc.ORDER_EXP
+        assert str(err) == (
+            "linear-G run: refused before the first step, as the step-size "
+            f"cap needs at least {(2.0 - 1.0) / c - 1.0:.4g} accepted steps "
+            "from t = 1 to 2, over the step budget of 1000")
+
+    def test_run_under_its_step_floor_is_not_refused(self, monkeypatch):
+        # at tol 1e-10 the floor is 49 steps, and the run makes 160 attempts
+        monkeypatch.setattr(dc, "MAX_STEPS", 60)
+        with pytest.raises(StepBudgetError) as info:
+            gr.g_by_ode(2.0, 1.0, tol=1e-10)
+        assert info.value.trajectory is not None
 
 
 class TestResidueRoute:

@@ -538,6 +538,17 @@ class TestExplicitResiduals:
             explicit_solution_residual(p, "Phi0", np.array([2.0, 1.0]))
         with pytest.raises(DomainError):
             explicit_solution_residual(p, "nope", self.GRID)
+        with pytest.raises(DomainError):
+            explicit_solution_residual(p, "Phi0", np.ones((2, 2)))
+
+    @pytest.mark.parametrize("gamma,which,grid", [
+        (5.0, "Phi0", [1.0, 1e200]),     # x^2 overflows
+        (2.0, "HInf", [1e-300, 1.0])])   # y^2 underflows to 0
+    def test_closed_form_past_the_doubles_is_nan(self, gamma, which, grid):
+        # the residual numpy's arrays gave, not an OverflowError or a
+        # ZeroDivisionError from the float forms
+        assert math.isnan(explicit_solution_residual(
+            make_params(gamma, 0.5), which, grid))
 
 
 # property tests: fixed example sequences, no per-example deadline

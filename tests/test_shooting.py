@@ -479,7 +479,7 @@ class TestRetiredKnobs:
                         for d in node.decorator_list):
                     count += sum(isinstance(s, ast.AnnAssign)
                                  and s.value is not None for s in node.body)
-        assert count <= 48
+        assert count <= 47
 
 
 # second copies and unreachable paths, each deleted in favour of the one

@@ -1,3 +1,4 @@
+import cmath
 import logging
 import math
 import random
@@ -501,8 +502,8 @@ class TestScanExport:
 
     def test_curve_samples_shape(self):
         z = st.curve_samples(make_params(2.0, 2.3))
-        assert z.shape == (4000,)
-        assert np.all(np.isfinite(z.view(float)))
+        assert len(z) == 4000
+        assert all(type(v) is complex and cmath.isfinite(v) for v in z)
 
     def test_curve_samples_span_the_counted_window(self):
         # |t| <= DISK_RADIUS, the axis part the winding count reads: at
