@@ -134,9 +134,8 @@ def load_config(path: str) -> dict:
 # delaycore's array helpers, so every subcommand but greens-q,
 # greens-verify, fixedpoint, eps-of-eta, bbar, simulate and gelation-scan
 # runs on Python floats and loads none; numpy would nearly double their
-# cold time.  scipy, which takes far longer to import than the work of the
-# cheap subcommands, loads only for the chain solver of simulate and
-# gelation-scan.
+# cold time.  No subcommand loads scipy: the chain solver of simulate and
+# gelation-scan is the package's own DOP853 on numpy rows.
 
 
 def cmd_params(a):

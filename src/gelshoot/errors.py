@@ -81,9 +81,9 @@ class TermCapError(GelshootError):
 
 
 class SolverFailureError(GelshootError):
-    """An external ODE solver stopped before the end of its span.
+    """The chain solver's step fell below 10 ulps of t, or turned NaN.
 
-    Carries the last abscissa the solver reached and its own message.
+    Carries the last abscissa the solver reached and its message.
     """
 
     def __init__(self, location, solver_message):

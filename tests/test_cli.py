@@ -740,8 +740,9 @@ SHOOTING = [*CLASSES.values(), ["winding", "--gamma", "2", "--b", "3"],
 FLOAT_ROUTES = [["psi-asym"], ["gamma1"], ["gamma1", "--b", "1"], ["fig2"],
                 ["fig3"]]
 NUMPY_FREE = [[name] for name in SCALAR] + SHOOTING + FLOAT_ROUTES
-# the chain solver
-SCIPY_ROUTES = [["simulate", "--sites", "4", "--t-end", "1"]]
+# the chain solver, the package's own DOP853
+CHAIN_ROUTES = [["simulate", "--sites", "4", "--t-end", "1"],
+                ["gelation-scan", "--chains", "2"]]
 
 _COLD_SCRIPT = """
 import contextlib, io, json, sys
@@ -771,11 +772,11 @@ print(json.dumps(report))
 @pytest.fixture(scope="module")
 def cold_report():
     """One fresh process: import the CLI, then run the numpy-free
-    subcommands, the other scipy-free ones and those that need scipy, one
+    subcommands, the other scipy-free ones and the chain solver's, one
     after another."""
     argvs = NUMPY_FREE + [
         [name] for name in SCIPY_FREE if [name] not in NUMPY_FREE] \
-        + SCIPY_ROUTES
+        + CHAIN_ROUTES
     proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT,
                            json.dumps(argvs)], env=child_env(),
                           capture_output=True, text=True, timeout=300,
@@ -861,16 +862,18 @@ class TestImportBudget:
         # only the contour quadrature needs its Gauss-Legendre nodes
         assert cold_report[name]["polynomial"] is False
 
-    @pytest.mark.parametrize("argv", SCIPY_ROUTES, ids=" ".join)
-    def test_scipy_routes_load_scipy(self, argv, cold_report):
+    @pytest.mark.parametrize("argv", CHAIN_ROUTES, ids=" ".join)
+    def test_chain_routes_load_no_scipy(self, argv, cold_report):
         entry = cold_report[" ".join(argv)]
         assert entry["code"] == 0
-        assert "scipy.integrate" in entry["scipy"]
+        assert entry["stdout"]
+        assert entry["scipy"] == []
 
-    def test_scipy_imported_only_by_the_chain_solver(self):
-        # solve_ivp; the residual's interpolant and the independent c0
-        # route are the package's own Hermite and Gauss panels
-        assert importers("scipy") == {"gelsim.evolve_chain"}
+    def test_no_module_imports_scipy(self):
+        # the chain solver is the package's own DOP853, the residual's
+        # interpolant and the independent c0 route its own Hermite and
+        # Gauss panels
+        assert importers("scipy") == set()
 
     def test_numpy_imported_at_module_level_only_by_array_modules(self):
         # the array modules at module level and delaycore's four array

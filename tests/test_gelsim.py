@@ -1,11 +1,12 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
 from gelshoot import gelsim as gs
-from gelshoot.errors import BlowUpError, DomainError
+from gelshoot.errors import BlowUpError, DomainError, SolverFailureError
 from gelshoot.profiles import make_params
 
 
@@ -257,3 +258,56 @@ class TestChainRates:
         chain = gs.make_chain(1.0, 2.0, 1023, "exp")  # xi0 2^1023 is finite
         with pytest.raises(DomainError, match="with 1024 sites"):
             gs.chain_rhs(chain)
+
+
+class TestNanStep:
+    @pytest.mark.parametrize("c", [1e200, 1e160])
+    def test_an_overflowing_start_ends_in_solver_failure(self, c):
+        # f^2 overflows, the rates turn NaN and so does the first step
+        # size: the floor test once let a NaN step loop forever
+        chain = gs.make_chain(1.0, 2.0, 3, lambda x: c)
+        start = time.perf_counter()
+        with pytest.raises(SolverFailureError) as info:
+            gs.evolve_chain(chain, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.location == 0.0
+
+
+class TestDop853Oracles:
+    """The port against scipy's DOP853, which only these tests import."""
+
+    def test_tableau_is_scipys_bit_for_bit(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+        assert np.array_equal(gs._A, ref.A)
+        assert np.array_equal(gs._B, ref.B)
+        assert np.array_equal(gs._C, ref.C)
+        assert np.array_equal(gs._E3, ref.E3)
+        assert np.array_equal(gs._E5, ref.E5)
+        assert np.array_equal(gs._D, ref.D)
+
+    def test_steps_and_states_match_solve_ivp(self):
+        from scipy.integrate import solve_ivp
+        chain = gs.make_chain(1.0, 2.0, 10, "exp")
+        sol = gs.evolve_chain(chain, 5.0, tol=1e-10)
+        ref = solve_ivp(gs.chain_rhs(chain), (0.0, 5.0), chain.f,
+                        method="DOP853", rtol=1e-10, atol=1e-14,
+                        dense_output=True)
+        assert len(sol.t_steps) == len(ref.t)
+        assert np.max(np.abs(sol.f_steps - ref.y)) <= 1e-12
+        assert np.max(np.abs(sol.f - ref.sol(sol.t))) <= 1e-12
+        assert sol.dense(2.5).shape == (11,)
+        assert np.max(np.abs(sol.dense(2.5) - ref.sol(2.5))) <= 1e-12
+
+    def test_the_run_ends_on_the_cap(self, monkeypatch):
+        monkeypatch.setattr(gs, "VALUE_CAP", 1.5)
+        chain = gs.make_chain(1.0, 2.0, 0, lambda x: 0.01, feeder=10.0)
+        with pytest.raises(BlowUpError) as info:
+            gs.evolve_chain(chain, 10.0)
+        sol = info.value.solution
+        assert abs(float(sol.f_steps[:, -1].max()) / 1.5 - 1.0) <= 1e-9
+        assert sol.t_steps[-1] == info.value.location == sol.t[-1] < 10.0
+
+    def test_a_start_above_the_cap_is_no_crossing(self):
+        chain = gs.make_chain(1.0, 2.0, 3, lambda x: 1e13)
+        sol = gs.evolve_chain(chain, 1.0)
+        assert sol.t_steps[-1] == 1.0
