@@ -315,7 +315,6 @@ def cmd_gelation_scan(a):
         "gamma": diag.gamma,
         "seeds": diag.seeds.tolist(),
         "t_hat": diag.t_hat,
-        "collapse_metric": diag.collapse_metric,
         "horizon": diag.horizon,
     }, a.echo)
 

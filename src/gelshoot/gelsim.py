@@ -14,6 +14,7 @@ joint evolution is bitwise identical to separate evolution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,13 +53,20 @@ class DyadicChain:
         return self.xi0 * 2.0 ** np.arange(len(self.f))
 
 
+def _count(name: str, n) -> int:
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} = {n!r} is not an integer") from None
+
+
 def make_chain(xi0: float, gamma: float, K: int, init,
                feeder="zero") -> DyadicChain:
     """Build a chain from a named or callable initial profile.
 
     feeder: 'zero', 'stationary' (the power-law value at xi0/2), or a float.
     """
-    if K < 0:
+    if _count("K", K) < 0:
         raise DomainError(f"site count K = {K} must not be negative")
     # chain_rhs refuses a top site xi0 2^K = inf; refuse it before the sites
     if K >= 1024 and xi0 >= 1.0 and not gamma <= -1.0:
@@ -78,7 +86,10 @@ def make_chain(xi0: float, gamma: float, K: int, init,
     elif feeder == "stationary":
         fb = (xi0 / 2.0) ** (-(gamma + 3.0) / 2.0)
     else:
-        fb = float(feeder)
+        try:
+            fb = float(feeder)
+        except (TypeError, ValueError):
+            raise DomainError(f"unknown feeder {feeder!r}") from None
     return DyadicChain(xi0=xi0, gamma=gamma, f=f0, feeder=fb)
 
 
@@ -177,21 +188,18 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dense(ts, hs, ys, Fs) -> Callable:
-    """The steps' 7th-order interpolant: a scalar t gives shape (n,), an
-    array of m times (n, m).  ts are the step ends (the first the start),
-    hs the step sizes, ys the states at ts, Fs the steps' coefficients."""
-    def dense(t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(ts, t) - 1, 0, len(hs) - 1)
-        x = ((t - ts[i]) / hs[i])[..., None]
-        y = np.zeros(t.shape + ys.shape[1:])
-        for j in range(7):
-            y += Fs[i, 6 - j]
-            y *= x if j % 2 == 0 else 1.0 - x
-        return (y + ys[i]).T
-
-    return dense
+def _dense(ts, hs, ys, Fs, t) -> np.ndarray:
+    """The steps' 7th-order interpolant at t, shape (n,) or (n, len(t)):
+    ts are the step ends (the first the start), hs the step sizes, ys the
+    states at ts, Fs the steps' coefficients."""
+    t = np.asarray(t, dtype=float)
+    i = np.clip(np.searchsorted(ts, t) - 1, 0, len(hs) - 1)
+    x = ((t - ts[i]) / hs[i])[..., None]
+    y = np.zeros(t.shape + ys.shape[1:])
+    for j in range(7):
+        y += Fs[i, 6 - j]
+        y *= x if j % 2 == 0 else 1.0 - x
+    return (y + ys[i]).T
 
 
 def _dop853(rhs, y, t_end, rtol, atol):
@@ -252,12 +260,12 @@ def _dop853(rhs, y, t_end, rtol, atol):
             # the crossing on this step's interpolant ends the run there;
             # at t_new the bracket reads y_new, which the interpolant may
             # round below the cap
-            step = _dense(np.array([t, t_new]), np.array([h]), y[None],
-                          F[None])
+            step = (np.array([t, t_new]), np.array([h]), y[None], F[None])
             t = bisect_root(lambda s: float(np.max(
-                step(s) if s < t_new else y_new)) - VALUE_CAP, t, t_new)
+                _dense(*step, s) if s < t_new else y_new)) - VALUE_CAP,
+                t, t_new)
             ts.append(t)
-            ys.append(step(t))
+            ys.append(_dense(*step, t))
             return ts, ys, hs, Fs, True
         t, y, f = t_new, y_new, f_new
         ts.append(t)
@@ -271,7 +279,6 @@ class ChainSolution:
     f: np.ndarray               # snapshot states, shape (K+1, len(t))
     t_steps: np.ndarray         # the solver's accepted step abscissae
     f_steps: np.ndarray         # states at accepted steps
-    dense: Callable             # the steps' 7th-order interpolant
 
 
 def evolve_chain(chain: DyadicChain, t_end: float,
@@ -280,15 +287,15 @@ def evolve_chain(chain: DyadicChain, t_end: float,
 
     Stops early (BlowUpError) where the largest site first crosses
     VALUE_CAP; the partial solution rides on the exception.  The 65
-    uniform snapshots come from the dense interpolant; accepted-step
-    states are kept alongside (nonnegativity holds at accepted steps).
+    uniform snapshots are read off the steps' interpolant (not kept);
+    accepted-step states are kept too (nonnegativity holds at them).
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError("t_end must be positive and finite")
     if not TOL_MIN <= tol < 1.0:
         raise DomainError(f"tol = {tol!r} not in [{TOL_MIN!r}, 1)")
-    if not np.all(np.isfinite(chain.f)):
-        raise DomainError("chain state must be finite")
+    if not (np.all(np.isfinite(chain.f)) and math.isfinite(chain.feeder)):
+        raise DomainError("chain state and feeder must be finite")
     rhs = chain_rhs(chain)
     # trial stages may overflow before the cap sees an accepted step; such
     # a run ends in SolverFailureError, not in numpy warnings
@@ -296,10 +303,9 @@ def evolve_chain(chain: DyadicChain, t_end: float,
         ts, ys, hs, Fs, capped = _dop853(rhs, chain.f, t_end, tol,
                                          min(tol * 1e-2, 1e-14))
         ts, ys = np.array(ts), np.array(ys)
-        dense = _dense(ts, np.array(hs), ys, np.array(Fs))
         snap_t = np.linspace(0.0, ts[-1], 65)
-        out = ChainSolution(t=snap_t, f=dense(snap_t), t_steps=ts,
-                            f_steps=ys.T, dense=dense)
+        snaps = _dense(ts, np.array(hs), ys, np.array(Fs), snap_t)
+        out = ChainSolution(t=snap_t, f=snaps, t_steps=ts, f_steps=ys.T)
     if capped:
         raise BlowUpError(float(ts[-1]), solution=out)
     return out
@@ -362,12 +368,11 @@ def selfsimilar_residual(x: np.ndarray, F: np.ndarray,
 
 @dataclass(frozen=True)
 class SimDiagnostics:
-    """Per-chain blow-up estimates and self-similar collapse quality."""
+    """Per-chain, per-site blow-up estimates of a gelation scan."""
 
     gamma: float
     seeds: np.ndarray
     t_hat: list                 # per chain: list of per-site estimates
-    collapse_metric: list       # sup-distance sequence of rescaled snapshots
     horizon: float
 
 
@@ -400,62 +405,20 @@ def riccati_blowup_estimate(t: np.ndarray, f: np.ndarray) -> Optional[float]:
 
 def gelation_scan(gamma: float, init="exp", n_chains: int = 64,
                   K: int = 10, horizon: float = 5.0,
-                  tol: float = 1e-10, feeder="zero") -> SimDiagnostics:
-    """Evolve log-spaced chains and report blow-up estimates and collapse.
-
-    The collapse metric rescales trailing snapshots by the stationary-pair
-    exponents (a0, b0) with the fitted chain t_hat and reports sup-distances
-    between consecutive rescaled profiles; a decreasing sequence indicates
-    approach to a self-similar shape.
-    """
-    if not 1 <= n_chains <= MAX_CHAINS:
+                  tol: float = 1e-10) -> SimDiagnostics:
+    """Evolve log-spaced zero-feeder chains to the horizon or the cap and
+    report riccati_blowup_estimate on each site's accepted steps."""
+    if not 1 <= _count("n_chains", n_chains) <= MAX_CHAINS:
         raise DomainError(f"n_chains = {n_chains} not in [1, {MAX_CHAINS}]")
     seeds = np.geomspace(1.0, 2.0, n_chains, endpoint=False)
-    a0 = (gamma + 3.0) / 2.0
-    b0 = 2.0 / (gamma - 1.0) if gamma != 1.0 else math.inf
     t_hats = []
-    collapse = []
     for xi0 in seeds:
-        chain = make_chain(xi0, gamma, K, init, feeder=feeder)
         try:
-            sol = evolve_chain(chain, horizon, tol=tol)
+            sol = evolve_chain(make_chain(xi0, gamma, K, init), horizon,
+                               tol=tol)
         except BlowUpError as err:
             sol = err.solution
-        est = [riccati_blowup_estimate(sol.t_steps, sol.f_steps[k]) for k in
-               range(sol.f_steps.shape[0])]
-        t_hats.append(est)
-        finite = [e for e in est if e is not None and e > 0.0]
-        if finite and gamma > 1.0:
-            # rescaling needs a singular time beyond the data; when the
-            # extrapolated estimate falls inside the run (saturating
-            # dynamics) it is clamped just past the end
-            t_hat = min(finite)
-            t_last = float(sol.t[-1])
-            if t_hat <= t_last:
-                t_hat = 1.05 * t_last
-            sites = chain.sites
-
-            def rescaled(tj):
-                tau = t_hat - tj
-                xs = tau ** b0 * sites
-                Fs = sol.dense(tj) / tau ** (a0 * b0)
-                return np.log(xs), Fs * xs ** a0
-
-            # distance of each ladder snapshot to the final one; a
-            # decreasing sequence signals approach to a common rescaled
-            # shape as t -> t_hat
-            ref = rescaled(t_last)
-            metrics = []
-            for j in range(1, 6):
-                cur = rescaled(t_last * (1.0 - 2.0 ** (-j)))
-                lo = max(ref[0][0], cur[0][0])
-                hi = min(ref[0][-1], cur[0][-1])
-                grid = np.linspace(lo, hi, 64)
-                d = np.max(np.abs(np.interp(grid, *cur)
-                                  - np.interp(grid, *ref)))
-                metrics.append(float(d))
-            collapse.append(metrics)
-        else:
-            collapse.append([])
+        t_hats.append([riccati_blowup_estimate(sol.t_steps, f)
+                       for f in sol.f_steps])
     return SimDiagnostics(gamma=gamma, seeds=seeds, t_hat=t_hats,
-                          collapse_metric=collapse, horizon=horizon)
+                          horizon=horizon)

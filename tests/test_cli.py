@@ -587,6 +587,7 @@ class TestRemainingSubcommands:
                            "--sites", "4", "--t-end", "1")
         doc = json.loads(out)
         assert code == 0 and len(doc["result"]["seeds"]) == 2
+        assert set(doc["result"]) == {"gamma", "seeds", "t_hat", "horizon"}
         assert doc["provenance"]["config"] == \
             "chains=2 gamma=2.0 init=exp sites=4 t_end=1.0 tol=1e-10"
 

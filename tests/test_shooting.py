@@ -423,6 +423,7 @@ RETIRED = [
     ("stability.stability_empirical", {"horizon", "tol"}),
     ("gelsim.evolve_chain", {"n_out"}),
     ("gelsim.riccati_blowup_estimate", {"window"}),
+    ("gelsim.gelation_scan", {"feeder"}),
     ("greens.gtilde_exact", {"n_terms"}),
     ("greens.g_decomposition", {"n_terms"}),
     ("greens.bounds_audit", {"xi_grid", "x_offsets", "xi_pairs", "cfg"}),
@@ -458,7 +459,8 @@ class TestRetiredKnobs:
     def test_retired_record_fields_are_gone(self):
         # each was unread, constant, or a second copy of another field
         for record, gone in [
-                (gelsim.ChainSolution, {"chain", "blew_up"}),
+                (gelsim.ChainSolution, {"chain", "blew_up", "dense"}),
+                (gelsim.SimDiagnostics, {"collapse_metric"}),
                 (gelsim.DyadicChain, {"t"}),
                 (stability.DecayReport, {"rate_fit", "escaped", "horizon"}),
                 (asymptotics.Gamma1Profile, {"a1", "truncation"}),
@@ -479,7 +481,7 @@ class TestRetiredKnobs:
                         for d in node.decorator_list):
                     count += sum(isinstance(s, ast.AnnAssign)
                                  and s.value is not None for s in node.body)
-        assert count <= 47
+        assert count <= 46
 
 
 # second copies and unreachable paths, each deleted in favour of the one
