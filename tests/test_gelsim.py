@@ -1,9 +1,12 @@
 import math
 import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelshoot import gelsim as gs
 from gelshoot.errors import BlowUpError, DomainError, SolverFailureError
@@ -286,22 +289,26 @@ class TestDop853Oracles:
     def test_tableau_is_scipys_bit_for_bit(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
         assert np.array_equal(gs._A, ref.A)
-        assert np.array_equal(gs._B, ref.B)
-        assert np.array_equal(gs._C, ref.C)
+        assert np.array_equal(gs._A[12, :12], ref.B)  # the step's weights
         assert np.array_equal(gs._E3, ref.E3)
         assert np.array_equal(gs._E5, ref.E5)
         assert np.array_equal(gs._D, ref.D)
 
     def test_steps_and_states_match_solve_ivp(self):
+        # alone, and every row of a 4-chain stack (one stacked solve)
         from scipy.integrate import solve_ivp
         chain = gs.make_chain(1.0, 2.0, 10, "exp")
-        sol = gs.evolve_chain(chain, 5.0, tol=1e-10)
-        ref = solve_ivp(gs.chain_rhs(chain), (0.0, 5.0), chain.f,
-                        method="DOP853", rtol=1e-10, atol=1e-14,
-                        dense_output=True)
-        assert len(sol.t_steps) == len(ref.t)
-        assert np.max(np.abs(sol.f_steps - ref.y)) <= 1e-12
-        assert np.max(np.abs(sol.f - ref.sol(sol.t))) <= 1e-12
+        stack = [gs.make_chain(xi0, 2.0, 10, "exp")
+                 for xi0 in (1.0, 1.2, 1.45, 1.9)]
+        runs = [(chain, gs.evolve_chain(chain, 5.0, tol=1e-10))]
+        runs += zip(stack, gs.evolve_chains(stack, 5.0, tol=1e-10))
+        for chain, sol in runs:
+            ref = solve_ivp(gs.chain_rhs(chain), (0.0, 5.0), chain.f,
+                            method="DOP853", rtol=1e-10, atol=1e-14,
+                            dense_output=True)
+            assert len(sol.t_steps) == len(ref.t)
+            assert np.max(np.abs(sol.f_steps - ref.y)) <= 1e-12
+            assert np.max(np.abs(sol.f - ref.sol(sol.t))) <= 1e-12
 
     def test_the_run_ends_on_the_cap(self, monkeypatch):
         monkeypatch.setattr(gs, "VALUE_CAP", 1.5)
@@ -316,3 +323,101 @@ class TestDop853Oracles:
         chain = gs.make_chain(1.0, 2.0, 3, lambda x: 1e13)
         sol = gs.evolve_chain(chain, 1.0)
         assert sol.t_steps[-1] == 1.0
+
+
+def _solved(chains, t_end, tol):
+    """gs._solve's results in input order."""
+    return [result for _, result in sorted(gs._solve(chains, t_end, tol))]
+
+
+def _outcome(result):
+    """A _solve result as (solution, cap time or None)."""
+    if isinstance(result, BlowUpError):
+        return result.solution, result.location
+    return result, None
+
+
+class TestStackedSolve:
+    """A stack of chains steps as one array; each row is bitwise alone."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(K=st.integers(0, 12), gamma=st.floats(0.5, 2.5),
+           rows=st.lists(st.tuples(st.floats(1.0, 1.999), st.floats(0.1, 2.0),
+                                   st.sampled_from([0.0, 3.0, 20.0])),
+                         min_size=1, max_size=8),
+           cap=st.floats(0.3, 3.0))
+    def test_each_row_is_bitwise_alone(self, K, gamma, rows, cap):
+        # a lowered cap stops some rows early and lets others reach t_end;
+        # a row may also start above it, which is no crossing
+        chains = [gs.make_chain(xi0, gamma, K,
+                                lambda x, c=c: c * math.exp(-x), feeder=fb)
+                  for xi0, c, fb in rows]
+        with mock.patch.object(gs, "VALUE_CAP", cap):
+            stacked = _solved(chains, 1.0, 1e-8)
+            alone = [_solved([c], 1.0, 1e-8)[0] for c in chains]
+        for got, want in zip(stacked, alone):
+            (sol, t_cap), (ref, ref_cap) = _outcome(got), _outcome(want)
+            assert t_cap == ref_cap
+            for name in ("t", "f", "t_steps", "f_steps"):
+                assert np.array_equal(getattr(sol, name), getattr(ref, name))
+
+    def test_a_scan_is_one_stacked_solve(self, monkeypatch):
+        calls = []
+
+        def counted(rhs, y, *args):
+            calls.append(y.shape)
+            return dop853(rhs, y, *args)
+
+        dop853 = gs._dop853
+        monkeypatch.setattr(gs, "_dop853", counted)
+        one = gs.gelation_scan(2.0, n_chains=8, K=4, horizon=1.0)
+        assert calls == [(8, 5)]
+        # more chains than STACK_ROWS solve as several stacks, in order
+        monkeypatch.setattr(gs, "STACK_ROWS", 3)
+        calls.clear()
+        split = gs.gelation_scan(2.0, n_chains=8, K=4, horizon=1.0)
+        assert calls == [(3, 5), (3, 5), (2, 5)]
+        assert split.t_hat == one.t_hat
+
+    def test_mixed_lengths_come_back_in_input_order(self):
+        chains = [gs.make_chain(1.1, 2.0, 6, "exp"),
+                  gs.make_chain(1.3, 2.0, 2, "exp"),
+                  gs.make_chain(1.7, 2.0, 6, "exp")]
+        joint = gs.evolve_chains(iter(chains), 2.0)  # any iterable
+        for sol, chain in zip(joint, chains):
+            alone = gs.evolve_chain(chain, 2.0)
+            assert np.array_equal(sol.t_steps, alone.t_steps)
+            assert np.array_equal(sol.f_steps, alone.f_steps)
+
+    def test_the_first_failing_row_in_input_order_raises(self):
+        # row 1 fails at t = 1.87 and row 3 at t = 0, earlier in the
+        # stack's steps: a loop of lone solves raises row 1's error
+        ok = gs.make_chain(1.5, 2.0, 60, lambda x: 0.0)
+        late = gs.make_chain(1.0, 2.0, 60, "exp")
+        early = gs.make_chain(1.2, 2.0, 60, lambda x: 1e200)
+        with pytest.raises(SolverFailureError) as lone:
+            gs.evolve_chain(late, 3.0)
+        with pytest.raises(SolverFailureError) as info:
+            gs.evolve_chains([ok, late, ok, early], 3.0)
+        assert info.value.location == lone.value.location > 1.8
+        assert str(info.value) == str(lone.value)
+        with pytest.raises(SolverFailureError) as info:
+            gs.evolve_chains([ok, early, late], 3.0)
+        assert info.value.location == 0.0
+        # the rows after a failed one stop with it, as a loop would
+        assert _solved([early, late], 3.0, 1e-10)[1] is None
+
+    def test_the_first_capped_row_in_input_order_raises(self, monkeypatch):
+        monkeypatch.setattr(gs, "VALUE_CAP", 1.5)
+        slow = gs.make_chain(1.0, 2.0, 0, lambda x: 0.01, feeder=10.0)
+        fast = gs.make_chain(1.0, 2.0, 0, lambda x: 0.01, feeder=50.0)
+        with pytest.raises(BlowUpError) as lone:
+            gs.evolve_chain(slow, 10.0)
+        with pytest.raises(BlowUpError) as first:
+            gs.evolve_chain(fast, 10.0)
+        with pytest.raises(BlowUpError) as info:
+            gs.evolve_chains([slow, fast], 10.0)
+        assert info.value.location == lone.value.location \
+            > first.value.location
+        assert np.array_equal(info.value.solution.f_steps,
+                              lone.value.solution.f_steps)
